@@ -28,7 +28,7 @@ from .data import (
     load_idx,
     standardize,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TrainingDiverged
 from .experiment import (
     EpochRecord,
     ExperimentConfig,

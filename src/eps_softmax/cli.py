@@ -1,7 +1,7 @@
 """Command-line interface: train, sweep, verify, gradcheck.
 
-Exit codes: 0 on success, 1 on configuration or data errors, 2 when a
-verification or gradient check fails. Flags override config-file fields;
+Exit codes: 0 on success, 1 on configuration or data errors or when training
+diverges, 2 when a verification or gradient check fails. Flags override config-file fields;
 without a config file the desk-scale blob defaults below apply. The --seed
 flag drives the run, the weight init, and the noise draw together so
 seed-averaged comparisons vary everything at once.
@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .data import DatasetSpec
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TrainingDiverged
 from .experiment import (
     ExperimentConfig,
     config_from_dict,
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, OSError) as exc:
+    except (ConfigError, DataError, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,3 +7,7 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Malformed, truncated, or inconsistent data file or dataset."""
+
+
+class TrainingDiverged(FloatingPointError):
+    """Training produced a non-finite loss or non-finite network outputs."""

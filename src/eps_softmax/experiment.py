@@ -10,6 +10,7 @@ the progress callback) but never serialized.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -18,11 +19,12 @@ import numpy as np
 
 from .core import make_rng
 from .data import Dataset, DatasetSpec, build_dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TrainingDiverged
 from .losses import LossSpec, batch_loss
 from .mlp import (
     MlpSpec,
     OptimSpec,
+    Workspace,
     backward,
     clip_grad_norm,
     cosine_lr,
@@ -137,7 +139,9 @@ def run_experiment(
 
     Only training labels are corrupted; the test split stays clean. The batch
     order is reshuffled every epoch from the run seed, so identical configs
-    give bitwise identical trajectories.
+    give bitwise identical trajectories. Raises TrainingDiverged, naming the
+    epoch and step, when a batch's loss sum or the test logits stop being
+    finite.
     """
     config.validate()
     train, test = build_dataset(config.dataset, config.seed)
@@ -151,10 +155,12 @@ def run_experiment(
 
     params = init_params(config.mlp)
     velocity = zeros_like_params(params)
+    ws = Workspace(config.mlp.layer_sizes)
     shuffle_rng = make_rng(config.seed, stream=_SHUFFLE_STREAM)
     opt = config.optim
     n_train = len(noisy)
     records: list[EpochRecord] = []
+    step = 0
     for epoch in range(opt.epochs):
         started = time.perf_counter()
         lr = cosine_lr(epoch, opt.epochs, opt.lr0)
@@ -162,13 +168,26 @@ def run_experiment(
         loss_total = 0.0
         for start in range(0, n_train, opt.batch_size):
             idx = order[start : start + opt.batch_size]
-            logits, cache = forward(params, noisy.features[idx])
+            logits, cache = forward(params, noisy.features[idx], ws)
             values, grad_logits = batch_loss(logits, noisy.labels[idx], config.loss)
-            loss_total += float(values.sum())
-            grads = backward(cache, grad_logits / idx.size)
+            batch_sum = float(values.sum())
+            if not math.isfinite(batch_sum):
+                raise TrainingDiverged(
+                    f"training diverged at epoch {epoch}, step {step}: "
+                    f"batch loss sum is {batch_sum}"
+                )
+            loss_total += batch_sum
+            grad_logits /= idx.size
+            grads = backward(cache, grad_logits)
             clip_grad_norm(grads, opt.clip_norm)
             sgd_step(params, grads, velocity, lr, opt.momentum, opt.weight_decay)
-        metrics = evaluate(params, test.features, test.labels)
+            step += 1
+        try:
+            metrics = evaluate(params, test.features, test.labels, ws=ws)
+        except FloatingPointError as exc:
+            raise TrainingDiverged(
+                f"training diverged at epoch {epoch}, after step {step - 1}: {exc}"
+            ) from None
         record = EpochRecord(
             epoch=epoch,
             lr=lr,
@@ -215,7 +234,16 @@ def _record_to_dict(record: EpochRecord) -> dict:
 
 
 def emit_results(records: list[EpochRecord], summary: dict, path: str) -> None:
-    """Write line-delimited JSON at full float precision; never overwrites."""
+    """Write line-delimited JSON at full float precision; never overwrites.
+
+    Values that strict JSON cannot hold (NaN, infinities) raise DataError
+    before the file is created.
+    """
+    try:
+        lines = [json.dumps(_record_to_dict(r), allow_nan=False) for r in records]
+        lines.append(json.dumps(summary, allow_nan=False))
+    except ValueError as exc:
+        raise DataError(f"refusing to write {path}: {exc}") from None
     try:
         fh = open(path, "x", encoding="utf-8")
     except FileExistsError:
@@ -223,9 +251,8 @@ def emit_results(records: list[EpochRecord], summary: dict, path: str) -> None:
     except OSError as exc:
         raise DataError(f"cannot write results to {path}: {exc}") from None
     with fh:
-        for record in records:
-            fh.write(json.dumps(_record_to_dict(record)) + "\n")
-        fh.write(json.dumps(summary) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def read_results(path: str) -> tuple[list[EpochRecord], dict]:

@@ -100,9 +100,9 @@ def _ce_batch(p, py, rows, labels):
     return values, grads
 
 
-def _mae_batch(p, py, rows, labels):
+def _mae_batch(py, d):
     values = 2.0 * (1.0 - py)
-    grads = (-2.0 * py)[:, None] * _target_direction(p, rows, labels)
+    grads = (-2.0 * py)[:, None] * d
     return values, grads
 
 
@@ -120,14 +120,14 @@ def _eps_scale(p, py, labels, m):
     return on_target, fy, scale
 
 
-def _ce_eps_batch(p, py, rows, labels, m):
+def _ce_eps_batch(p, py, labels, m, d):
     _, fy, scale = _eps_scale(p, py, labels, m)
     values = -log_clamped(fy)
-    grads = -(scale[:, None] * _target_direction(p, rows, labels))
+    grads = -(scale[:, None] * d)
     return values, grads
 
 
-def _focal_eps_batch(p, py, rows, labels, m, gamma):
+def _focal_eps_batch(p, py, labels, m, gamma, d):
     """Focal loss on the transformed target component; m = 0 is plain focal."""
     _, fy, scale = _eps_scale(p, py, labels, m)
     logf = log_clamped(fy)
@@ -139,14 +139,14 @@ def _focal_eps_batch(p, py, rows, labels, m, gamma):
         pos = one_minus > 0.0
         coeff[pos] = gamma * one_minus[pos] ** (gamma - 1.0) * logf[pos] * (py[pos] / (m + 1.0))
     coeff -= mod * scale
-    grads = coeff[:, None] * _target_direction(p, rows, labels)
+    grads = coeff[:, None] * d
     return values, grads
 
 
-def _gce_batch(p, py, rows, labels, q):
+def _gce_batch(py, q, d):
     pq = py**q
     values = (1.0 - pq) / q
-    grads = (-pq)[:, None] * _target_direction(p, rows, labels)
+    grads = (-pq)[:, None] * d
     return values, grads
 
 
@@ -171,32 +171,33 @@ def batch_loss(logits, labels, spec: LossSpec):
     kind = spec.kind
     if kind == "ce":
         return _ce_batch(p, py, rows, labels)
-    if kind == "mae":
-        return _mae_batch(p, py, rows, labels)
-    if kind == "ce_eps":
-        return _ce_eps_batch(p, py, rows, labels, spec.m)
-    if kind == "fl":
-        return _focal_eps_batch(p, py, rows, labels, 0.0, spec.gamma)
-    if kind == "fl_eps":
-        return _focal_eps_batch(p, py, rows, labels, spec.m, spec.gamma)
-    if kind == "gce":
-        return _gce_batch(p, py, rows, labels, spec.q)
     if kind == "sce":
         return _sce_batch(p, py, rows, labels, spec.alpha, spec.beta, spec.A)
-    # combined kinds
-    values = np.zeros_like(py)
-    grads = np.zeros_like(p)
+    d = _target_direction(p, rows, labels)
+    if kind == "mae":
+        return _mae_batch(py, d)
+    if kind == "ce_eps":
+        return _ce_eps_batch(p, py, labels, spec.m, d)
+    if kind == "fl":
+        return _focal_eps_batch(p, py, labels, 0.0, spec.gamma, d)
+    if kind == "fl_eps":
+        return _focal_eps_batch(p, py, labels, spec.m, spec.gamma, d)
+    if kind == "gce":
+        return _gce_batch(py, spec.q, d)
+    # combined kinds: both terms share d; the scalar 0.0 start keeps the sum
+    # equal to 0.0 + beta * MAE, signed zeros included, when alpha is 0
+    values, grads = 0.0, 0.0
     if spec.alpha != 0.0:
         if kind == "ce_eps_mae":
-            bv, bg = _ce_eps_batch(p, py, rows, labels, spec.m)
+            bv, bg = _ce_eps_batch(p, py, labels, spec.m, d)
         else:
-            bv, bg = _focal_eps_batch(p, py, rows, labels, spec.m, spec.gamma)
+            bv, bg = _focal_eps_batch(p, py, labels, spec.m, spec.gamma, d)
         values = spec.alpha * bv
         grads = spec.alpha * bg
     if spec.beta != 0.0:
-        mv, mg = _mae_batch(p, py, rows, labels)
-        values = values + spec.beta * mv
-        grads = grads + spec.beta * mg
+        mv, mg = _mae_batch(py, d)
+        values += spec.beta * mv
+        grads += spec.beta * mg
     return values, grads
 
 

@@ -7,8 +7,20 @@ decay folded into the gradient:
     v <- momentum * v + (grad + weight_decay * param)
     param <- param - lr * v
 
-All updates happen in place for speed; callers that need snapshots should
-copy. Identical seeds give bitwise identical parameters and trajectories in
+Every ParamSet (parameters, gradients, velocity) is one flat float64 buffer,
+``flat``, holding all weight matrices in layer order and then all bias
+vectors; ``weights`` and ``biases`` are views into it. The optimizer and the
+gradient clip therefore run a few ufuncs over ``flat``, each in the same
+elementwise order as the per-layer update written above, so they give the same
+bits as a loop over layers.
+
+All updates happen in place. A training loop passes a Workspace to forward
+and evaluate: the workspace owns one set of layer outputs per batch row count,
+the backprop scratch and the gradient set, so a step allocates no per-layer
+arrays. Results computed through a workspace are views of its buffers and are
+overwritten by the next call with the same row count; callers that need
+snapshots should copy. Without a workspace every call gets fresh buffers.
+Identical seeds give bitwise identical parameters and trajectories in
 single-threaded use.
 """
 
@@ -66,43 +78,113 @@ class OptimSpec:
 
 @dataclass
 class ParamSet:
-    """Per-layer weights and biases; also the container for grads and velocity."""
+    """Per-layer weights and biases as views into one flat buffer; also the
+    container for grads and velocity.
 
+    ``flat`` holds the weights in layer order, then the biases, which is the
+    order ``arrays()`` yields them in. Writing through a view writes ``flat``.
+    """
+
+    flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def zeros(cls, layer_sizes) -> ParamSet:
+        """A zero-filled set for a network with these layer widths."""
+        shapes = list(zip(layer_sizes[1:], layer_sizes[:-1]))  # (fan_out, fan_in)
+        flat = np.zeros(sum(o * i + o for o, i in shapes))
+        weights, start = [], 0
+        for shape in shapes:
+            stop = start + shape[0] * shape[1]
+            weights.append(flat[start:stop].reshape(shape))
+            start = stop
+        biases = []
+        for fan_out, _ in shapes:
+            biases.append(flat[start : start + fan_out])
+            start += fan_out
+        return cls(flat, weights, biases)
+
+    @property
+    def layer_sizes(self) -> tuple[int, ...]:
+        return (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
 
     def arrays(self):
         yield from self.weights
         yield from self.biases
 
+    def scratch(self) -> np.ndarray:
+        """A buffer shaped like ``flat`` for in-place temporaries, made on the
+        first call and returned again after; its contents are undefined."""
+        if self._scratch is None:
+            self._scratch = np.empty_like(self.flat)
+        return self._scratch
+
+
+class Workspace:
+    """Buffers a training loop reuses across steps.
+
+    It keeps one set of layer outputs per batch row count (the full batch, the
+    last partial batch, the test set), backprop scratch for the row counts
+    that backward sees, and the gradient set backward writes into.
+    """
+
+    def __init__(self, layer_sizes):
+        self.layer_sizes = tuple(layer_sizes)
+        self.grads: ParamSet | None = None
+        self._outputs: dict[int, list[np.ndarray]] = {}
+        self._backprop: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+
+    def outputs(self, rows: int) -> list[np.ndarray]:
+        """Each layer's output for a batch of ``rows``: hidden activations, then logits."""
+        bufs = self._outputs.get(rows)
+        if bufs is None:
+            bufs = self._outputs[rows] = [np.empty((rows, n)) for n in self.layer_sizes[1:]]
+        return bufs
+
+    def backprop(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Backpropagated signal and ReLU mask of each hidden layer for ``rows``."""
+        bufs = self._backprop.get(rows)
+        if bufs is None:
+            hidden = self.layer_sizes[1:-1]
+            bufs = self._backprop[rows] = (
+                [np.empty((rows, n)) for n in hidden],
+                [np.empty((rows, n), dtype=bool) for n in hidden],
+            )
+        return bufs
+
 
 @dataclass
 class ForwardCache:
     params: ParamSet
-    inputs: list[np.ndarray] = field(default_factory=list)
-    preacts: list[np.ndarray] = field(default_factory=list)
+    x: np.ndarray
+    outputs: list[np.ndarray]
+    workspace: Workspace
     batch_size: int = 0
 
 
 def init_params(spec: MlpSpec) -> ParamSet:
     """He-normal weights (std sqrt(2 / fan_in)) and zero biases."""
     rng = make_rng(spec.init_seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
-        weights.append(rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in))
-        biases.append(np.zeros(fan_out))
-    return ParamSet(weights, biases)
+    params = ParamSet.zeros(spec.layer_sizes)
+    for w in params.weights:
+        fan_in = w.shape[1]
+        w[...] = rng.standard_normal(w.shape) * math.sqrt(2.0 / fan_in)
+    return params
 
 
 def zeros_like_params(params: ParamSet) -> ParamSet:
-    return ParamSet(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
+    return ParamSet.zeros(params.layer_sizes)
 
 
-def forward(params: ParamSet, x) -> tuple[np.ndarray, ForwardCache]:
-    """Logits for a batch plus the cache needed by backward."""
+def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarray, ForwardCache]:
+    """Logits for a batch plus the cache needed by backward.
+
+    Layer outputs are written into ``ws``'s buffers for this row count: the
+    returned logits and the cache alias them until the next forward with the
+    same workspace and row count. Without ``ws`` they are fresh arrays.
+    """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D batch, got shape {a.shape}")
@@ -111,13 +193,17 @@ def forward(params: ParamSet, x) -> tuple[np.ndarray, ForwardCache]:
             f"input dim {a.shape[1]} does not match first layer fan-in "
             f"{params.weights[0].shape[1]}"
         )
-    cache = ForwardCache(params=params, batch_size=a.shape[0])
+    if ws is None:
+        ws = Workspace(params.layer_sizes)
+    outputs = ws.outputs(a.shape[0])
+    cache = ForwardCache(params, a, outputs, ws, batch_size=a.shape[0])
     last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        cache.inputs.append(a)
-        z = a @ w.T + b
-        cache.preacts.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
+    for i, (w, b, z) in enumerate(zip(params.weights, params.biases, outputs)):
+        np.matmul(a, w.T, out=z)
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        a = z
     return a, cache
 
 
@@ -125,38 +211,54 @@ def backward(cache: ForwardCache, grad_logits: np.ndarray) -> ParamSet:
     """Exact parameter gradients given d(loss)/d(logits) for the same batch.
 
     Pass the gradient of the batch-mean loss to get batch-mean parameter
-    gradients.
+    gradients. They are written into the workspace's gradient set, which the
+    next backward through the same workspace overwrites.
     """
     params = cache.params
     g = np.asarray(grad_logits, dtype=np.float64)
-    if g.shape != cache.preacts[-1].shape:
+    if g.shape != cache.outputs[-1].shape:
         raise ValueError(
             f"grad_logits shape {g.shape} does not match cached logits "
-            f"{cache.preacts[-1].shape}; stale cache?"
+            f"{cache.outputs[-1].shape}; stale cache?"
         )
-    grads = ParamSet([None] * len(params.weights), [None] * len(params.biases))
+    ws = cache.workspace
+    if ws.grads is None:
+        ws.grads = zeros_like_params(params)
+    grads = ws.grads
+    deltas, masks = ws.backprop(cache.batch_size)
     for i in range(len(params.weights) - 1, -1, -1):
-        grads.weights[i] = g.T @ cache.inputs[i]
-        grads.biases[i] = g.sum(axis=0)
+        inputs = cache.outputs[i - 1] if i > 0 else cache.x
+        np.matmul(g.T, inputs, out=grads.weights[i])
+        np.sum(g, axis=0, out=grads.biases[i])
         if i > 0:
-            g = (g @ params.weights[i]) * (cache.preacts[i - 1] > 0.0)
+            # a hidden output is relu(z), which is positive exactly where z is
+            delta, mask = deltas[i - 1], masks[i - 1]
+            np.matmul(g, params.weights[i], out=delta)
+            np.greater(inputs, 0.0, out=mask)
+            np.multiply(delta, mask, out=delta)
+            g = delta
     return grads
 
 
 def clip_grad_norm(grads: ParamSet, max_norm: float = 5.0) -> tuple[ParamSet, float]:
     """Rescale all gradients in place if their global L2 norm exceeds max_norm.
 
-    Returns the grads and the scale factor applied (1.0 when no clipping).
+    The squares go to ``grads.scratch()`` and are summed per array, weights
+    then biases, so the norm has the same bits as summing each layer's
+    gradient on its own. Returns the grads and the scale factor applied (1.0
+    when no clipping).
     """
+    squares = np.multiply(grads.flat, grads.flat, out=grads.scratch())
     total = 0.0
+    start = 0
     for g in grads.arrays():
-        total += float((g * g).sum())
+        total += float(squares[start : start + g.size].sum())
+        start += g.size
     norm = math.sqrt(total)
     scale = 1.0
     if norm > max_norm:
         scale = max_norm / norm
-        for g in grads.arrays():
-            g *= scale
+        grads.flat *= scale
     return grads, scale
 
 
@@ -175,26 +277,36 @@ def sgd_step(
     momentum: float = 0.0,
     weight_decay: float = 0.0,
 ) -> tuple[ParamSet, ParamSet]:
-    """One momentum-SGD update, in place; returns (params, velocity)."""
-    for p, g, v in zip(params.arrays(), grads.arrays(), velocity.arrays()):
-        v *= momentum
-        v += g + weight_decay * p
-        p -= lr * v
+    """One momentum-SGD update, in place; returns (params, velocity).
+
+    The update's temporary lives in ``grads.scratch()``.
+    """
+    step = np.multiply(params.flat, weight_decay, out=grads.scratch())
+    step += grads.flat
+    velocity.flat *= momentum
+    velocity.flat += step
+    np.multiply(velocity.flat, lr, out=step)
+    params.flat -= step
     return params, velocity
 
 
-def evaluate(params: ParamSet, x, labels, max_k: int = 5) -> dict:
+def evaluate(params: ParamSet, x, labels, max_k: int = 5, ws: Workspace | None = None) -> dict:
     """Top-1 accuracy and top-k error rates for k = 1..min(max_k, K).
 
     Ranking ties go to the lower class index, and top-k error is nonincreasing
-    in k by construction.
+    in k by construction. Raises FloatingPointError on non-finite logits, which
+    have no ranking.
     """
     y = np.asarray(labels)
     if y.size == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits, _ = forward(params, x)
+    logits, _ = forward(params, x, ws)
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("logits are not finite; the network has diverged")
     k_max = min(max_k, logits.shape[1])
-    order = np.argsort(-logits, axis=1, kind="stable")
-    rank = np.argmax(order == y[:, None], axis=1)  # position of the true label
+    true = np.take_along_axis(logits, y[:, None], axis=1)
+    # rank of the true label: classes scoring above it, plus equal ones at a lower index
+    lower = np.arange(logits.shape[1]) < y[:, None]
+    rank = np.count_nonzero(np.where(lower, logits >= true, logits > true), axis=1)
     topk_errors = [float((rank >= k).mean()) for k in range(1, k_max + 1)]
     return {"top1_accuracy": 1.0 - topk_errors[0], "topk_errors": topk_errors}

@@ -21,7 +21,15 @@ from .core import LOG_FLOOR, check_prob_vector, make_rng, softmax_rows
 from .data import DatasetSpec, generate_blobs
 from .errors import ConfigError
 from .losses import LOSS_KINDS, LossSpec, batch_loss, ce_eps_symmetric_sums, evaluate_loss
-from .mlp import MlpSpec, backward, forward, init_params, sgd_step, zeros_like_params
+from .mlp import (
+    MlpSpec,
+    Workspace,
+    backward,
+    forward,
+    init_params,
+    sgd_step,
+    zeros_like_params,
+)
 from .noise import NoiseSpec, clean_dominance_margin, corrupt_labels, expected_clean_weight
 from .transform import distances_to_one_hot_rows, eps_bound, eps_softmax_rows
 
@@ -332,9 +340,10 @@ def _train_linear_softmax(
 ):
     params = init_params(MlpSpec((features.shape[1], n_classes), init_seed=seed))
     velocity = zeros_like_params(params)
+    ws = Workspace(params.layer_sizes)
     n = labels.size
     for _ in range(steps):
-        logits, cache = forward(params, features)
+        logits, cache = forward(params, features, ws)
         _, grad_logits = batch_loss(logits, labels, spec)
         grads = backward(cache, grad_logits / n)
         sgd_step(params, grads, velocity, lr, momentum)
@@ -518,17 +527,6 @@ def gradcheck_losses(
     return reports
 
 
-def _flatten_params(params) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in params.arrays()])
-
-
-def _write_params(params, flat: np.ndarray) -> None:
-    offset = 0
-    for a in params.arrays():
-        a[...] = flat[offset : offset + a.size].reshape(a.shape)
-        offset += a.size
-
-
 def gradcheck_mlp(
     kinds=LOSS_KINDS,
     seed: int = 0,
@@ -546,16 +544,17 @@ def gradcheck_mlp(
         params = init_params(spec_net)
         logits, cache = forward(params, x)
         _, grad_logits = batch_loss(logits, y, loss_spec)
-        analytic = _flatten_params(backward(cache, grad_logits / y.size))
+        analytic = backward(cache, grad_logits / y.size).flat
 
         probe = init_params(spec_net)
+        ws = Workspace(spec_net.layer_sizes)
 
         def mean_loss(flat: np.ndarray) -> float:
-            _write_params(probe, flat)
-            values, _ = batch_loss(forward(probe, x)[0], y, loss_spec)
+            probe.flat[...] = flat
+            values, _ = batch_loss(forward(probe, x, ws)[0], y, loss_spec)
             return float(values.mean())
 
-        numeric = fd_gradient(mean_loss, _flatten_params(params), h)
+        numeric = fd_gradient(mean_loss, params.flat, h)
         err = _relative_error(analytic, numeric)
         reports.append(
             CheckReport(

@@ -108,6 +108,16 @@ def test_train_refuses_to_overwrite(tmp_path, capsys):
     assert "refusing to overwrite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_that_diverges_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "run.jsonl"
+    argv = ["train", "--lr0", "1e6", "--clip-norm", "1e12", "--epochs", "5", "--out", str(out),
+            "--log-every", "0"]
+    assert run_main(argv) == 1
+    assert not out.exists()
+    assert "training diverged at epoch" in capsys.readouterr().err
+
+
 def test_train_progress_goes_to_stderr(tmp_path, capsys):
     out = str(tmp_path / "run.jsonl")
     code = run_main(

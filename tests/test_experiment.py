@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from eps_softmax.cli import default_config
 from eps_softmax.data import DatasetSpec
-from eps_softmax.errors import ConfigError, DataError
+from eps_softmax.errors import ConfigError, DataError, TrainingDiverged
 from eps_softmax.experiment import (
     ExperimentConfig,
     config_from_dict,
@@ -170,6 +171,23 @@ def test_lr_schedule_lands_in_the_records():
     assert records[1].lr < records[0].lr
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_experiment_stops_on_a_non_finite_loss():
+    config = dataclasses.replace(
+        default_config(0), optim=OptimSpec(lr0=1e6, clip_norm=1e12, epochs=5)
+    )
+    with pytest.raises(TrainingDiverged, match=r"epoch 2, step 47: batch loss sum is nan"):
+        run_experiment(config)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_experiment_stops_on_non_finite_test_logits():
+    # one step per epoch: the first loss is finite, the update overflows the weights
+    config = tiny_config(optim=OptimSpec(lr0=1e300, clip_norm=1e12, epochs=2, batch_size=90))
+    with pytest.raises(TrainingDiverged, match="epoch 0, after step 0: logits are not finite"):
+        run_experiment(config)
+
+
 # ---------------------------------------------------------------------------
 # Results files
 # ---------------------------------------------------------------------------
@@ -204,6 +222,15 @@ def test_emit_reports_unwritable_paths(tmp_path):
     records, summary = run_experiment(tiny_config())
     with pytest.raises(DataError, match="cannot write"):
         emit_results(records, summary, str(tmp_path / "missing" / "run.jsonl"))
+
+
+def test_emit_refuses_non_finite_values(tmp_path):
+    records, summary = run_experiment(tiny_config())
+    summary["final_train_loss"] = float("nan")
+    path = tmp_path / "run.jsonl"
+    with pytest.raises(DataError, match="refusing to write"):
+        emit_results(records, summary, str(path))
+    assert not path.exists()
 
 
 def test_emitted_files_have_no_wall_time(tmp_path):

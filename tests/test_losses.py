@@ -193,6 +193,27 @@ def test_combined_is_the_weighted_sum(case):
     assert combined.value == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind, fit_kind", [("ce_eps_mae", "ce_eps"), ("fl_eps_mae", "fl_eps")])
+@pytest.mark.parametrize("alpha, beta", [(0.1, 1.0), (1.0, 0.0), (0.0, 2.0)])
+def test_combined_batch_is_the_zero_started_weighted_sum_bitwise(kind, fit_kind, alpha, beta):
+    rng = np.random.default_rng(7)
+    logits = rng.normal(0.0, 3.0, size=(64, 5))
+    logits[:4] = [60.0, 0.0, 0.0, 0.0, 0.0]  # p_y == 1: MAE gradients with signed zeros
+    labels = rng.integers(0, 5, size=64)
+    labels[:2] = 0
+    values, grads = batch_loss(logits, labels, LossSpec(kind, m=2.0, alpha=alpha, beta=beta))
+    fit_v, fit_g = batch_loss(logits, labels, LossSpec(fit_kind, m=2.0))
+    mae_v, mae_g = batch_loss(logits, labels, LossSpec("mae"))
+    # zero-filled accumulators, each nonzero weight's term added in turn
+    want_v, want_g = np.zeros_like(fit_v), np.zeros_like(fit_g)
+    if alpha != 0.0:
+        want_v, want_g = alpha * fit_v, alpha * fit_g
+    if beta != 0.0:
+        want_v, want_g = want_v + beta * mae_v, want_g + beta * mae_g
+    assert values.tobytes() == want_v.tobytes()
+    assert grads.tobytes() == want_g.tobytes()
+
+
 def test_loss_combined_rejects_non_combined_kinds():
     with pytest.raises(ConfigError):
         loss_combined([0.0, 1.0], 0, LossSpec("ce"))

@@ -7,6 +7,7 @@ from eps_softmax.errors import ConfigError
 from eps_softmax.mlp import (
     MlpSpec,
     OptimSpec,
+    Workspace,
     backward,
     clip_grad_norm,
     cosine_lr,
@@ -204,3 +205,69 @@ def test_evaluate_breaks_score_ties_toward_the_lowest_index():
     params.weights[0][:] = [[0.0], [0.0]]  # both logits identical
     metrics = evaluate(params, [[1.0]], np.array([0]), max_k=2)
     assert metrics["top1_accuracy"] == 1.0
+
+
+def test_param_sets_are_views_of_one_flat_buffer():
+    params = init_params(MlpSpec((3, 5, 2), init_seed=0))
+    for ps in (params, zeros_like_params(params)):
+        assert ps.flat.shape == (3 * 5 + 5 * 2 + 5 + 2,)
+        assert all(np.shares_memory(a, ps.flat) for a in ps.arrays())
+    # weights in layer order, then biases
+    assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in params.arrays()]))
+    params.biases[1][:] = 7.0
+    assert params.flat[-2:].tolist() == [7.0, 7.0]
+
+
+def identity_net(k):
+    """A single linear layer whose logits are its inputs."""
+    params = init_params(MlpSpec((k, k), init_seed=0))
+    params.weights[0][...] = np.eye(k)
+    return params
+
+
+@pytest.mark.parametrize("k", [2, 4, 10])
+@pytest.mark.parametrize("max_k", [1, 5, 20])
+def test_evaluate_rank_count_matches_a_stable_argsort(k, max_k):
+    rng = np.random.default_rng(100 * k + max_k)
+    # three logit levels (with signed zeros) force ties in almost every row
+    logits = rng.choice([-1.0, -0.0, 0.0, 2.5], size=(400, k))
+    logits[:50] = 1.0  # rows where every class ties
+    labels = rng.integers(0, k, size=400)
+    metrics = evaluate(identity_net(k), logits, labels, max_k=max_k)
+    order = np.argsort(-logits, axis=1, kind="stable")
+    rank = np.argmax(order == labels[:, None], axis=1)
+    expected = [float((rank >= j).mean()) for j in range(1, min(max_k, k) + 1)]
+    assert metrics["topk_errors"] == expected
+    assert metrics["top1_accuracy"] == 1.0 - expected[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_rejects_non_finite_logits(bad):
+    params = identity_net(4)
+    params.biases[0][2] = bad
+    with pytest.raises(FloatingPointError):
+        evaluate(params, np.zeros((3, 4)), np.array([0, 1, 2]))
+
+
+def test_forward_through_a_workspace_overwrites_its_buffers():
+    """The aliasing contract in forward's docstring."""
+    rng = np.random.default_rng(0)
+    params = init_params(MlpSpec((3, 5, 2), init_seed=0))
+    ws = Workspace(params.layer_sizes)
+    x1, x2 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    first, cache = forward(params, x1, ws)
+    kept = first.copy()
+    second, _ = forward(params, x2, ws)
+    assert second is first and cache.outputs[-1] is first
+    assert np.array_equal(second, forward(params, x2)[0])
+    assert not np.array_equal(first, kept)
+    # another row count has its own buffers
+    other, _ = forward(params, x1[:3], ws)
+    assert not np.shares_memory(other, first)
+    # backward writes into the workspace's one gradient set
+    grads = backward(cache, np.ones((4, 2)))
+    assert backward(cache, np.ones((4, 2))) is grads is ws.grads
+    # without a workspace every call gets fresh arrays
+    a, _ = forward(params, x1)
+    b, _ = forward(params, x1)
+    assert not np.shares_memory(a, b)
