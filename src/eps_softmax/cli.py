@@ -10,6 +10,7 @@ seed-averaged comparisons vary everything at once.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -24,6 +25,7 @@ from .experiment import (
     config_to_dict,
     emit_results,
     load_config_file,
+    read_results,
     run_experiment,
 )
 from .losses import LOSS_KINDS, LossSpec
@@ -171,11 +173,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(payload: tuple[dict, str]) -> dict:
-    raw, path = payload
-    config = config_from_dict(raw)
-    records, summary = run_experiment(config)
-    emit_results(records, summary, path)
+def _result_line(config: ExperimentConfig, path: str, summary: dict) -> dict:
     return {
         "out": path,
         "loss": config.loss.kind,
@@ -185,10 +183,55 @@ def _run_one(payload: tuple[dict, str]) -> dict:
     }
 
 
+def _run_one(payload: tuple[dict, str]) -> dict:
+    raw, path = payload
+    config = config_from_dict(raw)
+    records, summary = run_experiment(config)
+    emit_results(records, summary, path)
+    return _result_line(config, path, summary)
+
+
+def _reused_result(raw: dict, path: str) -> dict | None:
+    """The result line of an existing results file made by this job's config.
+
+    None when there is no file. A file that does not parse, or whose embedded
+    config differs from the job's, raises DataError naming it.
+    """
+    if not os.path.exists(path):
+        return None
+    _, summary = read_results(path)
+    expected = {k: v for k, v in raw.items() if k != "output_path"}
+    if summary.get("config") != expected:
+        raise DataError(
+            f"{path} holds results of another config; remove it or choose another --out-dir"
+        )
+    return _result_line(config_from_dict(raw), path, summary)
+
+
+def _parse_list(flag: str, text: str, cast) -> list:
+    try:
+        return [cast(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad {flag}: {text!r}") from None
+
+
+def _print_table(results: list[dict], losses: list[str], etas: list[float]) -> None:
+    """Seed-averaged last_test_top1 as a loss x eta table, on stderr."""
+    header = "loss".ljust(12) + "".join(f"eta={eta:g}".rjust(10) for eta in etas)
+    lines = [header, "-" * len(header)]
+    for kind in losses:
+        cells = []
+        for eta in etas:
+            accs = [r["last_test_top1"] for r in results if r["loss"] == kind and r["eta"] == eta]
+            cells.append(f"{sum(accs) / len(accs):10.4f}")
+        lines.append(kind.ljust(12) + "".join(cells))
+    print("\n".join(lines), file=sys.stderr)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     losses = args.losses.split(",")
-    etas = [float(s) for s in args.etas.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    etas = _parse_list("--etas", args.etas, float)
+    seeds = _parse_list("--seeds", args.seeds, int)
     for kind in losses:
         if kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {kind!r}")
@@ -210,14 +253,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 config = build_config(sub, path)
                 jobs.append((config_to_dict(config), path))
 
+    paths = [path for _, path in jobs]
+    for path in paths:
+        if paths.count(path) > 1:
+            raise ConfigError(f"the grid lists {path} more than once")
+    # every existing file is checked before any run starts
+    reused = [_reused_result(*job) for job in jobs]
+    todo = [job for job, done in zip(jobs, reused) if done is None]
     workers = args.jobs or min(4, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_run_one, jobs):
-                print(json.dumps(result))
-    else:
-        for job in jobs:
-            print(json.dumps(_run_one(job)))
+    results = []
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        fresh = (pool.map if pool else map)(_run_one, todo)
+        for done in reused:  # one line per cell, in grid order
+            result = next(fresh) if done is None else done
+            print(json.dumps(result))
+            results.append(result)
+    _print_table(results, losses, etas)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Minimal dense numeric kernel: stable softmax, clamped log, norms, seeded RNG.
+"""Minimal dense numeric kernel: stable softmax, clamped log, seeded RNG.
 
 Everything runs in float64. All functions are pure; Generator instances are
 the only stateful objects and should stay confined to a single thread.
@@ -22,16 +22,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array, rejecting NaN and Inf."""
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
-    return arr
 
 
 def check_prob_vector(p, tol: float = 1e-9) -> np.ndarray:
@@ -77,11 +67,3 @@ def log_clamped(x):
     out = np.log(np.maximum(arr, LOG_FLOOR))
     return float(out) if out.ndim == 0 else out
 
-
-def l2_distance(a, b) -> float:
-    """Euclidean distance between two equal-shape vectors."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    return float(np.linalg.norm(av - bv))

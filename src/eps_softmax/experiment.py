@@ -259,23 +259,29 @@ def read_results(path: str) -> tuple[list[EpochRecord], dict]:
     """Parse a results file back into records and the summary object."""
     records: list[EpochRecord] = []
     summary = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                raise DataError(f"{path}: line {lineno}: blank line in results file")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            raise DataError(f"{path}: line {lineno}: blank line in results file")
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: line {lineno}: not a JSON object")
+        if obj.get("summary"):
+            summary = obj
+        else:
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            if obj.get("summary"):
-                summary = obj
-            else:
-                try:
-                    records.append(EpochRecord(**obj))
-                except TypeError:
-                    raise DataError(
-                        f"{path}: line {lineno}: not a valid epoch record"
-                    ) from None
+                records.append(EpochRecord(**obj))
+            except TypeError:
+                raise DataError(
+                    f"{path}: line {lineno}: not a valid epoch record"
+                ) from None
     if summary is None:
         raise DataError(f"{path}: missing summary line")
     return records, summary

@@ -1,45 +1,106 @@
-"""Classification losses with analytic logit gradients.
+"""Classification losses as one table of terms with one gradient pullback.
 
-Every loss reads the standard softmax probabilities p = softmax(logits); the
-eps kinds read the transformed output component instead, branching on whether
-the argmax hit the target class. Gradients treat the argmax index as locally
-constant and are taken with respect to the logits, so their components sum to
-zero.
+Every kind is a function of the label's probability p_y = softmax(logits)_y
+and, for the eps kinds, of whether the argmax hit the label. So every logit
+gradient has the form c · (e_y − p): the chain rule through the softmax gives
+dp_y/dlogits = p_y (e_y − p), and the argmax index is treated as locally
+constant. The table below maps each kind to weighted terms:
 
-Batch entry points vectorize over rows and skip validation (the training loop
-is the caller). The per-sample functions validate their inputs and delegate to
-the batch path with a single row.
+    term(p_y, amp, spec) -> (value, coefficient)
 
-The combined kinds pair an eps loss with mean absolute error computed on the
-plain softmax output: the eps part supplies a shrinking-error fit term, the
-bounded MAE part supplies noise tolerance.
+where amp carries the output component the term reads. For the eps kinds it
+is the amplified component f_y = (p_y + m [hit]) / (m + 1), whose log has
+slope p_y / (p_y + m) in log p_y on hit rows (the damping) and 1 elsewhere;
+for the other kinds f_y = p_y and the damping is 1. So ce_eps is the CE term
+read through the amplified output, and fl_eps the focal term. The shared
+pullback turns each coefficient into coefficient · (e_y − p).
+
+The table's terms are elementwise in p_y, so batch_loss (one label per row),
+evaluate_loss (one validated sample) and symmetric_sums (every label of every
+row, for the symmetric-sum analysis) all evaluate the same rows. A new loss
+is one row; gradcheck then covers it through LOSS_KINDS.
+
+Weighted terms accumulate in table order: zero weights are skipped, the first
+term is assigned and later ones are added to a 0.0 start, so a combined kind
+with beta = 0 reproduces its fit term bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import log_clamped, softmax_rows
 from .errors import ConfigError
-from .transform import eps_transform_probs
+from .transform import amplify, argmax_mask
 
-LOSS_KINDS = (
-    "ce",
-    "fl",
-    "mae",
-    "ce_eps",
-    "fl_eps",
-    "ce_eps_mae",
-    "fl_eps_mae",
-    "gce",
-    "sce",
-)
-EPS_KINDS = ("ce_eps", "fl_eps", "ce_eps_mae", "fl_eps_mae")
-FOCAL_KINDS = ("fl", "fl_eps", "fl_eps_mae")
-COMBINED_KINDS = ("ce_eps_mae", "fl_eps_mae")
+
+class _Amplified(NamedTuple):
+    """What a term reads besides p_y: the amplified label component f_y, its
+    damping p_y / (p_y + m) on argmax-hit rows (1 elsewhere), and m. The plain
+    kinds read f_y = p_y, damping 1 and m = 0."""
+
+    fy: np.ndarray
+    damp: np.ndarray | float
+    m: float
+
+
+def _log_term(py, amp, spec):
+    """-log f_y: CE, or eps CE on the amplified component."""
+    return -log_clamped(amp.fy), -amp.damp
+
+
+def _focal_term(py, amp, spec):
+    """-(1 - f_y)^gamma log f_y; gamma = 0 gives the log term."""
+    logf = log_clamped(amp.fy)
+    one_minus = 1.0 - amp.fy
+    mod = one_minus**spec.gamma  # gamma == 0 gives exactly 1
+    coeff = np.zeros_like(py)
+    if spec.gamma > 0.0:
+        pos = one_minus > 0.0
+        coeff[pos] = (
+            spec.gamma
+            * one_minus[pos] ** (spec.gamma - 1.0)
+            * logf[pos]
+            * (py[pos] / (amp.m + 1.0))
+        )
+    coeff -= mod * amp.damp
+    return -mod * logf, coeff
+
+
+def _mae_term(py, amp, spec):
+    """2 (1 - p_y) on the plain softmax output, bounded and symmetric."""
+    return 2.0 * (1.0 - py), -2.0 * py
+
+
+def _gce_term(py, amp, spec):
+    """(1 - p_y^q) / q."""
+    pq = py**spec.q
+    return (1.0 - pq) / spec.q, -pq
+
+
+def _rce_term(py, amp, spec):
+    """sce's reverse term -A (1 - p_y)."""
+    return -spec.A * (1.0 - py), spec.A * py
+
+
+# kind -> (reads the amplified output, ((weight field or None, term), ...));
+# sce lists its reverse term first so that with beta = 0 the CE value is
+# added to the 0.0 start, as the two-term sum always gave (+0.0 at p_y = 1)
+_TABLE = {
+    "ce": (False, ((None, _log_term),)),
+    "fl": (False, ((None, _focal_term),)),
+    "mae": (False, ((None, _mae_term),)),
+    "ce_eps": (True, ((None, _log_term),)),
+    "fl_eps": (True, ((None, _focal_term),)),
+    "ce_eps_mae": (True, (("alpha", _log_term), ("beta", _mae_term))),
+    "fl_eps_mae": (True, (("alpha", _focal_term), ("beta", _mae_term))),
+    "gce": (False, ((None, _gce_term),)),
+    "sce": (False, (("beta", _rce_term), ("alpha", _log_term))),
+}
+LOSS_KINDS = tuple(_TABLE)
 
 
 @dataclass(frozen=True)
@@ -63,17 +124,19 @@ class LossSpec:
     A: float = -4.0
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
+        if self.kind not in _TABLE:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        if self.kind in EPS_KINDS and self.m < 0:
+        amplified, terms = _TABLE[self.kind]
+        reads = {term for _, term in terms}
+        if amplified and self.m < 0:
             raise ConfigError("m must be nonnegative")
-        if self.kind in FOCAL_KINDS and self.gamma < 0:
+        if _focal_term in reads and self.gamma < 0:
             raise ConfigError("gamma must be nonnegative")
-        if self.kind == "gce" and not 0.0 < self.q <= 1.0:
+        if _gce_term in reads and not 0.0 < self.q <= 1.0:
             raise ConfigError("q must lie in (0, 1]")
-        if self.kind == "sce" and self.A >= 0:
+        if _rce_term in reads and self.A >= 0:
             raise ConfigError("A must be negative")
-        if self.kind in COMBINED_KINDS or self.kind == "sce":
+        if terms[0][0] is not None:
             if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta == 0:
                 raise ConfigError("alpha and beta must be nonnegative, not both zero")
 
@@ -86,119 +149,56 @@ class LossOutput:
     grad_logits: np.ndarray
 
 
-def _target_direction(p, rows, labels):
-    """e_y - p: the pullback of d/dp_y through the softmax, up to a p_y factor."""
-    d = -p
-    d[rows, labels] += 1.0
-    return d
-
-
-def _ce_batch(p, py, rows, labels):
-    values = -log_clamped(py)
-    grads = p.copy()
-    grads[rows, labels] -= 1.0
-    return values, grads
-
-
-def _mae_batch(py, d):
-    values = 2.0 * (1.0 - py)
-    grads = (-2.0 * py)[:, None] * d
-    return values, grads
-
-
-def _eps_scale(p, py, labels, m):
-    """Argmax hit mask, transformed target component, and the fit-term damping.
-
-    On argmax-hit rows the gradient shrinks by p_y / (p_y + m); elsewhere it
-    matches plain CE because the transform only shifts the target's log by a
-    constant.
-    """
-    on_target = np.argmax(p, axis=1) == labels
-    fy = np.where(on_target, py + m, py) / (m + 1.0)
+def _amplified(py, hit_mask, spec: LossSpec) -> _Amplified:
+    """The kind's view of p_y. hit_mask() gives the argmax-hit mask; it is
+    called, and f_y and the damping computed, only for the kinds that read them."""
+    if not _TABLE[spec.kind][0]:
+        return _Amplified(py, 1.0, 0.0)
+    m = spec.m
+    hit = hit_mask()
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(on_target, py / (py + m), 1.0)
-    return on_target, fy, scale
+        damp = np.where(hit, py / (py + m), 1.0)
+    return _Amplified(amplify(py, hit, m), damp, m)
 
 
-def _ce_eps_batch(p, py, labels, m, d):
-    _, fy, scale = _eps_scale(p, py, labels, m)
-    values = -log_clamped(fy)
-    grads = -(scale[:, None] * d)
+def _accumulate(total, part, weight: float, first: bool):
+    if weight != 1.0:
+        part = weight * part
+    if first:
+        return part
+    total += part
+    return total
+
+
+def _weighted_sum(py, amp, spec: LossSpec, direction=None):
+    """Values and, given direction = e_y - p, the logit gradients: each term's
+    coefficient is pulled back as coefficient · (e_y - p) before weighting."""
+    values = grads = 0.0
+    for i, (field, term) in enumerate(_TABLE[spec.kind][1]):
+        weight = 1.0 if field is None else getattr(spec, field)
+        if weight == 0.0:
+            continue
+        value, coeff = term(py, amp, spec)
+        values = _accumulate(values, value, weight, i == 0)
+        if direction is not None:
+            grad = np.asarray(coeff)[..., None] * direction
+            grads = _accumulate(grads, grad, weight, i == 0)
     return values, grads
-
-
-def _focal_eps_batch(p, py, labels, m, gamma, d):
-    """Focal loss on the transformed target component; m = 0 is plain focal."""
-    _, fy, scale = _eps_scale(p, py, labels, m)
-    logf = log_clamped(fy)
-    one_minus = 1.0 - fy
-    mod = one_minus**gamma  # gamma == 0 gives exactly 1
-    values = -mod * logf
-    coeff = np.zeros_like(py)
-    if gamma > 0.0:
-        pos = one_minus > 0.0
-        coeff[pos] = gamma * one_minus[pos] ** (gamma - 1.0) * logf[pos] * (py[pos] / (m + 1.0))
-    coeff -= mod * scale
-    grads = coeff[:, None] * d
-    return values, grads
-
-
-def _gce_batch(py, q, d):
-    pq = py**q
-    values = (1.0 - pq) / q
-    grads = (-pq)[:, None] * d
-    return values, grads
-
-
-def _sce_batch(p, py, rows, labels, alpha, beta, A):
-    ce_values, ce_grads = _ce_batch(p, py, rows, labels)
-    rce_values = -A * (1.0 - py)
-    rce_grads = (A * py)[:, None] * _target_direction(p, rows, labels)
-    return alpha * ce_values + beta * rce_values, alpha * ce_grads + beta * rce_grads
 
 
 def batch_loss(logits, labels, spec: LossSpec):
     """Per-sample values (n,) and logit gradients (n, K) for a batch.
 
-    Rows are independent; no validation happens here. Zero-weight terms of the
-    combined kinds are skipped entirely so degenerate settings reproduce their
-    base loss bit for bit.
+    Rows are independent; no validation happens here.
     """
     p = softmax_rows(np.asarray(logits, dtype=np.float64))
     labels = np.asarray(labels)
     rows = np.arange(p.shape[0])
     py = p[rows, labels]
-    kind = spec.kind
-    if kind == "ce":
-        return _ce_batch(p, py, rows, labels)
-    if kind == "sce":
-        return _sce_batch(p, py, rows, labels, spec.alpha, spec.beta, spec.A)
-    d = _target_direction(p, rows, labels)
-    if kind == "mae":
-        return _mae_batch(py, d)
-    if kind == "ce_eps":
-        return _ce_eps_batch(p, py, labels, spec.m, d)
-    if kind == "fl":
-        return _focal_eps_batch(p, py, labels, 0.0, spec.gamma, d)
-    if kind == "fl_eps":
-        return _focal_eps_batch(p, py, labels, spec.m, spec.gamma, d)
-    if kind == "gce":
-        return _gce_batch(py, spec.q, d)
-    # combined kinds: both terms share d; the scalar 0.0 start keeps the sum
-    # equal to 0.0 + beta * MAE, signed zeros included, when alpha is 0
-    values, grads = 0.0, 0.0
-    if spec.alpha != 0.0:
-        if kind == "ce_eps_mae":
-            bv, bg = _ce_eps_batch(p, py, labels, spec.m, d)
-        else:
-            bv, bg = _focal_eps_batch(p, py, labels, spec.m, spec.gamma, d)
-        values = spec.alpha * bv
-        grads = spec.alpha * bg
-    if spec.beta != 0.0:
-        mv, mg = _mae_batch(py, d)
-        values += spec.beta * mv
-        grads += spec.beta * mg
-    return values, grads
+    amp = _amplified(py, lambda: np.argmax(p, axis=1) == labels, spec)
+    direction = -p
+    direction[rows, labels] += 1.0
+    return _weighted_sum(py, amp, spec, direction)
 
 
 def evaluate_loss(logits, y: int, spec: LossSpec) -> LossOutput:
@@ -216,87 +216,13 @@ def evaluate_loss(logits, y: int, spec: LossSpec) -> LossOutput:
     return LossOutput(float(values[0]), grads[0])
 
 
-def loss_ce(logits, y: int) -> LossOutput:
-    """Cross entropy: -log p_y."""
-    return evaluate_loss(logits, y, LossSpec("ce"))
-
-
-def loss_mae(logits, y: int) -> LossOutput:
-    """Mean absolute error on the simplex: 2 (1 - p_y), bounded and symmetric."""
-    return evaluate_loss(logits, y, LossSpec("mae"))
-
-
-def loss_ce_eps(logits, y: int, m: float) -> LossOutput:
-    """Cross entropy on the amplified output.
-
-    When the argmax already equals the target, the gradient is plain CE damped
-    by p_y / (p_y + m), so confident correct fits stop moving as m grows; when
-    it does not, the gradient equals plain CE and keeps pulling.
-    """
-    return evaluate_loss(logits, y, LossSpec("ce_eps", m=m))
-
-
-def loss_fl(logits, y: int, gamma: float) -> LossOutput:
-    """Focal loss: -(1 - p_y)^gamma log p_y; gamma = 0 recovers CE."""
-    return evaluate_loss(logits, y, LossSpec("fl", gamma=gamma))
-
-
-def loss_fl_eps(logits, y: int, m: float, gamma: float) -> LossOutput:
-    """Focal loss on the amplified output; gamma = 0 recovers loss_ce_eps."""
-    return evaluate_loss(logits, y, LossSpec("fl_eps", m=m, gamma=gamma))
-
-
-def loss_gce(logits, y: int, q: float) -> LossOutput:
-    """Generalized cross entropy: (1 - p_y^q) / q."""
-    return evaluate_loss(logits, y, LossSpec("gce", q=q))
-
-
-def loss_sce(logits, y: int, alpha: float, beta: float, A: float) -> LossOutput:
-    """Symmetric cross entropy: alpha * CE + beta * (-A) (1 - p_y)."""
-    return evaluate_loss(logits, y, LossSpec("sce", alpha=alpha, beta=beta, A=A))
-
-
-def loss_combined(logits, y: int, spec: LossSpec) -> LossOutput:
-    """alpha * (eps loss) + beta * MAE, the noise-tolerant workhorse."""
-    if spec.kind not in COMBINED_KINDS:
-        raise ConfigError(f"loss_combined expects a combined kind, got {spec.kind!r}")
-    return evaluate_loss(logits, y, spec)
-
-
-# ---------------------------------------------------------------------------
-# Losses as functions on the simplex, used by the symmetric-sum analysis.
-# ---------------------------------------------------------------------------
-
-
-def ce_on_probs(p, k: int) -> float:
-    return -log_clamped(float(np.asarray(p, dtype=np.float64)[k]))
-
-
-def mae_on_probs(p, k: int) -> float:
-    return 2.0 * (1.0 - float(np.asarray(p, dtype=np.float64)[k]))
-
-
-def ce_eps_on_probs(p, k: int, m: float) -> float:
-    """CE read off the amplified prediction: -log of the transformed component."""
-    u = eps_transform_probs(p, m)
-    return -log_clamped(float(u[k]))
-
-
-def symmetric_sum(loss_on_probs: Callable[[np.ndarray, int], float], p) -> float:
-    """Sum of the loss over every possible target class at a fixed prediction.
+def symmetric_sums(p_rows, spec: LossSpec) -> np.ndarray:
+    """Row-wise sum of the loss value over every possible label at prediction p.
 
     Losses whose symmetric sum is constant (MAE gives 2 (K - 1) for every p)
     contribute nothing to differences of this quantity, which is what makes
     them noise-tolerant.
     """
-    arr = np.asarray(p, dtype=np.float64)
-    return float(sum(loss_on_probs(arr, k) for k in range(arr.size)))
-
-
-def ce_eps_symmetric_sums(p_rows: np.ndarray, m: float) -> np.ndarray:
-    """Row-wise symmetric sum of the eps CE value, vectorized for sweeps."""
-    t = np.argmax(p_rows, axis=1)
-    u = p_rows / (m + 1.0)
-    rows = np.arange(p_rows.shape[0])
-    u[rows, t] = (p_rows[rows, t] + m) / (m + 1.0)
-    return -log_clamped(u).sum(axis=1)
+    p = np.asarray(p_rows, dtype=np.float64)
+    amp = _amplified(p, lambda: argmax_mask(p), spec)
+    return _weighted_sum(p, amp, spec)[0].sum(axis=1)

@@ -20,7 +20,7 @@ import numpy as np
 from .core import LOG_FLOOR, check_prob_vector, make_rng, softmax_rows
 from .data import DatasetSpec, generate_blobs
 from .errors import ConfigError
-from .losses import LOSS_KINDS, LossSpec, batch_loss, ce_eps_symmetric_sums, evaluate_loss
+from .losses import LOSS_KINDS, LossSpec, batch_loss, evaluate_loss, symmetric_sums
 from .mlp import (
     MlpSpec,
     Workspace,
@@ -258,7 +258,8 @@ def verify_symmetric_term_cancellation(
     rng = make_rng(seed)
     p1 = rng.dirichlet(np.ones(n_classes), size=trials)
     p2 = rng.dirichlet(np.ones(n_classes), size=trials)
-    ce1, ce2 = ce_eps_symmetric_sums(p1, m), ce_eps_symmetric_sums(p2, m)
+    ce_eps = LossSpec("ce_eps", m=m)
+    ce1, ce2 = symmetric_sums(p1, ce_eps), symmetric_sums(p2, ce_eps)
     mae1 = 2.0 * (n_classes - p1.sum(axis=1))
     mae2 = 2.0 * (n_classes - p2.sum(axis=1))
     lhs = (alpha * ce1 + beta * mae1) - (alpha * ce2 + beta * mae2)
@@ -282,8 +283,9 @@ def measure_delta(n_classes: int, m: float, trials: int = 1000, seed: int = 0) -
     rng = make_rng(seed)
     logits1 = rng.uniform(-10.0, 10.0, size=(trials, n_classes))
     logits2 = rng.uniform(-10.0, 10.0, size=(trials, n_classes))
-    s1 = ce_eps_symmetric_sums(softmax_rows(logits1), m)
-    s2 = ce_eps_symmetric_sums(softmax_rows(logits2), m)
+    ce_eps = LossSpec("ce_eps", m=m)
+    s1 = symmetric_sums(softmax_rows(logits1), ce_eps)
+    s2 = symmetric_sums(softmax_rows(logits2), ce_eps)
     return float(np.abs(s1 - s2).max())
 
 
@@ -398,7 +400,7 @@ def excess_risk_demo(
     logits_clean = forward(clean_params, train.features)[0]
     logits_noisy = forward(noisy_params, train.features)[0]
     p_all = softmax_rows(np.vstack([logits_clean, logits_noisy]))
-    sums = ce_eps_symmetric_sums(p_all, m)
+    sums = symmetric_sums(p_all, loss_spec)
     delta = float(sums.max() - sums.min())
 
     outputs = eps_softmax_rows(np.vstack([logits_clean, logits_noisy]), m)

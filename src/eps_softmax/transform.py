@@ -10,7 +10,6 @@ while the map stays differentiable almost everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,51 +17,39 @@ from .core import softmax_rows, stable_softmax
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class EpsConfig:
-    """Transform hyperparameters. Argmax ties always go to the lowest index."""
+def amplify(p, is_top, m: float):
+    """(p + m [k = argmax]) / (m + 1), component by component.
 
-    m: float = 0.0
-    tie_break: str = "lowest_index"
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ConfigError("m must be nonnegative")
-        if self.tie_break != "lowest_index":
-            raise ConfigError(f"unsupported tie_break rule: {self.tie_break!r}")
+    The one place the transform is written: the full output rows, a loss's
+    label column and the symmetric sums all read a component through it.
+    is_top is a boolean array broadcastable against p.
+    """
+    return (p + m * is_top) / (m + 1.0)
 
 
-def _amplification(cfg) -> float:
-    if isinstance(cfg, EpsConfig):
-        return cfg.m
-    m = float(cfg)
+def argmax_mask(p) -> np.ndarray:
+    """Boolean mask of the argmax along the last axis; ties go to the lowest index."""
+    return np.arange(p.shape[-1]) == np.argmax(p, axis=-1)[..., None]
+
+
+def eps_softmax(logits, m: float = 0.0) -> np.ndarray:
+    """Softmax, then add m to the largest probability and divide all by m + 1."""
+    m = float(m)
     if m < 0:
         raise ConfigError("m must be nonnegative")
-    return m
-
-
-def eps_softmax(logits, cfg: EpsConfig | float = 0.0) -> np.ndarray:
-    """Softmax, then add m to the largest probability and divide all by m + 1."""
-    return eps_transform_probs(stable_softmax(logits), _amplification(cfg))
+    return eps_transform_probs(stable_softmax(logits), m)
 
 
 def eps_transform_probs(p, m: float) -> np.ndarray:
     """Apply the amplification step to an existing probability vector."""
     arr = np.asarray(p, dtype=np.float64)
-    t = int(np.argmax(arr))  # first occurrence: lowest index wins ties
-    out = arr / (m + 1.0)
-    out[t] = (arr[t] + m) / (m + 1.0)
-    return out
+    return amplify(arr, argmax_mask(arr), m)
 
 
 def eps_softmax_rows(logits: np.ndarray, m: float) -> np.ndarray:
     """Batched transform over rows of logits. No input validation."""
     p = softmax_rows(logits)
-    t = np.argmax(p, axis=1)
-    out = p / (m + 1.0)
-    rows = np.arange(p.shape[0])
-    out[rows, t] = (p[rows, t] + m) / (m + 1.0)
-    return out
+    return amplify(p, argmax_mask(p), m)
 
 
 def eps_bound(n_classes: int, m: float) -> float:

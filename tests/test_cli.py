@@ -176,6 +176,111 @@ def test_sweep_rejects_unknown_loss(tmp_path, capsys):
     assert "unknown loss kind" in capsys.readouterr().err
 
 
+SMALL_SWEEP = ["sweep", "--losses", "ce,mae", "--etas", "0,0.4", "--seeds", "0,1", "--epochs", "2",
+               "--n-train", "100", "--n-test", "50", "--jobs", "1"]
+
+
+def _no_runs(monkeypatch):
+    import eps_softmax.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli_mod, "run_experiment", refuse)
+
+
+@pytest.mark.parametrize("flag, value", [("--etas", "0,x"), ("--seeds", "a")])
+def test_sweep_malformed_lists_are_config_errors(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "g"
+    code = run_main(["sweep", flag, value, "--out-dir", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--seeds", "0,0"), ("--etas", "0.4,0.40"), ("--losses", "ce,ce")]
+)
+def test_sweep_refuses_a_grid_that_names_one_file_twice(tmp_path, capsys, monkeypatch, flag, value):
+    _no_runs(monkeypatch)
+    argv = ["sweep", "--losses", "ce", "--etas", "0", "--seeds", "0"]
+    argv[argv.index(flag) + 1] = value
+    code = run_main(argv + ["--out-dir", str(tmp_path / "g"), "--jobs", "1"])
+    assert code == 1
+    assert "more than once" in capsys.readouterr().err
+
+
+def test_sweep_prints_the_seed_averaged_table_on_stderr(tmp_path, capsys):
+    assert run_main(SMALL_SWEEP + ["--out-dir", str(tmp_path / "g")]) == 0
+    captured = capsys.readouterr()
+    lines = [json.loads(s) for s in captured.out.strip().splitlines()]
+    assert len(lines) == 8
+    table = captured.err.strip().splitlines()
+    assert table[0].split() == ["loss", "eta=0", "eta=0.4"]
+    for row, kind in zip(table[2:], ("ce", "mae")):
+        assert row.split()[0] == kind
+        cells = [float(v) for v in row.split()[1:]]
+        for eta, cell in zip((0.0, 0.4), cells):
+            accs = [r["last_test_top1"] for r in lines if r["loss"] == kind and r["eta"] == eta]
+            assert cell == pytest.approx(sum(accs) / 2, abs=5e-5)
+
+
+def test_sweep_resumes_without_rerunning(tmp_path, capsys, monkeypatch):
+    argv = SMALL_SWEEP + ["--out-dir", str(tmp_path / "g")]
+    assert run_main(argv) == 0
+    first = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in (tmp_path / "g").iterdir()}
+    _no_runs(monkeypatch)
+    assert run_main(argv) == 0
+    again = capsys.readouterr()
+    assert again.out == first.out
+    assert again.err == first.err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "g").iterdir()} == files
+
+
+def test_sweep_resume_runs_only_the_missing_cells(tmp_path, capsys):
+    argv = SMALL_SWEEP + ["--out-dir", str(tmp_path / "g")]
+    assert run_main(argv) == 0
+    first = capsys.readouterr().out
+    missing = tmp_path / "g" / "mae_eta0.4_seed1.jsonl"
+    kept = tmp_path / "g" / "ce_eta0_seed0.jsonl"
+    expected = missing.read_bytes()
+    missing.unlink()
+    kept_mtime = kept.stat().st_mtime_ns
+    assert run_main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert missing.read_bytes() == expected
+    assert kept.stat().st_mtime_ns == kept_mtime
+
+
+def test_sweep_refuses_a_file_of_another_config(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "g"
+    assert run_main(SMALL_SWEEP + ["--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    target = out_dir / "mae_eta0_seed1.jsonl"
+    before = target.read_bytes()
+    _no_runs(monkeypatch)
+    code = run_main(SMALL_SWEEP + ["--out-dir", str(out_dir), "--lr0", "0.02"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ce_eta0_seed0.jsonl" in captured.err and "another config" in captured.err
+    assert target.read_bytes() == before
+
+
+def test_sweep_refuses_a_file_that_does_not_parse(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "g"
+    out_dir.mkdir()
+    (out_dir / "ce_eta0.4_seed1.jsonl").write_text('{"epoch": 0}\n', encoding="utf-8")
+    _no_runs(monkeypatch)
+    code = run_main(SMALL_SWEEP + ["--out-dir", str(out_dir)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ce_eta0.4_seed1.jsonl" in captured.err
+
+
 def test_verify_exit_code_and_output(capsys):
     code = run_main(["verify", "--trials", "2000"])
     assert code == 0

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from eps_softmax.core import (
     LOG_FLOOR,
-    as_matrix,
     check_prob_vector,
-    l2_distance,
     log_clamped,
     make_rng,
     softmax_rows,
@@ -36,25 +34,6 @@ def test_make_rng_streams_are_independent():
 def test_make_rng_accepts_negative_seed():
     # seeds are masked to 64 bits rather than rejected
     assert make_rng(-1).random() == make_rng(-1).random()
-
-
-def test_as_matrix_converts_nested_lists():
-    m = as_matrix([[1, 2], [3, 4]])
-    assert m.dtype == np.float64
-    assert m.flags["C_CONTIGUOUS"]
-    assert m.shape == (2, 2)
-
-
-def test_as_matrix_rejects_1d():
-    with pytest.raises(ValueError):
-        as_matrix([1.0, 2.0])
-
-
-def test_as_matrix_rejects_non_finite():
-    with pytest.raises(ValueError):
-        as_matrix([[1.0, float("nan")]])
-    with pytest.raises(ValueError):
-        as_matrix([[1.0, float("inf")]])
 
 
 def test_check_prob_vector_accepts_valid():
@@ -132,14 +111,3 @@ def test_log_clamped_arrays():
 def test_log_clamped_scalar_returns_float():
     assert isinstance(log_clamped(0.5), float)
 
-
-def test_l2_distance_known_value():
-    assert l2_distance([0.75, 0.25], [1.0, 0.0]) == pytest.approx(
-        0.3535533905932738, abs=1e-15
-    )
-
-
-@given(logit_vectors())
-def test_l2_distance_is_symmetric_and_zero_on_self(x):
-    assert l2_distance(x, x) == 0.0
-    assert l2_distance(x, x + 1.0) == pytest.approx(l2_distance(x + 1.0, x))

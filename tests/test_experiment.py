@@ -261,6 +261,21 @@ def test_read_results_rejects_malformed_records(tmp_path):
         read_results(str(path))
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", "3", '"summary"'])
+def test_read_results_rejects_lines_that_are_not_objects(tmp_path, line):
+    path = tmp_path / "run.jsonl"
+    path.write_text(RECORD_LINE + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 2: not a JSON object"):
+        read_results(str(path))
+
+
+def test_read_results_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(b"\xff\xfe\x00\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        read_results(str(path))
+
+
 def test_read_results_rejects_bad_json(tmp_path):
     path = tmp_path / "run.jsonl"
     path.write_text("{oops}\n", encoding="utf-8")

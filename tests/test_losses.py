@@ -7,27 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eps_softmax.core import softmax_rows
 from eps_softmax.errors import ConfigError
-from eps_softmax.losses import (
-    COMBINED_KINDS,
-    LOSS_KINDS,
-    LossSpec,
-    batch_loss,
-    ce_eps_on_probs,
-    ce_eps_symmetric_sums,
-    ce_on_probs,
-    evaluate_loss,
-    loss_ce,
-    loss_ce_eps,
-    loss_combined,
-    loss_fl,
-    loss_fl_eps,
-    loss_gce,
-    loss_mae,
-    loss_sce,
-    mae_on_probs,
-    symmetric_sum,
-)
+from eps_softmax.losses import LOSS_KINDS, LossSpec, batch_loss, evaluate_loss, symmetric_sums
+from eps_softmax.transform import eps_transform_probs
 
 from conftest import labeled_logits, prob_vectors
 
@@ -82,54 +65,55 @@ PY3 = 0.5761168847658291  # softmax(LOGITS3)[0]
 
 
 def test_ce_reference_values():
-    out = loss_ce([0.0, 0.0], 0)
+    out = evaluate_loss([0.0, 0.0], 0, LossSpec("ce"))
     assert out.value == pytest.approx(math.log(2.0), abs=1e-15)
     assert np.allclose(out.grad_logits, [-0.5, 0.5], atol=1e-15)
-    assert loss_ce(LOGITS3, 0).value == pytest.approx(0.5514447139320511, abs=1e-14)
+    out = evaluate_loss(LOGITS3, 0, LossSpec("ce"))
+    assert out.value == pytest.approx(0.5514447139320511, abs=1e-14)
 
 
 def test_mae_reference_values():
-    out = loss_mae([0.0, 0.0], 0)
+    out = evaluate_loss([0.0, 0.0], 0, LossSpec("mae"))
     assert out.value == pytest.approx(1.0, abs=1e-15)
     # -2 p_y (e_y - p) at p = (1/2, 1/2)
     assert np.allclose(out.grad_logits, [-0.5, 0.5], atol=1e-15)
 
 
 def test_ce_eps_reference_values_on_target():
-    out = loss_ce_eps(LOGITS3, 0, m=1.0)
+    out = evaluate_loss(LOGITS3, 0, LossSpec("ce_eps", m=1.0))
     assert out.value == pytest.approx(0.23818302641382824, abs=1e-14)
 
 
 def test_ce_eps_reference_value_off_target():
     # argmax is class 1, label is 0: the loss falls back to a shifted CE
-    out = loss_ce_eps([0.0, 3.0, 0.0], 0, m=1.0)
+    out = evaluate_loss([0.0, 3.0, 0.0], 0, LossSpec("ce_eps", m=1.0))
     assert out.value == pytest.approx(3.788070136980906, abs=1e-13)
 
 
 def test_ce_eps_off_target_gradient_equals_ce_gradient():
-    ce = loss_ce([0.0, 3.0, 0.0], 0)
-    eps = loss_ce_eps([0.0, 3.0, 0.0], 0, m=1.0)
+    ce = evaluate_loss([0.0, 3.0, 0.0], 0, LossSpec("ce"))
+    eps = evaluate_loss([0.0, 3.0, 0.0], 0, LossSpec("ce_eps", m=1.0))
     assert np.array_equal(eps.grad_logits, ce.grad_logits)
 
 
 def test_ce_eps_on_target_gradient_is_damped_ce():
     # at p_y = 1/2 and m = 1 the damping factor is exactly p_y / (p_y + m) = 1/3
-    ce = loss_ce([0.0, 0.0], 0)
-    eps = loss_ce_eps([0.0, 0.0], 0, m=1.0)
+    ce = evaluate_loss([0.0, 0.0], 0, LossSpec("ce"))
+    eps = evaluate_loss([0.0, 0.0], 0, LossSpec("ce_eps", m=1.0))
     assert np.allclose(eps.grad_logits, ce.grad_logits * (0.5 / 1.5), atol=1e-16)
 
 
 def test_fl_reference_values():
-    assert loss_fl(LOGITS3, 0, gamma=2.0).value == pytest.approx(
+    assert evaluate_loss(LOGITS3, 0, LossSpec("fl", gamma=2.0)).value == pytest.approx(
         0.09908187417336804, abs=1e-14
     )
-    assert loss_fl(LOGITS3, 0, gamma=0.5).value == pytest.approx(
+    assert evaluate_loss(LOGITS3, 0, LossSpec("fl", gamma=0.5)).value == pytest.approx(
         0.3590252858961713, abs=1e-14
     )
 
 
 def test_gce_reference_values():
-    out = loss_gce([0.0, 0.0], 0, q=0.7)
+    out = evaluate_loss([0.0, 0.0], 0, LossSpec("gce", q=0.7))
     assert out.value == pytest.approx(0.5491825618964884, abs=1e-14)
     assert np.allclose(
         out.grad_logits, [-0.3077861033362291, 0.3077861033362291], atol=1e-14
@@ -137,7 +121,7 @@ def test_gce_reference_values():
 
 
 def test_sce_reference_value():
-    out = loss_sce([0.0, 0.0], 0, alpha=1.0, beta=1.0, A=-4.0)
+    out = evaluate_loss([0.0, 0.0], 0, LossSpec("sce", alpha=1.0, beta=1.0, A=-4.0))
     assert out.value == pytest.approx(2.6931471805599454, abs=1e-14)
 
 
@@ -149,8 +133,8 @@ def test_sce_reference_value():
 @given(labeled_logits())
 def test_ce_eps_with_zero_amplification_is_ce_bitwise(case):
     x, y = case
-    a = loss_ce(x, y)
-    b = loss_ce_eps(x, y, m=0.0)
+    a = evaluate_loss(x, y, LossSpec("ce"))
+    b = evaluate_loss(x, y, LossSpec("ce_eps", m=0.0))
     assert a.value == b.value
     assert np.array_equal(a.grad_logits, b.grad_logits)
 
@@ -158,8 +142,8 @@ def test_ce_eps_with_zero_amplification_is_ce_bitwise(case):
 @given(labeled_logits())
 def test_fl_with_zero_gamma_is_ce_bitwise(case):
     x, y = case
-    a = loss_ce(x, y)
-    b = loss_fl(x, y, gamma=0.0)
+    a = evaluate_loss(x, y, LossSpec("ce"))
+    b = evaluate_loss(x, y, LossSpec("fl", gamma=0.0))
     assert a.value == b.value
     assert np.array_equal(a.grad_logits, b.grad_logits)
 
@@ -167,17 +151,19 @@ def test_fl_with_zero_gamma_is_ce_bitwise(case):
 @given(labeled_logits())
 def test_fl_eps_degenerate_corners(case):
     x, y = case
-    assert loss_fl_eps(x, y, m=0.0, gamma=1.5).value == loss_fl(x, y, gamma=1.5).value
-    assert loss_fl_eps(x, y, m=4.0, gamma=0.0).value == loss_ce_eps(x, y, m=4.0).value
+    fl_eps = evaluate_loss(x, y, LossSpec("fl_eps", m=0.0, gamma=1.5))
+    assert fl_eps.value == evaluate_loss(x, y, LossSpec("fl", gamma=1.5)).value
+    fl_eps = evaluate_loss(x, y, LossSpec("fl_eps", m=4.0, gamma=0.0))
+    assert fl_eps.value == evaluate_loss(x, y, LossSpec("ce_eps", m=4.0)).value
 
 
 @given(labeled_logits())
 def test_combined_with_zero_weights_reduces_to_parts(case):
     x, y = case
-    only_fit = loss_combined(x, y, LossSpec("ce_eps_mae", m=2.0, alpha=1.0, beta=0.0))
-    only_mae = loss_combined(x, y, LossSpec("ce_eps_mae", m=2.0, alpha=0.0, beta=1.0))
-    fit = loss_ce_eps(x, y, m=2.0)
-    mae = loss_mae(x, y)
+    only_fit = evaluate_loss(x, y, LossSpec("ce_eps_mae", m=2.0, alpha=1.0, beta=0.0))
+    only_mae = evaluate_loss(x, y, LossSpec("ce_eps_mae", m=2.0, alpha=0.0, beta=1.0))
+    fit = evaluate_loss(x, y, LossSpec("ce_eps", m=2.0))
+    mae = evaluate_loss(x, y, LossSpec("mae"))
     assert only_fit.value == fit.value
     assert np.array_equal(only_fit.grad_logits, fit.grad_logits)
     assert only_mae.value == mae.value
@@ -188,8 +174,10 @@ def test_combined_with_zero_weights_reduces_to_parts(case):
 def test_combined_is_the_weighted_sum(case):
     x, y = case
     spec = LossSpec("ce_eps_mae", m=3.0, alpha=0.7, beta=1.3)
-    combined = loss_combined(x, y, spec)
-    expect = 0.7 * loss_ce_eps(x, y, 3.0).value + 1.3 * loss_mae(x, y).value
+    combined = evaluate_loss(x, y, spec)
+    fit = evaluate_loss(x, y, LossSpec("ce_eps", m=3.0))
+    mae = evaluate_loss(x, y, LossSpec("mae"))
+    expect = 0.7 * fit.value + 1.3 * mae.value
     assert combined.value == pytest.approx(expect, rel=1e-12)
 
 
@@ -212,11 +200,6 @@ def test_combined_batch_is_the_zero_started_weighted_sum_bitwise(kind, fit_kind,
         want_v, want_g = want_v + beta * mae_v, want_g + beta * mae_g
     assert values.tobytes() == want_v.tobytes()
     assert grads.tobytes() == want_g.tobytes()
-
-
-def test_loss_combined_rejects_non_combined_kinds():
-    with pytest.raises(ConfigError):
-        loss_combined([0.0, 1.0], 0, LossSpec("ce"))
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +238,31 @@ def test_grad_shape_matches_logits():
 
 
 # ---------------------------------------------------------------------------
-# Simplex-side evaluators and symmetric sums
+# Symmetric sums: every kind's value summed over all labels at one prediction
 # ---------------------------------------------------------------------------
 
 
 @given(prob_vectors())
 def test_mae_symmetric_sum_is_constant(p):
     k = p.size
-    assert symmetric_sum(mae_on_probs, p) == pytest.approx(2.0 * (k - 1), abs=1e-12)
+    assert symmetric_sums(p[None, :], LossSpec("mae"))[0] == pytest.approx(
+        2.0 * (k - 1), abs=1e-12
+    )
 
 
 @given(prob_vectors())
 def test_ce_symmetric_sum_is_not_constant_in_general(p):
-    # plain CE is not a symmetric loss; just confirm the helper runs and is finite
-    assert math.isfinite(symmetric_sum(ce_on_probs, p))
+    # plain CE is not a symmetric loss; just confirm the sum is finite
+    assert math.isfinite(symmetric_sums(p[None, :], LossSpec("ce"))[0])
 
 
 def test_ce_eps_on_probs_matches_transform_then_log():
+    # the eps CE value is -log of the amplified component, on and off the argmax
     p = np.array([0.6, 0.3, 0.1])
-    got = ce_eps_on_probs(p, 0, m=4.0)
+    spec = LossSpec("ce_eps", m=4.0)
+    got = evaluate_loss(np.log(p), 0, spec).value
     assert got == pytest.approx(-math.log((0.6 + 4.0) / 5.0), abs=1e-14)
-    off = ce_eps_on_probs(p, 2, m=4.0)
+    off = evaluate_loss(np.log(p), 2, spec).value
     assert off == pytest.approx(-math.log(0.1 / 5.0), abs=1e-14)
 
 
@@ -283,12 +270,25 @@ def test_ce_eps_on_probs_matches_transform_then_log():
 def test_vectorized_symmetric_sums_match_scalar_loop(p):
     m = 7.0
     rows = np.stack([p, np.roll(p, 1)])
-    got = ce_eps_symmetric_sums(rows, m)
+    got = symmetric_sums(rows, LossSpec("ce_eps", m=m))
     for row, total in zip(rows, got):
-        expect = symmetric_sum(lambda v, k: ce_eps_on_probs(v, k, m), row)
+        u = eps_transform_probs(row, m)
+        expect = sum(-math.log(max(float(u[k]), 1e-8)) for k in range(row.size))
         assert total == pytest.approx(expect, rel=1e-12)
 
 
 @given(prob_vectors(min_k=2, max_k=6))
 def test_mae_on_probs_identity(p):
-    assert mae_on_probs(p, 0) == pytest.approx(2.0 * (1.0 - p[0]), abs=1e-12)
+    got = evaluate_loss(np.log(p), 0, LossSpec("mae")).value
+    assert got == pytest.approx(2.0 * (1.0 - p[0]), abs=1e-12)
+
+
+@given(labeled_logits(max_k=6))
+def test_symmetric_sums_add_up_the_per_label_values(case):
+    # one table row gives both: the sum over labels of evaluate_loss's values
+    x, _ = case
+    p = softmax_rows(x[None, :])
+    for kind in LOSS_KINDS:
+        spec = LossSpec(kind, m=3.0, alpha=0.4, beta=1.5)
+        per_label = [evaluate_loss(x, k, spec).value for k in range(x.size)]
+        assert symmetric_sums(p, spec)[0] == pytest.approx(math.fsum(per_label), rel=1e-12)

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eps_softmax.core import l2_distance, stable_softmax
+from eps_softmax.core import stable_softmax
 from eps_softmax.errors import ConfigError
 from eps_softmax.transform import (
-    EpsConfig,
     distance_to_one_hot,
     distances_to_one_hot_rows,
     eps_bound,
@@ -22,12 +21,7 @@ from conftest import amplifications, logit_vectors, prob_vectors
 
 def test_config_rejects_negative_amplification():
     with pytest.raises(ConfigError):
-        EpsConfig(m=-0.5)
-
-
-def test_config_rejects_unknown_tie_break():
-    with pytest.raises(ConfigError):
-        EpsConfig(tie_break="highest_index")
+        eps_softmax([1.0, 0.0], -0.5)
 
 
 def test_transform_tie_goes_to_lowest_index():
@@ -106,17 +100,12 @@ def test_distance_matches_explicit_l2(p):
     t = int(np.argmax(p))
     one_hot = np.zeros_like(p)
     one_hot[t] = 1.0
-    assert distance_to_one_hot(p) == pytest.approx(l2_distance(p, one_hot), abs=1e-12)
+    assert distance_to_one_hot(p) == pytest.approx(np.linalg.norm(p - one_hot), abs=1e-12)
 
 
 @given(logit_vectors(), amplifications)
 def test_eps_softmax_composes_softmax_and_transform(x, m):
     assert np.array_equal(eps_softmax(x, m), eps_transform_probs(stable_softmax(x), m))
-
-
-def test_eps_softmax_accepts_config_object():
-    x = np.array([1.0, 0.0, -1.0])
-    assert np.array_equal(eps_softmax(x, EpsConfig(m=3.0)), eps_softmax(x, 3.0))
 
 
 @given(logit_vectors(), amplifications)
