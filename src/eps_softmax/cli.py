@@ -148,6 +148,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args, args.out)
     if config.output_path is None:
         raise ConfigError("no output path: pass --out or set output_path in the config")
+    # fail before training; emit_results' exclusive create stays the real guard
+    if os.path.exists(config.output_path):
+        raise DataError(f"refusing to overwrite existing results file: {config.output_path}")
+    if not os.path.isdir(os.path.dirname(config.output_path) or "."):
+        raise DataError(f"cannot write results to {config.output_path}: no such directory")
 
     def progress(record):
         if args.log_every and record.epoch % args.log_every == 0:

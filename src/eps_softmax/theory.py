@@ -53,17 +53,18 @@ def verify_one_hot_bound(
     m: float,
     trials: int = 100_000,
     seed: int = 0,
-    chunk: int = 20_000,
 ) -> CheckReport:
     """Fuzz the bound: no transformed output may sit farther than eps(K, m)
     from the one-hot set, for logits drawn uniformly from [-10, 10]."""
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     rng = make_rng(seed)
     bound = eps_bound(n_classes, m)
     worst = 0.0
     violations = 0
     remaining = trials
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(20_000, remaining)
         logits = rng.uniform(-10.0, 10.0, size=(n, n_classes))
         dist = distances_to_one_hot_rows(eps_softmax_rows(logits, m))
         worst = max(worst, float(dist.max()))
@@ -101,13 +102,20 @@ def closed_form_optimum(q, m: float) -> np.ndarray:
     return p
 
 
-def _expected_ce_eps_grad(h_rows: np.ndarray, q_rows: np.ndarray, m: float) -> np.ndarray:
-    """Gradient of E_{y ~ q}[eps CE(h, y)] with respect to the logits.
+# The calibration solver stops once every row's gradient norm is at most
+# CALIBRATION_TOL; a solve still above it after CALIBRATION_MAX_STEPS steps
+# has not converged, and its check fails.
+CALIBRATION_MAX_STEPS = 1000
+CALIBRATION_TOL = 1e-10
+
+
+def _expected_ce_eps_grad(p: np.ndarray, q_rows: np.ndarray, m: float) -> np.ndarray:
+    """Gradient of E_{y ~ q}[eps CE(h, y)] with respect to the logits h, at
+    softmax probabilities p = softmax(h).
 
     Averaging the per-class gradients gives (p - q) plus a correction on the
     argmax class whose fit term is damped by p_t / (p_t + m).
     """
-    p = softmax_rows(h_rows)
     rows = np.arange(p.shape[0])
     t = np.argmax(p, axis=1)
     pt = p[rows, t]
@@ -118,66 +126,37 @@ def _expected_ce_eps_grad(h_rows: np.ndarray, q_rows: np.ndarray, m: float) -> n
     return grad
 
 
-def _calibration_optima_batch(
-    q_rows: np.ndarray,
-    m: float,
-    lr: float = 0.1,
-    max_steps: int = 100_000,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    h = np.log(np.maximum(q_rows, LOG_FLOOR))
-    for _ in range(max_steps):
-        grad = _expected_ce_eps_grad(h, q_rows, m)
-        if float(np.linalg.norm(grad, axis=1).max()) <= tol:
-            break
-        h -= lr * grad
-    return softmax_rows(h)
+def _calibration_optima(q_rows: np.ndarray, m: float) -> tuple[np.ndarray, int, float]:
+    """Minimize the expected eps CE over predictions for every row of q.
 
-
-def calibration_optimum(
-    q,
-    m: float,
-    lr: float = 0.1,
-    max_steps: int = 100_000,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Numerically minimize the expected eps CE over predictions.
-
-    Requires the top-two gap of q to exceed m / (m + 1); below that threshold
-    the closed form leaves the simplex and the optimum is no longer interior.
+    Each step divides the gradient by p, so a class moves in proportion to
+    its log-probability error rather than to its tiny probability. Returns
+    (optima, steps, residual), the residual being the largest row gradient
+    norm at the returned optima. The minimum is interior only when q's
+    top-two gap exceeds m / (m + 1); below that the solve does not converge.
     """
-    arr = check_prob_vector(q)
-    top = np.sort(arr)[::-1]
-    gap = float(top[0] - top[1])
-    if gap <= m / (m + 1.0):
-        raise ConfigError(
-            f"top-two gap {gap:.6g} must exceed m/(m+1) = {m / (m + 1.0):.6g}"
-        )
-    return _calibration_optima_batch(arr[None, :], m, lr, max_steps, tol)[0]
+    h = np.log(np.maximum(q_rows, LOG_FLOOR))
+    for steps in range(CALIBRATION_MAX_STEPS + 1):
+        p = softmax_rows(h)
+        grad = _expected_ce_eps_grad(p, q_rows, m)
+        residual = float(np.linalg.norm(grad, axis=1).max())
+        if residual <= CALIBRATION_TOL or steps == CALIBRATION_MAX_STEPS:
+            return p, steps, residual
+        h -= grad / p
 
 
-def sample_gapped_distribution(
-    n_classes: int,
-    m: float,
-    rng: np.random.Generator,
-    min_component: float = 1e-3,
-) -> np.ndarray:
+def sample_gapped_distribution(n_classes: int, m: float, rng: np.random.Generator) -> np.ndarray:
     """Random label distribution satisfying the top-two gap condition for m.
 
     The non-winning mass is Dirichlet; the winner is placed a random fraction
-    of the way between the gap threshold and 1. A floor on the smallest
-    component keeps the slowest gradient-descent coordinate well conditioned.
+    of the way between the gap threshold and 1.
     """
     g0 = m / (m + 1.0)
-    while True:
-        rest = rng.dirichlet(np.ones(n_classes - 1))
-        threshold = (g0 + rest.max()) / (1.0 + rest.max())
-        qt = threshold + (1.0 - threshold) * rng.uniform(0.1, 0.9)
-        if ((1.0 - qt) * rest).min() < min_component:
-            continue
-        t = int(rng.integers(n_classes))
-        q = np.insert((1.0 - qt) * rest, t, qt)
-        return q
+    rest = rng.dirichlet(np.ones(n_classes - 1))
+    threshold = (g0 + rest.max()) / (1.0 + rest.max())
+    qt = threshold + (1.0 - threshold) * rng.uniform(0.1, 0.9)
+    t = int(rng.integers(n_classes))
+    return np.insert((1.0 - qt) * rest, t, qt)
 
 
 def check_rank_preserving(f, q) -> np.ndarray:
@@ -213,26 +192,29 @@ def verify_calibration(
     seed: int = 0,
     tol: float = 1e-3,
 ) -> list[CheckReport]:
-    """Numeric optimum vs closed form, plus rank preservation, per m."""
+    """Numeric optimum vs closed form, plus rank preservation and solver
+    convergence, per m."""
     reports = []
     for m in ms:
         rng = make_rng(seed)
         qs = np.stack(
             [sample_gapped_distribution(n_classes, m, rng) for _ in range(n_distributions)]
         )
-        optima = _calibration_optima_batch(qs, m)
+        optima, steps, residual = _calibration_optima(qs, m)
         targets = np.stack([closed_form_optimum(q, m) for q in qs])
         max_err = float(np.abs(optima - targets).max())
         ranks_ok = all(check_rank_preserving(p, q).all() for p, q in zip(optima, qs))
         reports.append(
             CheckReport(
                 name=f"calibration_optimum_m{m:g}",
-                passed=max_err < tol and ranks_ok,
+                passed=max_err < tol and ranks_ok and residual <= CALIBRATION_TOL,
                 stats={
                     "max_abs_err": max_err,
                     "tolerance": tol,
                     "rank_preserving": ranks_ok,
                     "n_distributions": n_distributions,
+                    "steps": steps,
+                    "residual": residual,
                 },
             )
         )
@@ -310,26 +292,6 @@ def delta_sweep(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RiskReport:
-    """Measured quantities of the excess-risk bound on a small synthetic task.
-
-    bound = 2 * delta + 2 * c * delta / a, where c is the average clean-label
-    weight and a the worst-case clean dominance margin of the noise model.
-    """
-
-    delta_measured: float
-    c: float
-    a: float
-    bound: float
-    clean_risk_of_noisy_minimizer: float
-    clean_risk_of_clean_minimizer: float
-    risk_gap: float
-    max_output_distance: float
-    eps: float
-    within_bound: bool
-
-
 def _train_linear_softmax(
     features: np.ndarray,
     labels: np.ndarray,
@@ -337,8 +299,6 @@ def _train_linear_softmax(
     spec: LossSpec,
     seed: int,
     steps: int,
-    lr: float,
-    momentum: float = 0.9,
 ):
     params = init_params(MlpSpec((features.shape[1], n_classes), init_seed=seed))
     velocity = zeros_like_params(params)
@@ -348,32 +308,30 @@ def _train_linear_softmax(
         logits, cache = forward(params, features, ws)
         _, grad_logits = batch_loss(logits, labels, spec)
         grads = backward(cache, grad_logits / n)
-        sgd_step(params, grads, velocity, lr, momentum)
+        sgd_step(params, grads, velocity, 0.2, 0.9)
     return params
 
 
-def excess_risk_demo(
-    n_classes: int,
+def verify_excess_risk(
     noise_spec: NoiseSpec,
-    m: float,
-    n_points: int = 200,
-    dim: int = 2,
-    separation: float = 8.0,
+    m: float = 1e4,
     seed: int = 0,
+    n_points: int = 200,
     steps: int = 4000,
-    lr: float = 0.2,
-) -> RiskReport:
+) -> CheckReport:
     """Train a linear softmax model on clean and on corrupted labels and check
     that the clean-risk gap respects the excess-risk bound.
 
+    bound = 2 * delta + 2 * c * delta / a, where c is the average clean-label
+    weight and a the worst-case clean dominance margin of the noise model.
     delta is measured empirically as the spread of symmetric sums over the
     transformed outputs both models actually produce. The task is kept tiny
-    (K <= 4, at most 200 points) so the demo runs in well under a second.
+    (2-D blobs, K <= 4, at most 200 points) so the check runs in well under
+    a second.
     """
+    n_classes = noise_spec.n_classes
     if n_classes > 4 or n_points > 200:
-        raise ConfigError("the demo is desk-scale: K <= 4 and n_points <= 200")
-    if noise_spec.n_classes != n_classes:
-        raise ConfigError("noise_spec.n_classes must match n_classes")
+        raise ConfigError("the excess-risk check is desk-scale: K <= 4 and n_points <= 200")
     a = clean_dominance_margin(noise_spec)
     if a <= 0:
         raise ConfigError(f"clean dominance margin a = {a:.3g} must be positive")
@@ -383,18 +341,18 @@ def excess_risk_demo(
         n_classes=n_classes,
         n_train=n_points,
         n_test=n_classes,
-        dim=dim,
-        separation=separation,
+        dim=2,
+        separation=8.0,
     )
     train, _ = generate_blobs(data_spec, seed)
     corruption = corrupt_labels(train.labels, noise_spec)
     loss_spec = LossSpec("ce_eps", m=m)
 
     clean_params = _train_linear_softmax(
-        train.features, train.labels, n_classes, loss_spec, seed, steps, lr
+        train.features, train.labels, n_classes, loss_spec, seed, steps
     )
     noisy_params = _train_linear_softmax(
-        train.features, corruption.noisy_labels, n_classes, loss_spec, seed, steps, lr
+        train.features, corruption.noisy_labels, n_classes, loss_spec, seed, steps
     )
 
     logits_clean = forward(clean_params, train.features)[0]
@@ -412,41 +370,19 @@ def excess_risk_demo(
     c = expected_clean_weight(noise_spec)
     bound = 2.0 * delta + 2.0 * c * delta / a
     gap = risk_noisy - risk_clean
-    return RiskReport(
-        delta_measured=delta,
-        c=c,
-        a=a,
-        bound=bound,
-        clean_risk_of_noisy_minimizer=risk_noisy,
-        clean_risk_of_clean_minimizer=risk_clean,
-        risk_gap=gap,
-        max_output_distance=max_dist,
-        eps=eps_bound(n_classes, m),
-        within_bound=gap <= bound,
-    )
-
-
-def verify_excess_risk(
-    noise_spec: NoiseSpec,
-    m: float = 1e4,
-    seed: int = 0,
-) -> CheckReport:
-    report = excess_risk_demo(noise_spec.n_classes, noise_spec, m, seed=seed)
-    finite = all(
-        math.isfinite(v)
-        for v in (report.delta_measured, report.bound, report.risk_gap, report.c, report.a)
-    )
+    eps = eps_bound(n_classes, m)
+    finite = all(math.isfinite(v) for v in (delta, bound, gap, c, a))
     return CheckReport(
         name=f"excess_risk_{noise_spec.kind}_eta{noise_spec.eta:g}",
-        passed=report.within_bound and finite and report.max_output_distance <= report.eps,
+        passed=gap <= bound and finite and max_dist <= eps,
         stats={
-            "delta": report.delta_measured,
-            "c": report.c,
-            "a": report.a,
-            "bound": report.bound,
-            "risk_gap": report.risk_gap,
-            "max_output_distance": report.max_output_distance,
-            "eps": report.eps,
+            "delta": delta,
+            "c": c,
+            "a": a,
+            "bound": bound,
+            "risk_gap": gap,
+            "max_output_distance": max_dist,
+            "eps": eps,
         },
     )
 
@@ -456,8 +392,10 @@ def verify_excess_risk(
 # ---------------------------------------------------------------------------
 
 
-def fd_gradient(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of a scalar function, one coordinate at a time."""
+def fd_gradient(fun, x: np.ndarray) -> np.ndarray:
+    """Central finite differences of a scalar function, one coordinate at a
+    time, with step 1e-6."""
+    h = 1e-6
     x = np.asarray(x, dtype=np.float64)
     grad = np.empty_like(x)
     for i in range(x.size):
@@ -486,8 +424,8 @@ def _random_spec(kind: str, rng: np.random.Generator) -> LossSpec:
     )
 
 
-def _draw_case(rng: np.random.Generator, gap_floor: float = 1e-4):
-    """Random (logits, label) with the top-two softmax gap bounded away from 0.
+def _draw_case(rng: np.random.Generator):
+    """Random (logits, label) with the top-two softmax gap at least 1e-4.
 
     Near argmax ties the eps losses switch branches, so the analytic gradient
     is one-sided there and finite differences straddle the seam; such draws
@@ -497,7 +435,7 @@ def _draw_case(rng: np.random.Generator, gap_floor: float = 1e-4):
         n_classes = int(rng.choice([2, 3, 5, 10]))
         logits = rng.uniform(-3.0, 3.0, size=n_classes)
         p = np.sort(softmax_rows(logits[None, :])[0])
-        if p[-1] - p[-2] >= gap_floor:
+        if p[-1] - p[-2] >= 1e-4:
             return logits, int(rng.integers(n_classes))
 
 
@@ -505,10 +443,11 @@ def gradcheck_losses(
     kinds=LOSS_KINDS,
     cases: int = 1000,
     seed: int = 0,
-    h: float = 1e-6,
     tol: float = 1e-5,
 ) -> list[CheckReport]:
     """Analytic loss gradients vs central finite differences, per kind."""
+    if cases < 1:
+        raise ConfigError(f"cases must be at least 1, got {cases}")
     reports = []
     for kind in kinds:
         rng = make_rng(seed)
@@ -517,7 +456,7 @@ def gradcheck_losses(
             logits, y = _draw_case(rng)
             spec = _random_spec(kind, rng)
             analytic = evaluate_loss(logits, y, spec).grad_logits
-            numeric = fd_gradient(lambda x: evaluate_loss(x, y, spec).value, logits, h)
+            numeric = fd_gradient(lambda x: evaluate_loss(x, y, spec).value, logits)
             worst = max(worst, _relative_error(analytic, numeric))
         reports.append(
             CheckReport(
@@ -532,7 +471,6 @@ def gradcheck_losses(
 def gradcheck_mlp(
     kinds=LOSS_KINDS,
     seed: int = 0,
-    h: float = 1e-6,
     tol: float = 1e-4,
 ) -> list[CheckReport]:
     """End-to-end parameter gradients of mean batch loss vs finite differences."""
@@ -556,7 +494,7 @@ def gradcheck_mlp(
             values, _ = batch_loss(forward(probe, x, ws)[0], y, loss_spec)
             return float(values.mean())
 
-        numeric = fd_gradient(mean_loss, params.flat, h)
+        numeric = fd_gradient(mean_loss, params.flat)
         err = _relative_error(analytic, numeric)
         reports.append(
             CheckReport(

@@ -108,6 +108,23 @@ def test_train_refuses_to_overwrite(tmp_path, capsys):
     assert "refusing to overwrite" in capsys.readouterr().err
 
 
+def test_train_refuses_an_existing_file_before_training(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run.jsonl"
+    out.write_text("kept\n", encoding="utf-8")
+    _no_runs(monkeypatch)
+    assert run_main(["train", "--out", str(out)]) == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_train_refuses_a_missing_directory_before_training(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "no_such_dir" / "run.jsonl"
+    _no_runs(monkeypatch)
+    assert run_main(["train", "--out", str(out)]) == 1
+    assert "no_such_dir" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_that_diverges_exits_1_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "run.jsonl"
@@ -290,6 +307,8 @@ def test_verify_exit_code_and_output(capsys):
     names = {line["name"] for line in lines}
     assert any(name.startswith("one_hot_bound") for name in names)
     assert any(name.startswith("calibration") for name in names)
+    calibration = [line for line in lines if line["name"].startswith("calibration")]
+    assert all(line["residual"] <= 1e-10 and line["steps"] > 0 for line in calibration)
 
 
 def test_gradcheck_exit_code_and_output(capsys):
@@ -300,3 +319,14 @@ def test_gradcheck_exit_code_and_output(capsys):
     assert any(name.startswith("gradcheck_loss_") for name in kinds)
     assert any(name.startswith("gradcheck_mlp_") for name in kinds)
     assert all(line["passed"] for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--trials", "0"], ["gradcheck", "--cases", "0"], ["gradcheck", "--cases", "-1"]],
+)
+def test_checks_with_no_trials_are_config_errors(argv, capsys):
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err

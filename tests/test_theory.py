@@ -7,17 +7,19 @@ from eps_softmax.core import make_rng
 from eps_softmax.errors import ConfigError
 from eps_softmax.noise import NoiseSpec
 from eps_softmax.theory import (
-    calibration_optimum,
+    CALIBRATION_MAX_STEPS,
+    CALIBRATION_TOL,
+    _calibration_optima,
     check_rank_preserving,
     closed_form_optimum,
     delta_sweep,
-    excess_risk_demo,
     fd_gradient,
     gradcheck_losses,
     gradcheck_mlp,
     measure_delta,
     sample_gapped_distribution,
     verify_calibration,
+    verify_excess_risk,
     verify_one_hot_bound,
     verify_symmetric_term_cancellation,
 )
@@ -48,19 +50,37 @@ def test_closed_form_optimum_is_a_distribution():
 
 def test_numeric_optimum_matches_closed_form():
     q = np.array([0.8, 0.12, 0.08])
-    got = calibration_optimum(q, m=1.0)
-    assert np.allclose(got, closed_form_optimum(q, 1.0), atol=1e-6)
+    got, steps, residual = _calibration_optima(q[None, :], m=1.0)
+    assert residual <= CALIBRATION_TOL
+    assert steps < CALIBRATION_MAX_STEPS
+    assert np.allclose(got[0], closed_form_optimum(q, 1.0), atol=1e-6)
 
 
 def test_numeric_optimum_rejects_small_gaps():
-    # gap 0.2 is below the m=1 threshold of 1/2
-    with pytest.raises(ConfigError):
-        calibration_optimum(np.array([0.6, 0.4]), m=1.0)
+    # gap 0.2 is below the m=1 threshold of 1/2: there is no interior minimum
+    # to converge to, so the solver stops at its cap and says so
+    _, steps, residual = _calibration_optima(np.array([[0.6, 0.4]]), m=1.0)
+    assert steps == CALIBRATION_MAX_STEPS
+    assert residual > 1e-3
+
+
+def test_calibration_check_fails_when_the_solver_does_not_converge():
+    # at m = 50 the solver needs more steps than its cap allows; the optima
+    # are already close enough for the error and rank checks, so only the
+    # residual can fail the check
+    (report,) = verify_calibration(n_classes=4, ms=(50.0,), n_distributions=5, seed=0)
+    assert report.stats["max_abs_err"] < report.stats["tolerance"]
+    assert report.stats["rank_preserving"]
+    assert report.stats["steps"] == CALIBRATION_MAX_STEPS
+    assert report.stats["residual"] > CALIBRATION_TOL
+    assert not report.passed
 
 
 def test_sampled_distributions_respect_the_gap():
     rng = make_rng(0)
-    for m in (1.0, 10.0):
+    # at m = 1000 the other classes share less than 1e-3, so a floor on the
+    # smallest component could never be met
+    for m in (1.0, 10.0, 300.0, 1000.0):
         threshold = m / (m + 1.0)
         for _ in range(50):
             q = np.sort(sample_gapped_distribution(4, m, rng))[::-1]
@@ -83,6 +103,8 @@ def test_verify_calibration_smoke():
     assert len(reports) == 1
     assert reports[0].passed
     assert reports[0].stats["max_abs_err"] < 1e-3
+    assert reports[0].stats["residual"] <= CALIBRATION_TOL
+    assert 0 < reports[0].stats["steps"] < CALIBRATION_MAX_STEPS
 
 
 def test_symmetric_term_cancellation():
@@ -105,31 +127,32 @@ def test_delta_sweep_smoke():
 
 def test_excess_risk_demo_clean_labels_have_zero_gap():
     # same labels, same init: both models coincide, so the gap is exactly zero
-    report = excess_risk_demo(4, NoiseSpec("none", n_classes=4), m=100.0, n_points=80, steps=600)
-    assert report.risk_gap == 0.0
-    assert report.within_bound
+    report = verify_excess_risk(NoiseSpec("none", n_classes=4), m=100.0, n_points=80, steps=600)
+    assert report.stats["risk_gap"] == 0.0
+    assert report.stats["risk_gap"] <= report.stats["bound"]
+    assert report.passed
 
 
 def test_excess_risk_demo_noisy_gap_within_bound():
     spec = NoiseSpec("symmetric", eta=0.3, n_classes=4, seed=0)
-    report = excess_risk_demo(4, spec, m=1e4, n_points=120, steps=1500)
-    assert report.within_bound
-    assert report.risk_gap <= report.bound
-    assert report.max_output_distance <= report.eps + 1e-12
+    report = verify_excess_risk(spec, m=1e4, n_points=120, steps=1500)
+    assert report.passed
+    assert report.stats["risk_gap"] <= report.stats["bound"]
+    assert report.stats["max_output_distance"] <= report.stats["eps"] + 1e-12
 
 
 def test_excess_risk_demo_rejects_degenerate_margins():
     # eta = 0.5 on two classes leaves no clean majority; NoiseSpec already
-    # warns at construction, and the demo then rejects the zero margin
+    # warns at construction, and the check then rejects the zero margin
     with pytest.warns(UserWarning):
         spec = NoiseSpec("symmetric", eta=0.5, n_classes=2)
     with pytest.raises(ConfigError):
-        excess_risk_demo(2, spec, m=10.0)
+        verify_excess_risk(spec, m=10.0)
 
 
 def test_excess_risk_demo_rejects_large_tasks():
     with pytest.raises(ConfigError):
-        excess_risk_demo(4, NoiseSpec("none", n_classes=4), m=10.0, n_points=500)
+        verify_excess_risk(NoiseSpec("none", n_classes=4), m=10.0, n_points=500)
 
 
 def test_fd_gradient_on_a_quadratic():
