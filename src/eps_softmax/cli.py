@@ -48,37 +48,42 @@ def default_config(seed: int = 0) -> ExperimentConfig:
     )
 
 
+#: flag -> (config sections, field, argparse type or choices, help). A flag sets
+#: its field in every section it lists; --config, --seed and --layer-sizes are
+#: handled apart.
+_OVERRIDES = {
+    "--loss": (("loss",), "kind", LOSS_KINDS, "loss kind"),
+    "--m": (("loss",), "m", float, "amplification for the eps loss kinds"),
+    "--alpha": (("loss",), "alpha", float, "fit-term weight"),
+    "--beta": (("loss",), "beta", float, "bounded-term weight"),
+    "--gamma": (("loss",), "gamma", float, "focal exponent"),
+    "--q": (("loss",), "q", float, "gce exponent"),
+    "--A": (("loss",), "A", float, "sce log-zero stand-in (negative)"),
+    "--noise-kind": (("noise",), "kind", NOISE_KINDS, "label corruption kind"),
+    "--eta": (("noise",), "eta", float, "label corruption rate"),
+    "--epochs": (("optim",), "epochs", int, None),
+    "--batch-size": (("optim",), "batch_size", int, None),
+    "--lr0": (("optim",), "lr0", float, None),
+    "--momentum": (("optim",), "momentum", float, None),
+    "--weight-decay": (("optim",), "weight_decay", float, None),
+    "--clip-norm": (("optim",), "clip_norm", float, None),
+    "--n-train": (("dataset",), "n_train", int, None),
+    "--n-test": (("dataset",), "n_test", int, None),
+    "--n-classes": (("dataset", "noise"), "n_classes", int, None),
+    "--dim": (("dataset",), "dim", int, None),
+    "--separation": (("dataset",), "separation", float, None),
+}
+
+
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
     parser.add_argument("--seed", type=int, help="run, init, and noise seed")
-    parser.add_argument("--loss", choices=LOSS_KINDS, help="loss kind")
-    parser.add_argument("--m", type=float, help="amplification for the eps loss kinds")
-    parser.add_argument("--alpha", type=float, help="fit-term weight")
-    parser.add_argument("--beta", type=float, help="bounded-term weight")
-    parser.add_argument("--gamma", type=float, help="focal exponent")
-    parser.add_argument("--q", type=float, help="gce exponent")
-    parser.add_argument("--A", type=float, help="sce log-zero stand-in (negative)")
-    parser.add_argument("--noise-kind", choices=NOISE_KINDS, help="label corruption kind")
-    parser.add_argument("--eta", type=float, help="label corruption rate")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--lr0", type=float)
-    parser.add_argument("--momentum", type=float)
-    parser.add_argument("--weight-decay", type=float)
-    parser.add_argument("--clip-norm", type=float)
-    parser.add_argument("--n-train", type=int)
-    parser.add_argument("--n-test", type=int)
-    parser.add_argument("--n-classes", type=int)
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--separation", type=float)
+    for flag, (_, _, kind, text) in _OVERRIDES.items():
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        parser.add_argument(flag, help=text, **typed)
     parser.add_argument(
         "--layer-sizes", help="comma-separated widths, e.g. 8,64,64,4 (input to output)"
     )
-
-
-def _replace(obj, **changes):
-    present = {k: v for k, v in changes.items() if v is not None}
-    return dataclasses.replace(obj, **present) if present else obj
 
 
 def build_config(args: argparse.Namespace, out_path: str | None) -> ExperimentConfig:
@@ -88,63 +93,37 @@ def build_config(args: argparse.Namespace, out_path: str | None) -> ExperimentCo
     else:
         config = default_config(args.seed or 0)
 
-    dataset = _replace(
-        config.dataset,
-        n_train=args.n_train,
-        n_test=args.n_test,
-        n_classes=args.n_classes,
-        dim=args.dim,
-        separation=args.separation,
-    )
-    loss = _replace(
-        config.loss,
-        kind=args.loss,
-        m=args.m,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        q=args.q,
-        A=args.A,
-    )
-    noise = _replace(
-        config.noise,
-        kind=args.noise_kind,
-        eta=args.eta,
-        n_classes=args.n_classes,
-    )
-    optim = _replace(
-        config.optim,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr0=args.lr0,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        clip_norm=args.clip_norm,
-    )
-    mlp = config.mlp
+    changes = {name: {} for name in ("dataset", "loss", "noise", "optim", "mlp")}
+    for flag, (sections, field, _, _) in _OVERRIDES.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            for name in sections:
+                changes[name][field] = value
     if args.layer_sizes is not None:
         try:
             sizes = tuple(int(s) for s in args.layer_sizes.split(","))
         except ValueError:
             raise ConfigError(f"bad --layer-sizes: {args.layer_sizes!r}") from None
-        mlp = dataclasses.replace(mlp, layer_sizes=sizes)
+        changes["mlp"]["layer_sizes"] = sizes
     if args.seed is not None:
-        mlp = dataclasses.replace(mlp, init_seed=args.seed)
-        noise = dataclasses.replace(noise, seed=args.seed)
-    config = ExperimentConfig(
-        dataset=dataset,
-        mlp=mlp,
-        loss=loss,
-        noise=noise,
-        optim=optim,
+        changes["mlp"]["init_seed"] = changes["noise"]["seed"] = args.seed
+    config = dataclasses.replace(
+        config,
         seed=args.seed if args.seed is not None else config.seed,
         output_path=out_path if out_path is not None else config.output_path,
+        **{
+            name: dataclasses.replace(getattr(config, name), **fields)
+            for name, fields in changes.items()
+            if fields
+        },
     )
     config.validate()
     return config
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    if args.log_every < 0:
+        raise ConfigError(f"--log-every must be at least 0, got {args.log_every}")
     config = build_config(args, args.out)
     if config.output_path is None:
         raise ConfigError("no output path: pass --out or set output_path in the config")
@@ -234,6 +213,11 @@ def _print_table(results: list[dict], losses: list[str], etas: list[float]) -> N
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    for axis in ("loss", "eta", "seed"):
+        if getattr(args, axis) is not None:
+            raise ConfigError(f"sweep takes --{axis}s, not --{axis}: each grid cell sets its own")
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     losses = args.losses.split(",")
     etas = _parse_list("--etas", args.etas, float)
     seeds = _parse_list("--seeds", args.seeds, int)

@@ -1,4 +1,4 @@
-"""Minimal dense numeric kernel: stable softmax, clamped log, seeded RNG.
+"""Minimal dense numeric kernel: row softmax, clamped log, seeded RNG.
 
 Everything runs in float64. All functions are pure; Generator instances are
 the only stateful objects and should stay confined to a single thread.
@@ -37,20 +37,6 @@ def check_prob_vector(p, tol: float = 1e-9) -> np.ndarray:
     if abs(total - 1.0) > tol:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return arr
-
-
-def stable_softmax(logits) -> np.ndarray:
-    """Softmax with max subtraction; safe for arbitrarily large finite logits."""
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D logit vector, got shape {x.shape}")
-    if x.size < 2:
-        raise ValueError("softmax needs at least 2 classes")
-    if not np.isfinite(x).all():
-        raise ValueError("logits must be finite")
-    with np.errstate(over="ignore"):  # finite - finite may still overflow to -inf
-        z = np.exp(x - x.max())
-    return z / z.sum()
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -221,18 +221,6 @@ def run_experiment(
     return records, summary
 
 
-def _record_to_dict(record: EpochRecord) -> dict:
-    # wall_time_ms is deliberately left out: it is the one nondeterministic
-    # field and would break byte-identical reruns
-    return {
-        "epoch": record.epoch,
-        "lr": record.lr,
-        "train_loss": record.train_loss,
-        "test_top1": record.test_top1,
-        "test_topk_errors": list(record.test_topk_errors),
-    }
-
-
 def emit_results(records: list[EpochRecord], summary: dict, path: str) -> None:
     """Write line-delimited JSON at full float precision; never overwrites.
 
@@ -240,7 +228,12 @@ def emit_results(records: list[EpochRecord], summary: dict, path: str) -> None:
     before the file is created.
     """
     try:
-        lines = [json.dumps(_record_to_dict(r), allow_nan=False) for r in records]
+        lines = []
+        for record in records:
+            row = asdict(record)
+            # the one nondeterministic field would break byte-identical reruns
+            del row["wall_time_ms"]
+            lines.append(json.dumps(row, allow_nan=False))
         lines.append(json.dumps(summary, allow_nan=False))
     except ValueError as exc:
         raise DataError(f"refusing to write {path}: {exc}") from None

@@ -109,20 +109,20 @@ def corrupt_labels(labels, spec: NoiseSpec) -> CorruptionResult:
 
 
 def expected_clean_weight(spec: NoiseSpec) -> float:
-    """Average probability that a label survives corruption (1 - eta)."""
-    if spec.kind == "none":
-        return 1.0
-    return 1.0 - spec.eta
+    """Average probability that a label survives corruption: the mean of the
+    transition matrix's diagonal, for balanced classes."""
+    return float(np.diag(transition_matrix(spec)).mean())
 
 
 def clean_dominance_margin(spec: NoiseSpec) -> float:
-    """Worst-case margin between the clean class weight and any wrong class.
+    """Worst-case margin min_i (T_ii - max_{j != i} T_ij) of the transition
+    matrix T between the clean class weight and any wrong class.
 
     Positive exactly when every clean class keeps a strict plurality after
     corruption, the premise of the excess-risk bound.
     """
-    if spec.kind == "none":
-        return 1.0
-    if spec.kind == "symmetric":
-        return 1.0 - spec.eta - spec.eta / (spec.n_classes - 1)
-    return 1.0 - 2.0 * spec.eta
+    mat = transition_matrix(spec)
+    clean = np.diag(mat)
+    # entries are nonnegative, so zeroing the diagonal leaves each row's
+    # largest wrong-class weight as its maximum
+    return float((clean - (mat - np.diag(clean)).max(axis=1)).min())

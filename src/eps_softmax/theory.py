@@ -43,6 +43,11 @@ class CheckReport:
     stats: dict = field(default_factory=dict)
 
 
+def _require_at_least(name: str, value: int, floor: int = 1) -> None:
+    if value < floor:
+        raise ConfigError(f"{name} must be at least {floor}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # One-hot approximation bound
 # ---------------------------------------------------------------------------
@@ -56,8 +61,7 @@ def verify_one_hot_bound(
 ) -> CheckReport:
     """Fuzz the bound: no transformed output may sit farther than eps(K, m)
     from the one-hot set, for logits drawn uniformly from [-10, 10]."""
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
+    _require_at_least("trials", trials)
     rng = make_rng(seed)
     bound = eps_bound(n_classes, m)
     worst = 0.0
@@ -194,6 +198,7 @@ def verify_calibration(
 ) -> list[CheckReport]:
     """Numeric optimum vs closed form, plus rank preservation and solver
     convergence, per m."""
+    _require_at_least("n_distributions", n_distributions)
     reports = []
     for m in ms:
         rng = make_rng(seed)
@@ -237,6 +242,7 @@ def verify_symmetric_term_cancellation(
 ) -> CheckReport:
     """Adding a constant-symmetric-sum loss (MAE) to the eps CE must not move
     symmetric-sum differences: the MAE contributions cancel pair by pair."""
+    _require_at_least("trials", trials)
     rng = make_rng(seed)
     p1 = rng.dirichlet(np.ones(n_classes), size=trials)
     p2 = rng.dirichlet(np.ones(n_classes), size=trials)
@@ -262,6 +268,7 @@ def measure_delta(n_classes: int, m: float, trials: int = 1000, seed: int = 0) -
     of their symmetric sums. This is the empirical delta in the excess-risk
     bound; it shrinks as m grows.
     """
+    _require_at_least("trials", trials)
     rng = make_rng(seed)
     logits1 = rng.uniform(-10.0, 10.0, size=(trials, n_classes))
     logits2 = rng.uniform(-10.0, 10.0, size=(trials, n_classes))
@@ -278,6 +285,7 @@ def delta_sweep(
     seed: int = 0,
 ) -> CheckReport:
     """Check that the measured delta strictly decreases along increasing m."""
+    _require_at_least("the number of m values", len(ms), 2)
     deltas = [measure_delta(n_classes, m, trials, seed) for m in ms]
     decreasing = all(b < a for a, b in zip(deltas, deltas[1:]))
     return CheckReport(
@@ -446,8 +454,7 @@ def gradcheck_losses(
     tol: float = 1e-5,
 ) -> list[CheckReport]:
     """Analytic loss gradients vs central finite differences, per kind."""
-    if cases < 1:
-        raise ConfigError(f"cases must be at least 1, got {cases}")
+    _require_at_least("cases", cases)
     reports = []
     for kind in kinds:
         rng = make_rng(seed)
@@ -513,15 +520,7 @@ def run_verification_suite(trials: int = 100_000, seed: int = 0) -> list[CheckRe
     reports.append(verify_symmetric_term_cancellation(n_classes=2, seed=seed))
     reports.append(verify_symmetric_term_cancellation(n_classes=10, seed=seed))
     reports.append(delta_sweep(seed=seed))
-    reports.append(
-        verify_excess_risk(NoiseSpec("symmetric", eta=0.4, n_classes=4, seed=seed), seed=seed)
-    )
-    reports.append(
-        verify_excess_risk(
-            NoiseSpec("asymmetric_shift", eta=0.3, n_classes=4, seed=seed), seed=seed
-        )
-    )
-    reports.append(
-        verify_excess_risk(NoiseSpec("none", n_classes=4, seed=seed), seed=seed)
-    )
+    for kind, eta in (("symmetric", 0.4), ("asymmetric_shift", 0.3), ("none", 0.0)):
+        noise = NoiseSpec(kind, eta=eta, n_classes=4, seed=seed)
+        reports.append(verify_excess_risk(noise, seed=seed))
     return reports

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import softmax_rows, stable_softmax
+from .core import softmax_rows
 from .errors import ConfigError
 
 
@@ -37,13 +37,16 @@ def eps_softmax(logits, m: float = 0.0) -> np.ndarray:
     m = float(m)
     if m < 0:
         raise ConfigError("m must be nonnegative")
-    return eps_transform_probs(stable_softmax(logits), m)
-
-
-def eps_transform_probs(p, m: float) -> np.ndarray:
-    """Apply the amplification step to an existing probability vector."""
-    arr = np.asarray(p, dtype=np.float64)
-    return amplify(arr, argmax_mask(arr), m)
+    x = np.asarray(logits, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-D logit vector, got shape {x.shape}")
+    if x.size < 2:
+        raise ValueError("softmax needs at least 2 classes")
+    if not np.isfinite(x).all():
+        raise ValueError("logits must be finite")
+    with np.errstate(over="ignore"):  # finite - finite may still overflow to -inf
+        p = softmax_rows(x[None])[0]
+    return amplify(p, argmax_mask(p), m)
 
 
 def eps_softmax_rows(logits: np.ndarray, m: float) -> np.ndarray:

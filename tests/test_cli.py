@@ -1,6 +1,8 @@
 """Command-line interface: config merging, subcommands, exit codes."""
 
 import argparse
+import dataclasses
+import functools
 import json
 
 import pytest
@@ -8,6 +10,9 @@ import pytest
 from eps_softmax.cli import build_config, default_config, main
 from eps_softmax.errors import ConfigError
 from eps_softmax.experiment import config_to_dict, read_results
+from eps_softmax.losses import LossSpec
+from eps_softmax.mlp import MlpSpec, OptimSpec
+from eps_softmax.noise import NoiseSpec
 
 
 def parse_train(argv):
@@ -69,6 +74,78 @@ def test_build_config_layer_sizes_flag():
         build_config(parse_train(["--layer-sizes", "8,x,4"]), None)
 
 
+# (argv, attribute path, value): each override flag and every field it sets.
+# Companion flags keep the config valid where one flag alone would not.
+FLAG_CASES = [
+    (["--loss", "gce"], "loss.kind", "gce"),
+    (["--m", "3.5"], "loss.m", 3.5),
+    (["--alpha", "0.25"], "loss.alpha", 0.25),
+    (["--beta", "2.5"], "loss.beta", 2.5),
+    (["--gamma", "1.5"], "loss.gamma", 1.5),
+    (["--q", "0.3"], "loss.q", 0.3),
+    (["--A", "-2"], "loss.A", -2.0),
+    (["--noise-kind", "symmetric"], "noise.kind", "symmetric"),
+    (["--eta", "0.3", "--noise-kind", "symmetric"], "noise.eta", 0.3),
+    (["--epochs", "7"], "optim.epochs", 7),
+    (["--batch-size", "32"], "optim.batch_size", 32),
+    (["--lr0", "0.05"], "optim.lr0", 0.05),
+    (["--momentum", "0.5"], "optim.momentum", 0.5),
+    (["--weight-decay", "0.001"], "optim.weight_decay", 0.001),
+    (["--clip-norm", "2"], "optim.clip_norm", 2.0),
+    (["--n-train", "300"], "dataset.n_train", 300),
+    (["--n-test", "150"], "dataset.n_test", 150),
+    (["--n-classes", "3", "--layer-sizes", "8,64,64,3"], "dataset.n_classes", 3),
+    (["--n-classes", "3", "--layer-sizes", "8,64,64,3"], "noise.n_classes", 3),
+    (["--dim", "5", "--layer-sizes", "5,64,64,4"], "dataset.dim", 5),
+    (["--separation", "4"], "dataset.separation", 4.0),
+    (["--layer-sizes", "8,16,4"], "mlp.layer_sizes", (8, 16, 4)),
+    (["--seed", "9"], "seed", 9),
+    (["--seed", "9"], "mlp.init_seed", 9),
+    (["--seed", "9"], "noise.seed", 9),
+]
+
+
+def _field(config, path):
+    return functools.reduce(getattr, path.split("."), config)
+
+
+def _file_config():
+    """A valid config whose every flagged field differs from the defaults and
+    from the values FLAG_CASES sets."""
+    base = default_config(2)
+    return dataclasses.replace(
+        base,
+        dataset=dataclasses.replace(base.dataset, n_train=400, n_test=200, separation=6.0),
+        mlp=MlpSpec((8, 32, 4), init_seed=2),
+        loss=LossSpec("sce", m=2.0, alpha=0.5, beta=1.5, gamma=0.75, q=0.5, A=-3.0),
+        noise=NoiseSpec("asymmetric_shift", eta=0.2, n_classes=4, seed=2),
+        optim=OptimSpec(lr0=0.02, momentum=0.8, weight_decay=2e-4, clip_norm=3.0, epochs=5,
+                        batch_size=64),
+    )
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["defaults", "config-file"])
+@pytest.mark.parametrize(
+    "argv, path, value", FLAG_CASES, ids=[f"{a[0]}-{p}" for a, p, _ in FLAG_CASES]
+)
+def test_every_override_flag_reaches_its_fields(tmp_path, argv, path, value, from_file):
+    if from_file:
+        base = _file_config()
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(base)), encoding="utf-8")
+        argv = ["--config", str(config_path)] + argv
+    else:
+        base = default_config(0)
+    assert _field(base, path) != value
+    config = build_config(parse_train(argv), None)
+    assert _field(config, path) == value
+    # the file (or the defaults) still decides every field no flag here names
+    named = {p for a, p, _ in FLAG_CASES if a[0] in argv}
+    for _, other, _ in FLAG_CASES:
+        if other not in named:
+            assert _field(config, other) == _field(base, other), other
+
+
 def test_build_config_rejects_inconsistent_overrides():
     # shrinking the class count alone breaks the mlp output size
     with pytest.raises(ConfigError):
@@ -86,7 +163,9 @@ def test_train_writes_results_and_prints_summary(tmp_path, capsys):
          "--log-every", "0"]
     )
     assert code == 0
-    printed = json.loads(capsys.readouterr().out.strip())
+    captured = capsys.readouterr()
+    assert captured.err == ""  # --log-every 0 silences the progress lines
+    printed = json.loads(captured.out.strip())
     assert printed["out"] == out
     records, summary = read_results(out)
     assert len(records) == 2
@@ -226,6 +305,46 @@ def test_sweep_refuses_a_grid_that_names_one_file_twice(tmp_path, capsys, monkey
     code = run_main(argv + ["--out-dir", str(tmp_path / "g"), "--jobs", "1"])
     assert code == 1
     assert "more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--loss", "gce"), ("--eta", "0.3"), ("--seed", "7")])
+def test_sweep_rejects_the_flags_its_grid_sets(tmp_path, capsys, monkeypatch, flag, value):
+    _no_runs(monkeypatch)
+    out_dir = tmp_path / "g"
+    argv = ["sweep", flag, value, "--losses", "ce", "--etas", "0.2", "--out-dir", str(out_dir)]
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"sweep takes {flag}s, not {flag}" in captured.err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--jobs", "0"], ["sweep", "--jobs", "-5"], ["train", "--log-every", "-1"]],
+)
+def test_counts_below_their_minimum_are_config_errors(tmp_path, capsys, monkeypatch, argv):
+    _no_runs(monkeypatch)
+    out = tmp_path / "out"
+    assert run_main(argv + ["--out-dir" if argv[0] == "sweep" else "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[1]} must be at least" in captured.err
+    assert not out.exists()
+
+
+def test_sweep_writes_the_same_bytes_at_one_and_two_jobs(tmp_path, capsys):
+    argv = ["sweep", "--losses", "ce,ce_eps_mae", "--etas", "0,0.4", "--seeds", "0", "--epochs",
+            "2", "--n-train", "100", "--n-test", "50"]
+    runs = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        assert run_main(argv + ["--out-dir", str(out_dir), "--jobs", jobs]) == 0
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        runs.append((captured.out.replace(str(out_dir), "DIR"), captured.err, files))
+    assert len(runs[0][2]) == 4
+    assert runs[0] == runs[1]
 
 
 def test_sweep_prints_the_seed_averaged_table_on_stderr(tmp_path, capsys):

@@ -13,8 +13,8 @@ from eps_softmax.core import (
     log_clamped,
     make_rng,
     softmax_rows,
-    stable_softmax,
 )
+from eps_softmax.transform import eps_softmax
 
 from conftest import logit_vectors
 
@@ -52,15 +52,18 @@ def test_check_prob_vector_rejects_bad_shapes_and_values():
         check_prob_vector([0.5, 0.6])
 
 
+# eps_softmax at its default m = 0 is the validated single-vector softmax
+
+
 def test_softmax_known_values():
-    p = stable_softmax([1.0, 0.0, 0.0])
+    p = eps_softmax([1.0, 0.0, 0.0])
     assert p[0] == pytest.approx(0.5761168847658291, abs=1e-15)
     assert p[1] == pytest.approx(0.21194155761708547, abs=1e-15)
     assert p[1] == p[2]
 
 
 def test_softmax_huge_logits_do_not_overflow():
-    p = stable_softmax([1000.0, 0.0])
+    p = eps_softmax([1000.0, 0.0])
     assert np.isfinite(p).all()
     assert p[0] == pytest.approx(1.0)
     assert p[1] == pytest.approx(0.0)
@@ -68,21 +71,21 @@ def test_softmax_huge_logits_do_not_overflow():
 
 @given(logit_vectors())
 def test_softmax_is_a_distribution(x):
-    p = stable_softmax(x)
+    p = eps_softmax(x)
     assert (p >= 0).all()
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @given(logit_vectors(), st.floats(-100, 100, allow_nan=False))
 def test_softmax_shift_invariance(x, c):
-    assert np.allclose(stable_softmax(x + c), stable_softmax(x), atol=1e-12)
+    assert np.allclose(eps_softmax(x + c), eps_softmax(x), atol=1e-12)
 
 
 @given(logit_vectors())
 def test_softmax_rows_matches_single(x):
     rows = softmax_rows(np.stack([x, x * 0.5]))
-    assert np.array_equal(rows[0], stable_softmax(x))
-    assert np.array_equal(rows[1], stable_softmax(x * 0.5))
+    assert np.array_equal(rows[0], eps_softmax(x))
+    assert np.array_equal(rows[1], eps_softmax(x * 0.5))
 
 
 def test_log_clamped_floor():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from eps_softmax.core import softmax_rows
 from eps_softmax.errors import ConfigError
 from eps_softmax.losses import LOSS_KINDS, LossSpec, batch_loss, evaluate_loss, symmetric_sums
-from eps_softmax.transform import eps_transform_probs
+from eps_softmax.transform import amplify, argmax_mask
 
 from conftest import labeled_logits, prob_vectors
 
@@ -272,7 +272,7 @@ def test_vectorized_symmetric_sums_match_scalar_loop(p):
     rows = np.stack([p, np.roll(p, 1)])
     got = symmetric_sums(rows, LossSpec("ce_eps", m=m))
     for row, total in zip(rows, got):
-        u = eps_transform_probs(row, m)
+        u = amplify(row, argmax_mask(row), m)
         expect = sum(-math.log(max(float(u[k]), 1e-8)) for k in range(row.size))
         assert total == pytest.approx(expect, rel=1e-12)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eps_softmax import noise
 from eps_softmax.errors import ConfigError
 from eps_softmax.noise import (
     NOISE_KINDS,
@@ -139,6 +140,16 @@ def test_realized_rate_tracks_eta(k, eta):
 def test_expected_clean_weight():
     assert expected_clean_weight(NoiseSpec("symmetric", eta=0.4, n_classes=4)) == pytest.approx(0.6)
     assert expected_clean_weight(NoiseSpec("none", n_classes=4)) == 1.0
+
+
+def test_noise_constants_are_read_off_the_transition_matrix(monkeypatch):
+    # class-pair flips (Patrini et al., CVPR 2017): each row keeps a different
+    # share, so c and a come from the matrix, not from eta
+    mat = np.array([[0.9, 0.1, 0.0], [0.0, 0.6, 0.4], [0.3, 0.0, 0.7]])
+    monkeypatch.setattr(noise, "transition_matrix", lambda spec: mat)
+    spec = NoiseSpec("none", n_classes=3)
+    assert expected_clean_weight(spec) == pytest.approx((0.9 + 0.6 + 0.7) / 3)
+    assert clean_dominance_margin(spec) == pytest.approx(0.6 - 0.4)
 
 
 def test_clean_dominance_margin():

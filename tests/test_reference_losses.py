@@ -17,9 +17,9 @@ term; every other entry and every value is the same bytes.
 import numpy as np
 import pytest
 
-from eps_softmax.core import log_clamped, softmax_rows, stable_softmax
+from eps_softmax.core import log_clamped, softmax_rows
 from eps_softmax.losses import LossSpec, batch_loss, evaluate_loss, symmetric_sums
-from eps_softmax.transform import eps_softmax, eps_softmax_rows, eps_transform_probs
+from eps_softmax.transform import amplify, argmax_mask, eps_softmax, eps_softmax_rows
 
 # ---------------------------------------------------------------------------
 # Reference: the per-family batch functions, verbatim
@@ -131,6 +131,19 @@ def ref_ce_eps_symmetric_sums(p_rows, m):
     rows = np.arange(p_rows.shape[0])
     u[rows, t] = (p_rows[rows, t] + m) / (m + 1.0)
     return -log_clamped(u).sum(axis=1)
+
+
+def ref_stable_softmax(logits):
+    x = np.asarray(logits, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-D logit vector, got shape {x.shape}")
+    if x.size < 2:
+        raise ValueError("softmax needs at least 2 classes")
+    if not np.isfinite(x).all():
+        raise ValueError("logits must be finite")
+    with np.errstate(over="ignore"):  # finite - finite may still overflow to -inf
+        z = np.exp(x - x.max())
+    return z / z.sum()
 
 
 def ref_eps_transform_probs(p, m):
@@ -261,7 +274,17 @@ def test_amplified_outputs_match_the_reference(m):
         p = softmax_rows(logits)
         for i in range(logits.shape[0]):
             want = ref_eps_transform_probs(p[i], m)
-            assert eps_transform_probs(p[i], m).tobytes() == want.tobytes()
+            assert amplify(p[i], argmax_mask(p[i]), m).tobytes() == want.tobytes()
             assert rows[i].tobytes() == want.tobytes()
-        want = ref_eps_transform_probs(stable_softmax(logits[0]), m)
+        want = ref_eps_transform_probs(ref_stable_softmax(logits[0]), m)
         assert eps_softmax(logits[0], m).tobytes() == want.tobytes()
+
+
+def test_eps_softmax_at_zero_is_the_reference_softmax():
+    # every row of every batch, plus logits whose max subtraction overflows
+    for logits, _ in batches(19):
+        for row in logits:
+            assert eps_softmax(row).tobytes() == ref_stable_softmax(row).tobytes()
+    extreme = np.array([1e308, -1e308, 0.0])
+    with np.errstate(over="raise"):
+        assert eps_softmax(extreme).tobytes() == ref_stable_softmax(extreme).tobytes()

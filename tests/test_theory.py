@@ -125,6 +125,25 @@ def test_delta_sweep_smoke():
     assert len(report.stats["deltas"]) == 2
 
 
+@pytest.mark.parametrize(
+    "check, kwargs",
+    [
+        (verify_one_hot_bound, {"n_classes": 3, "m": 1.0, "trials": 0}),
+        (verify_calibration, {"n_distributions": 0}),
+        (verify_symmetric_term_cancellation, {"trials": 0}),
+        (measure_delta, {"n_classes": 3, "m": 1.0, "trials": 0}),
+        (delta_sweep, {"trials": 0}),
+        (delta_sweep, {"ms": ()}),
+        (delta_sweep, {"ms": (1.0,)}),
+        (gradcheck_losses, {"cases": 0}),
+    ],
+)
+def test_checks_below_their_minimum_count_are_config_errors(check, kwargs):
+    # an empty or one-point check would pass without checking anything
+    with pytest.raises(ConfigError, match="must be at least"):
+        check(**kwargs)
+
+
 def test_excess_risk_demo_clean_labels_have_zero_gap():
     # same labels, same init: both models coincide, so the gap is exactly zero
     report = verify_excess_risk(NoiseSpec("none", n_classes=4), m=100.0, n_points=80, steps=600)

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eps_softmax.core import stable_softmax
+from eps_softmax.core import softmax_rows
 from eps_softmax.errors import ConfigError
 from eps_softmax.transform import (
+    amplify,
+    argmax_mask,
     distance_to_one_hot,
     distances_to_one_hot_rows,
     eps_bound,
     eps_softmax,
     eps_softmax_rows,
-    eps_transform_probs,
 )
 
 from conftest import amplifications, logit_vectors, prob_vectors
@@ -24,14 +25,24 @@ def test_config_rejects_negative_amplification():
         eps_softmax([1.0, 0.0], -0.5)
 
 
+def test_eps_softmax_validates_its_logits():
+    for bad in ([[1.0, 0.0]], [1.0], [1.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValueError):
+            eps_softmax(bad)
+    with np.errstate(over="raise"):  # the max subtraction may overflow; it is silenced
+        p = eps_softmax([1e308, -1e308])
+    assert np.array_equal(p, [1.0, 0.0])
+
+
 def test_transform_tie_goes_to_lowest_index():
-    out = eps_transform_probs([0.5, 0.5], m=1.0)
+    p = np.array([0.5, 0.5])
+    out = amplify(p, argmax_mask(p), m=1.0)
     assert np.array_equal(out, [0.75, 0.25])
 
 
 def test_transform_known_values():
-    p = stable_softmax([1.0, 0.0, 0.0])
-    out = eps_transform_probs(p, m=10.0)
+    p = softmax_rows(np.array([[1.0, 0.0, 0.0]]))[0]
+    out = amplify(p, argmax_mask(p), m=10.0)
     assert out[0] == pytest.approx(0.9614651713423481, abs=1e-12)
     assert out[1] == pytest.approx(0.019267414328825953, abs=1e-12)
     assert out[1] == out[2]
@@ -39,12 +50,12 @@ def test_transform_known_values():
 
 @given(prob_vectors())
 def test_transform_with_zero_amplification_is_identity(p):
-    assert np.array_equal(eps_transform_probs(p, 0.0), p)
+    assert np.array_equal(amplify(p, argmax_mask(p), 0.0), p)
 
 
 @given(prob_vectors(), amplifications)
 def test_transform_output_is_a_distribution(p, m):
-    out = eps_transform_probs(p, m)
+    out = amplify(p, argmax_mask(p), m)
     assert (out >= 0).all()
     assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -52,7 +63,7 @@ def test_transform_output_is_a_distribution(p, m):
 @given(prob_vectors(), amplifications)
 def test_transform_never_shrinks_the_top_probability(p, m):
     t = int(np.argmax(p))
-    out = eps_transform_probs(p, m)
+    out = amplify(p, argmax_mask(p), m)
     assert out[t] >= p[t] - 1e-15
     assert int(np.argmax(out)) == t
 
@@ -60,7 +71,7 @@ def test_transform_never_shrinks_the_top_probability(p, m):
 @given(prob_vectors(), amplifications)
 def test_transform_preserves_the_ordering(p, m):
     # non-target entries all scale by 1/(m+1), so every pairwise order survives
-    out = eps_transform_probs(p, m)
+    out = amplify(p, argmax_mask(p), m)
     assert np.array_equal(np.argsort(-p, kind="stable"), np.argsort(-out, kind="stable"))
 
 
@@ -105,7 +116,8 @@ def test_distance_matches_explicit_l2(p):
 
 @given(logit_vectors(), amplifications)
 def test_eps_softmax_composes_softmax_and_transform(x, m):
-    assert np.array_equal(eps_softmax(x, m), eps_transform_probs(stable_softmax(x), m))
+    p = softmax_rows(x[None, :])[0]
+    assert np.array_equal(eps_softmax(x, m), amplify(p, argmax_mask(p), m))
 
 
 @given(logit_vectors(), amplifications)
@@ -122,5 +134,5 @@ def test_row_helpers_match_single_vector_forms(x, m):
 def test_bound_is_tight_at_the_uniform_distribution(k, m):
     # the uniform distribution attains the worst case exactly
     uniform = np.full(k, 1.0 / k)
-    d = distance_to_one_hot(eps_transform_probs(uniform, m))
+    d = distance_to_one_hot(amplify(uniform, argmax_mask(uniform), m))
     assert d == pytest.approx(eps_bound(k, m), rel=1e-9)
