@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -24,6 +24,7 @@ from .losses import LossSpec, batch_loss
 from .mlp import (
     MlpSpec,
     OptimSpec,
+    ParamSet,
     Workspace,
     backward,
     clip_grad_norm,
@@ -88,10 +89,48 @@ _SECTIONS = (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: field annotation -> (test of a JSON value, what the test accepts). An integer
+#: is a valid float; true and false are valid only as booleans.
+_JSON_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "tuple[int, ...]": (
+        lambda v: isinstance(v, list) and all(map(_is_int, v)),
+        "a list of integers",
+    ),
+}
+
+
+def _check_field_types(prefix: str, cls, values: dict) -> None:
+    """Raise ConfigError naming the first value whose JSON type does not fit
+    the annotation of its field in ``cls``; keys that are not fields pass."""
+    for f in fields(cls):
+        if f.name in values:
+            fits, expected = _JSON_FIELD_TYPES[f.type]
+            if not fits(values[f.name]):
+                raise ConfigError(
+                    f"config field {prefix + f.name!r} must be {expected}, "
+                    f"got {values[f.name]!r}"
+                )
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from nested dicts whose keys mirror the dataclass fields."""
+    """Build a config from nested dicts whose keys mirror the dataclass fields.
+
+    Every value must have the JSON type of its field, so a fractional count or
+    a quoted number is a ConfigError rather than silently cast.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    top_level = {k: raw[k] for k in ("seed", "output_path") if k in raw}
+    _check_field_types("", ExperimentConfig, top_level)
     parts = {}
     for name, cls in _SECTIONS:
         section = raw.get(name)
@@ -99,6 +138,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"config is missing the {name!r} section")
         if not isinstance(section, dict):
             raise ConfigError(f"config section {name!r} must be an object")
+        _check_field_types(f"{name}.", cls, section)
         try:
             parts[name] = cls(**section)
         except TypeError as exc:
@@ -107,7 +147,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if extras:
         raise ConfigError(f"unknown config keys: {sorted(extras)}")
     return ExperimentConfig(
-        seed=int(raw.get("seed", 0)),
+        seed=raw.get("seed", 0),
         output_path=raw.get("output_path"),
         **parts,
     )
@@ -128,7 +168,33 @@ def load_config_file(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     return config_from_dict(raw)
+
+
+def train_step(
+    params: ParamSet,
+    velocity: ParamSet,
+    ws: Workspace,
+    x: np.ndarray,
+    y: np.ndarray,
+    spec: LossSpec,
+    lr: float,
+    optim: OptimSpec,
+) -> float:
+    """One in-place momentum-SGD update on the batch-mean loss of (x, y), its
+    gradients clipped to ``optim.clip_norm``; returns the batch's loss sum.
+    The callees are looked up in this module at call time, so a wrapper
+    installed on it sees every step."""
+    logits, cache = forward(params, x, ws)
+    values, grad_logits = batch_loss(logits, y, spec)
+    loss_sum = float(values.sum())
+    grad_logits /= y.size
+    grads = backward(cache, grad_logits)
+    clip_grad_norm(grads, optim.clip_norm)
+    sgd_step(params, grads, velocity, lr, optim.momentum, optim.weight_decay)
+    return loss_sum
 
 
 def run_experiment(
@@ -141,7 +207,7 @@ def run_experiment(
     order is reshuffled every epoch from the run seed, so identical configs
     give bitwise identical trajectories. Raises TrainingDiverged, naming the
     epoch and step, when a batch's loss sum or the test logits stop being
-    finite.
+    finite; a non-finite loss sum is caught after its step's update.
     """
     config.validate()
     train, test = build_dataset(config.dataset, config.seed)
@@ -168,19 +234,14 @@ def run_experiment(
         loss_total = 0.0
         for start in range(0, n_train, opt.batch_size):
             idx = order[start : start + opt.batch_size]
-            logits, cache = forward(params, noisy.features[idx], ws)
-            values, grad_logits = batch_loss(logits, noisy.labels[idx], config.loss)
-            batch_sum = float(values.sum())
+            x, y = noisy.features[idx], noisy.labels[idx]
+            batch_sum = train_step(params, velocity, ws, x, y, config.loss, lr, opt)
             if not math.isfinite(batch_sum):
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}, step {step}: "
                     f"batch loss sum is {batch_sum}"
                 )
             loss_total += batch_sum
-            grad_logits /= idx.size
-            grads = backward(cache, grad_logits)
-            clip_grad_norm(grads, opt.clip_norm)
-            sgd_step(params, grads, velocity, lr, opt.momentum, opt.weight_decay)
             step += 1
         try:
             metrics = evaluate(params, test.features, test.labels, ws=ws)

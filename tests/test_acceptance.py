@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_09_repeated_train_runs_are_byte_identical(report, tmp_path):
             argv + ["--out", path], capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-    first, second = (open(p, "rb").read() for p in paths)
+    first, second = (Path(p).read_bytes() for p in paths)
     ok = first == second and len(first) > 0
     report(
         "repeated train invocations are byte-identical",

@@ -239,6 +239,64 @@ def test_missing_config_file_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _set(section, field, value):
+    def edit(raw):
+        (raw[section] if section else raw)[field] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("seed", _set(None, "seed", "x")),
+        ("seed", _set(None, "seed", 1.7)),
+        ("seed", _set(None, "seed", True)),
+        ("optim.epochs", _set("optim", "epochs", 2.5)),
+        ("optim.epochs", _set("optim", "epochs", False)),
+        ("optim.batch_size", _set("optim", "batch_size", 64.0)),
+        ("optim.lr0", _set("optim", "lr0", "0.01")),
+        ("dataset.n_train", _set("dataset", "n_train", 200.5)),
+        ("dataset.normalize", _set("dataset", "normalize", 1)),
+        ("mlp.layer_sizes", _set("mlp", "layer_sizes", [8, 64.5, 64, 4])),
+        ("mlp.layer_sizes", _set("mlp", "layer_sizes", [8, "64", 64, 4])),
+        ("noise.n_classes", _set("noise", "n_classes", 4.0)),
+        ("loss.kind", _set("loss", "kind", 3)),
+        ("output_path", _set(None, "output_path", 7)),
+    ],
+)
+def test_config_file_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, field, edit):
+    raw = config_to_dict(default_config())
+    edit(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(field) in err
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    text = json.dumps(config_to_dict(default_config())).encode()
+    path.write_bytes(text.replace(b"blobs", b"bl\xf6bs"))  # latin-1, not UTF-8
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", "--config", str(path), "--out", str(out)]) == 1
+    assert "not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integers_in_float_fields_of_a_config_file_are_valid(tmp_path):
+    raw = config_to_dict(default_config())
+    raw["optim"]["lr0"] = 1
+    raw["dataset"]["separation"] = 10
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    config = build_config(parse_train(["--config", str(path)]), None)
+    assert config.optim.lr0 == 1 and config.dataset.separation == 10
+
+
 def test_sweep_writes_a_grid(tmp_path, capsys):
     out_dir = str(tmp_path / "grid")
     code = run_main(

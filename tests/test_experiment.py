@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from eps_softmax import experiment
 from eps_softmax.cli import default_config
 from eps_softmax.data import DatasetSpec
 from eps_softmax.errors import ConfigError, DataError, TrainingDiverged
@@ -19,7 +20,7 @@ from eps_softmax.experiment import (
     run_experiment,
 )
 from eps_softmax.losses import LossSpec
-from eps_softmax.mlp import MlpSpec, OptimSpec
+from eps_softmax.mlp import MlpSpec, OptimSpec, ParamSet
 from eps_softmax.noise import NoiseSpec
 
 
@@ -186,6 +187,47 @@ def test_run_experiment_stops_on_non_finite_test_logits():
     config = tiny_config(optim=OptimSpec(lr0=1e300, clip_norm=1e12, epochs=2, batch_size=90))
     with pytest.raises(TrainingDiverged, match="epoch 0, after step 0: logits are not finite"):
         run_experiment(config)
+
+
+# bench/tracing.py times the training loop by replacing these names on
+# eps_softmax.experiment, so the loop must look each of them up there
+TRACED_NAMES = (
+    "build_dataset",
+    "corrupt_labels",
+    "init_params",
+    "forward",
+    "batch_loss",
+    "backward",
+    "clip_grad_norm",
+    "sgd_step",
+    "evaluate",
+)
+
+
+def test_the_training_loop_calls_every_name_the_benchmark_wraps(monkeypatch):
+    calls = dict.fromkeys(TRACED_NAMES, 0)
+    clip_results = []
+    for name in TRACED_NAMES:
+
+        def counted(*args, _name=name, _original=getattr(experiment, name), **kwargs):
+            calls[_name] += 1
+            result = _original(*args, **kwargs)
+            if _name == "clip_grad_norm":
+                clip_results.append(result)
+            return result
+
+        monkeypatch.setattr(experiment, name, counted)
+    run_experiment(tiny_config())  # 3 epochs of 3 batches
+    assert calls == {
+        **dict.fromkeys(TRACED_NAMES, 9),
+        "build_dataset": 1,
+        "corrupt_labels": 1,
+        "init_params": 1,
+        "evaluate": 3,
+    }
+    # the tracer reads the applied scale off clip_grad_norm's result
+    for grads, scale in clip_results:
+        assert isinstance(grads, ParamSet) and isinstance(scale, float)
 
 
 # ---------------------------------------------------------------------------

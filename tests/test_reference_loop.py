@@ -4,7 +4,8 @@ The reference below allocates fresh arrays for every layer in forward and
 backward, clips with a per-array norm, updates each array on its own and ranks
 with a stable argsort. The flat-buffer loop in run_experiment must write
 byte-identical results to it: the rewrite changed where values live, never
-the arithmetic.
+the arithmetic. The excess-risk check's own full-batch trainer, which
+train_step replaced, is kept below as well.
 """
 
 import math
@@ -13,20 +14,24 @@ import numpy as np
 import pytest
 
 from eps_softmax.core import make_rng
-from eps_softmax.data import DatasetSpec, build_dataset
+from eps_softmax.data import DatasetSpec, build_dataset, generate_blobs
 from eps_softmax.experiment import (
     EpochRecord,
     ExperimentConfig,
     config_to_dict,
     emit_results,
     run_experiment,
+    train_step,
 )
 from eps_softmax.losses import LossSpec, batch_loss
 from eps_softmax.mlp import (
     MlpSpec,
     OptimSpec,
+    Workspace,
+    backward,
     clip_grad_norm,
     cosine_lr,
+    forward,
     init_params,
     sgd_step,
     zeros_like_params,
@@ -200,3 +205,42 @@ def test_sgd_step_matches_the_per_array_update():
     assert params.flat.tobytes() == np.concatenate([p.ravel() for p in ref_p]).tobytes()
     assert velocity.flat.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
 
+
+def ref_train_linear_softmax(
+    features: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    spec: LossSpec,
+    seed: int,
+    steps: int,
+):
+    """The excess-risk check's trainer before train_step, verbatim except
+    that it also returns the velocity."""
+    params = init_params(MlpSpec((features.shape[1], n_classes), init_seed=seed))
+    velocity = zeros_like_params(params)
+    ws = Workspace(params.layer_sizes)
+    n = labels.size
+    for _ in range(steps):
+        logits, cache = forward(params, features, ws)
+        _, grad_logits = batch_loss(logits, labels, spec)
+        grads = backward(cache, grad_logits / n)
+        sgd_step(params, grads, velocity, 0.2, 0.9)
+    return params, velocity
+
+
+@pytest.mark.parametrize("spec", [LossSpec("ce"), LossSpec("ce_eps", m=1e4)], ids=["ce", "ce_eps"])
+def test_train_step_without_clip_or_decay_is_the_excess_risk_trainer(spec):
+    data = DatasetSpec(source="blobs", n_classes=4, n_train=200, n_test=4, dim=2, separation=8.0)
+    train, _ = generate_blobs(data, 0)
+    noise = NoiseSpec("symmetric", eta=0.4, n_classes=4, seed=0)
+    labels = corrupt_labels(train.labels, noise).noisy_labels
+    ref_params, ref_velocity = ref_train_linear_softmax(train.features, labels, 4, spec, 0, 300)
+
+    params = init_params(MlpSpec((2, 4), init_seed=0))
+    velocity = zeros_like_params(params)
+    ws = Workspace(params.layer_sizes)
+    optim = OptimSpec(lr0=0.2, momentum=0.9, weight_decay=0.0, clip_norm=math.inf)
+    for _ in range(300):
+        train_step(params, velocity, ws, train.features, labels, spec, optim.lr0, optim)
+    assert params.flat.tobytes() == ref_params.flat.tobytes()
+    assert velocity.flat.tobytes() == ref_velocity.flat.tobytes()

@@ -1,5 +1,9 @@
 """Verification helpers: bound fuzzing, calibrated optima, risk bound, FD oracle."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -123,6 +127,29 @@ def test_delta_sweep_smoke():
     report = delta_sweep(n_classes=5, ms=(1.0, 100.0), trials=300, seed=0)
     assert report.passed
     assert len(report.stats["deltas"]) == 2
+
+
+def _delta_shrinkage_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "delta_shrinkage.py"
+    spec = importlib.util.spec_from_file_location("delta_shrinkage", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "ms, code, rows",
+    [("1,100", 0, 2), ("100,1", 2, 2), ("5", 1, 0), ("1,x", 1, 0)],
+    ids=["decreasing", "increasing", "one_value", "not_a_number"],
+)
+def test_delta_shrinkage_script_exit_codes(monkeypatch, capsys, ms, code, rows):
+    script = _delta_shrinkage_script()
+    monkeypatch.setattr(sys, "argv", ["delta_shrinkage.py", "--ms", ms, "--trials", "50"])
+    assert script.main() == code
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == (rows + 1 if rows else 0)  # header and rows
+    assert err.startswith({0: "", 1: "error: ", 2: "warning: "}[code])
+    assert bool(err) == (code != 0)
 
 
 @pytest.mark.parametrize(
