@@ -13,8 +13,10 @@ Example:
 """
 
 import argparse
+import math
 import sys
 
+from eps_softmax.errors import ConfigError
 from eps_softmax.theory import delta_sweep
 from eps_softmax.transform import eps_bound
 
@@ -29,6 +31,8 @@ def main() -> int:
 
     try:
         ms = [float(s) for s in args.ms.split(",")]
+        if not all(map(math.isfinite, ms)):
+            raise ConfigError(f"--ms must list finite numbers, got {args.ms!r}")
         report = delta_sweep(args.classes, ms, trials=args.trials, seed=args.seed)
         bounds = [eps_bound(args.classes, m) for m in ms]
     except ValueError as exc:  # a bad --ms entry, or a ConfigError

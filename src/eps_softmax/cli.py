@@ -13,9 +13,9 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .data import DatasetSpec
 from .errors import ConfigError, DataError, TrainingDiverged
@@ -94,9 +94,11 @@ def build_config(args: argparse.Namespace, out_path: str | None) -> ExperimentCo
         config = default_config(args.seed or 0)
 
     changes = {name: {} for name in ("dataset", "loss", "noise", "optim", "mlp")}
-    for flag, (sections, field, _, _) in _OVERRIDES.items():
+    for flag, (sections, field, kind, _) in _OVERRIDES.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{flag} must be a finite number, got {value}")
             for name in sections:
                 changes[name][field] = value
     if args.layer_sizes is not None:
@@ -194,9 +196,43 @@ def _reused_result(raw: dict, path: str) -> dict | None:
 
 def _parse_list(flag: str, text: str, cast) -> list:
     try:
-        return [cast(s) for s in text.split(",")]
+        values = [cast(s) for s in text.split(",")]
     except ValueError:
         raise ConfigError(f"bad {flag}: {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{flag} must list finite numbers, got {text!r}")
+    return values
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS (``libscipy_openblas64_``) through ctypes, or
+    None when numpy was built against another BLAS."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per worker, so the workers do not
+    contend for the CPUs; other BLAS builds keep their settings."""
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
 
 
 def _print_table(results: list[dict], losses: list[str], etas: list[float]) -> None:
@@ -250,8 +286,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     reused = [_reused_result(*job) for job in jobs]
     todo = [job for job, done in zip(jobs, reused) if done is None]
     workers = args.jobs or min(4, os.cpu_count() or 1)
+    if workers > 1:
+        # imported here: no other command, and no --jobs 1 sweep, pays for it
+        from concurrent.futures import ProcessPoolExecutor
+
+        runner = ProcessPoolExecutor(workers, initializer=_one_blas_thread)
+    else:
+        runner = contextlib.nullcontext()
     results = []
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    with runner as pool:
         fresh = (pool.map if pool else map)(_run_one, todo)
         for done in reused:  # one line per cell, in grid order
             result = next(fresh) if done is None else done

@@ -94,10 +94,14 @@ def _is_int(value) -> bool:
 
 
 #: field annotation -> (test of a JSON value, what the test accepts). An integer
-#: is a valid float; true and false are valid only as booleans.
+#: is a valid float, but NaN and the infinities that Python's json reads are
+#: not; true and false are valid only as booleans.
 _JSON_FIELD_TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "float": (
+        lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+        "a finite number",
+    ),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
@@ -225,6 +229,10 @@ def run_experiment(
     shuffle_rng = make_rng(config.seed, stream=_SHUFFLE_STREAM)
     opt = config.optim
     n_train = len(noisy)
+    # each batch is gathered into these; the last partial batch uses leading rows
+    rows = min(opt.batch_size, n_train)
+    x_batch = np.empty((rows, noisy.features.shape[1]), dtype=noisy.features.dtype)
+    y_batch = np.empty(rows, dtype=noisy.labels.dtype)
     records: list[EpochRecord] = []
     step = 0
     for epoch in range(opt.epochs):
@@ -234,7 +242,10 @@ def run_experiment(
         loss_total = 0.0
         for start in range(0, n_train, opt.batch_size):
             idx = order[start : start + opt.batch_size]
-            x, y = noisy.features[idx], noisy.labels[idx]
+            # a permutation's indices are in range, and any mode but the
+            # default "raise" lets np.take write straight into out
+            x = np.take(noisy.features, idx, axis=0, out=x_batch[: idx.size], mode="clip")
+            y = np.take(noisy.labels, idx, out=y_batch[: idx.size], mode="clip")
             batch_sum = train_step(params, velocity, ws, x, y, config.loss, lr, opt)
             if not math.isfinite(batch_sum):
                 raise TrainingDiverged(

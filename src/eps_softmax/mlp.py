@@ -15,11 +15,15 @@ elementwise order as the per-layer update written above, so they give the same
 bits as a loop over layers.
 
 All updates happen in place. A training loop passes a Workspace to forward
-and evaluate: the workspace owns one set of layer outputs per batch row count,
-the backprop scratch and the gradient set, so a step allocates no per-layer
-arrays. Results computed through a workspace are views of its buffers and are
-overwritten by the next call with the same row count; callers that need
+and evaluate: the workspace owns one set of layer outputs and ReLU masks,
+sized to the largest batch it has served, and the gradient set, so a step
+allocates no per-layer arrays. Smaller batches use the leading rows of the
+same buffers, and backward writes each hidden layer's backpropagated signal
+over that layer's output. Results computed through a workspace are views of
+its buffers and are overwritten by its next forward; callers that need
 snapshots should copy. Without a workspace every call gets fresh buffers.
+evaluate runs the test set through the workspace in chunks, so a run's
+working memory follows the batch size rather than the test-set size.
 Identical seeds give bitwise identical parameters and trajectories in
 single-threaded use.
 """
@@ -122,46 +126,67 @@ class ParamSet:
         return self._scratch
 
 
+#: Bytes of layer outputs one evaluate chunk may hold. A matrix product can
+#: round differently at another row count (OpenBLAS picks its kernel by rows),
+#: so this is sized to keep the 8-64-64-4 default net's test set in one pass
+#: (3,971 rows fit) while a 128-512-512-10 net runs in chunks of its 512-row
+#: batch, which round the same as one pass with OpenBLAS 0.3.31.
+EVAL_CHUNK_BYTES = 4 * 2**20
+
+
 class Workspace:
     """Buffers a training loop reuses across steps.
 
-    It keeps one set of layer outputs per batch row count (the full batch, the
-    last partial batch, the test set), backprop scratch for the row counts
-    that backward sees, and the gradient set backward writes into.
+    It keeps one set of layer outputs and hidden-layer ReLU masks, sized to
+    the largest row count it has served, and the gradient set backward writes
+    into. A smaller batch, such as the last partial batch or an evaluation
+    chunk, gets leading-row views of the same buffers. The views are cached
+    per row count, so repeated forwards with the same rows return the same
+    arrays.
     """
 
     def __init__(self, layer_sizes):
         self.layer_sizes = tuple(layer_sizes)
         self.grads: ParamSet | None = None
-        self._outputs: dict[int, list[np.ndarray]] = {}
-        self._backprop: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+        self.rows = 0
+        self._outputs: list[np.ndarray] = []
+        self._masks: list[np.ndarray] = []
+        self._views: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
 
-    def outputs(self, rows: int) -> list[np.ndarray]:
-        """Each layer's output for a batch of ``rows``: hidden activations, then logits."""
-        bufs = self._outputs.get(rows)
-        if bufs is None:
-            bufs = self._outputs[rows] = [np.empty((rows, n)) for n in self.layer_sizes[1:]]
-        return bufs
-
-    def backprop(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Backpropagated signal and ReLU mask of each hidden layer for ``rows``."""
-        bufs = self._backprop.get(rows)
-        if bufs is None:
-            hidden = self.layer_sizes[1:-1]
-            bufs = self._backprop[rows] = (
-                [np.empty((rows, n)) for n in hidden],
-                [np.empty((rows, n), dtype=bool) for n in hidden],
+    def buffers(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Each layer's output (hidden activations, then logits) and each
+        hidden layer's ReLU mask for a batch of ``rows``."""
+        views = self._views.get(rows)
+        if views is None:
+            if rows > self.rows:
+                widths = self.layer_sizes[1:]
+                self._outputs = [np.empty((rows, n)) for n in widths]
+                self._masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
+                self._views = {}
+                self.rows = rows
+            views = self._views[rows] = (
+                [z[:rows] for z in self._outputs],
+                [mask[:rows] for mask in self._masks],
             )
-        return bufs
+        return views
+
+    def eval_rows(self) -> int:
+        """Rows per evaluate chunk: as many as EVAL_CHUNK_BYTES of layer
+        outputs hold, and never fewer than the buffers already have."""
+        return max(self.rows, EVAL_CHUNK_BYTES // (8 * sum(self.layer_sizes[1:])), 1)
 
 
 @dataclass
 class ForwardCache:
+    """What backward needs from one forward; backward consumes it."""
+
     params: ParamSet
     x: np.ndarray
     outputs: list[np.ndarray]
+    masks: list[np.ndarray]
     workspace: Workspace
     batch_size: int = 0
+    consumed: bool = False
 
 
 def init_params(spec: MlpSpec) -> ParamSet:
@@ -181,9 +206,10 @@ def zeros_like_params(params: ParamSet) -> ParamSet:
 def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarray, ForwardCache]:
     """Logits for a batch plus the cache needed by backward.
 
-    Layer outputs are written into ``ws``'s buffers for this row count: the
-    returned logits and the cache alias them until the next forward with the
-    same workspace and row count. Without ``ws`` they are fresh arrays.
+    Layer outputs are written into the leading rows of ``ws``'s buffers: the
+    returned logits and the cache alias them until the next forward through
+    the same workspace, whatever its row count. Without ``ws`` they are fresh
+    arrays.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -195,8 +221,8 @@ def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarra
         )
     if ws is None:
         ws = Workspace(params.layer_sizes)
-    outputs = ws.outputs(a.shape[0])
-    cache = ForwardCache(params, a, outputs, ws, batch_size=a.shape[0])
+    outputs, masks = ws.buffers(a.shape[0])
+    cache = ForwardCache(params, a, outputs, masks, ws, batch_size=a.shape[0])
     last = len(params.weights) - 1
     for i, (w, b, z) in enumerate(zip(params.weights, params.biases, outputs)):
         np.matmul(a, w.T, out=z)
@@ -212,7 +238,9 @@ def backward(cache: ForwardCache, grad_logits: np.ndarray) -> ParamSet:
 
     Pass the gradient of the batch-mean loss to get batch-mean parameter
     gradients. They are written into the workspace's gradient set, which the
-    next backward through the same workspace overwrites.
+    next backward through the same workspace overwrites. Backward consumes the
+    cache: each hidden layer's backpropagated signal overwrites that layer's
+    cached output, so a second backward on the same cache raises ValueError.
     """
     params = cache.params
     g = np.asarray(grad_logits, dtype=np.float64)
@@ -221,22 +249,25 @@ def backward(cache: ForwardCache, grad_logits: np.ndarray) -> ParamSet:
             f"grad_logits shape {g.shape} does not match cached logits "
             f"{cache.outputs[-1].shape}; stale cache?"
         )
+    if cache.consumed:
+        raise ValueError("an earlier backward consumed this cache's layer outputs; stale cache?")
+    cache.consumed = True
     ws = cache.workspace
     if ws.grads is None:
         ws.grads = zeros_like_params(params)
     grads = ws.grads
-    deltas, masks = ws.backprop(cache.batch_size)
     for i in range(len(params.weights) - 1, -1, -1):
         inputs = cache.outputs[i - 1] if i > 0 else cache.x
         np.matmul(g.T, inputs, out=grads.weights[i])
         np.sum(g, axis=0, out=grads.biases[i])
         if i > 0:
-            # a hidden output is relu(z), which is positive exactly where z is
-            delta, mask = deltas[i - 1], masks[i - 1]
-            np.matmul(g, params.weights[i], out=delta)
+            # a hidden output is relu(z), which is positive exactly where z is;
+            # nothing reads the output after its mask, so the signal overwrites it
+            mask = cache.masks[i - 1]
             np.greater(inputs, 0.0, out=mask)
-            np.multiply(delta, mask, out=delta)
-            g = delta
+            np.matmul(g, params.weights[i], out=inputs)
+            np.multiply(inputs, mask, out=inputs)
+            g = inputs
     return grads
 
 
@@ -246,8 +277,11 @@ def clip_grad_norm(grads: ParamSet, max_norm: float = 5.0) -> tuple[ParamSet, fl
     The squares go to ``grads.scratch()`` and are summed per array, weights
     then biases, so the norm has the same bits as summing each layer's
     gradient on its own. Returns the grads and the scale factor applied (1.0
-    when no clipping).
+    when no clipping). An infinite max_norm returns at once, since no norm
+    can exceed it.
     """
+    if max_norm == math.inf:
+        return grads, 1.0
     squares = np.multiply(grads.flat, grads.flat, out=grads.scratch())
     total = 0.0
     start = 0
@@ -294,19 +328,34 @@ def evaluate(params: ParamSet, x, labels, max_k: int = 5, ws: Workspace | None =
     """Top-1 accuracy and top-k error rates for k = 1..min(max_k, K).
 
     Ranking ties go to the lower class index, and top-k error is nonincreasing
-    in k by construction. Raises FloatingPointError on non-finite logits, which
-    have no ranking.
+    in k by construction. The rows run through ``ws`` (a fresh workspace
+    without one) in chunks of ``ws.eval_rows()``, so the layer outputs held at
+    once are bounded by EVAL_CHUNK_BYTES or the largest batch the workspace
+    has served. Raises FloatingPointError on non-finite logits, which have no
+    ranking.
     """
+    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels)
     if y.size == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits, _ = forward(params, x, ws)
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("logits are not finite; the network has diverged")
-    k_max = min(max_k, logits.shape[1])
-    true = np.take_along_axis(logits, y[:, None], axis=1)
-    # rank of the true label: classes scoring above it, plus equal ones at a lower index
-    lower = np.arange(logits.shape[1]) < y[:, None]
-    rank = np.count_nonzero(np.where(lower, logits >= true, logits > true), axis=1)
-    topk_errors = [float((rank >= k).mean()) for k in range(1, k_max + 1)]
+    if x.shape[:1] != y.shape:
+        raise ValueError(f"features of shape {x.shape} do not match {y.size} labels")
+    if ws is None:
+        ws = Workspace(params.layer_sizes)
+    n_classes = params.layer_sizes[-1]
+    # rank_counts[r]: rows whose true label has rank r
+    rank_counts = np.zeros(n_classes, dtype=np.int64)
+    chunk = ws.eval_rows()
+    for start in range(0, y.size, chunk):
+        logits, _ = forward(params, x[start : start + chunk], ws)
+        if not np.isfinite(logits).all():
+            raise FloatingPointError("logits are not finite; the network has diverged")
+        yc = y[start : start + chunk, None]
+        true = np.take_along_axis(logits, yc, axis=1)
+        # rank of the true label: classes scoring above it, plus equal ones at a lower index
+        lower = np.arange(n_classes) < yc
+        rank = np.count_nonzero(np.where(lower, logits >= true, logits > true), axis=1)
+        rank_counts += np.bincount(rank, minlength=n_classes)
+    misses = y.size - np.cumsum(rank_counts)  # misses[k - 1]: rows outside the top k
+    topk_errors = [int(misses[k - 1]) / y.size for k in range(1, min(max_k, n_classes) + 1)]
     return {"top1_accuracy": 1.0 - topk_errors[0], "topk_errors": topk_errors}

@@ -309,7 +309,7 @@ def verify_excess_risk(
     transformed outputs both models actually produce, each trained by
     train_step at full batch without clipping or weight decay. The task is
     tiny (2-D blobs, K <= 4, at most 200 points); one check at the defaults
-    takes about 1.1-1.3 s on a 2-CPU host.
+    takes about 0.8-1.1 s on a 2-CPU host.
     """
     n_classes = noise_spec.n_classes
     if n_classes > 4 or n_points > 200:

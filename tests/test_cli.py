@@ -4,9 +4,14 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import eps_softmax
+import eps_softmax.cli as cli_mod
 from eps_softmax.cli import build_config, default_config, main
 from eps_softmax.errors import ConfigError
 from eps_softmax.experiment import config_to_dict, read_results
@@ -277,6 +282,41 @@ def test_config_file_values_of_the_wrong_type_are_config_errors(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("optim.clip_norm", "NaN"),
+        ("loss.m", "NaN"),
+        ("optim.lr0", "Infinity"),
+        ("dataset.separation", "-Infinity"),
+        ("--clip-norm", "nan"),
+        ("--m", "nan"),
+        ("--lr0", "inf"),
+        ("--weight-decay", "-inf"),
+    ],
+)
+def test_non_finite_numbers_in_config_files_and_flags_are_config_errors(
+    tmp_path, capsys, name, value
+):
+    out = tmp_path / "run.jsonl"
+    argv = ["train", "--out", str(out), "--epochs", "1", "--log-every", "0"]
+    if name.startswith("--"):
+        argv.append(f"{name}={value}")  # "=" lets argparse read "-inf" as a value
+    else:
+        raw = config_to_dict(default_config())
+        section, field = name.split(".")
+        raw[section][field] = float(value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")  # json writes NaN and Infinity
+        assert value in path.read_text(encoding="utf-8")
+        argv += ["--config", str(path)]
+        name = repr(name)
+    assert run_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "finite" in err
+    assert not out.exists()
+
+
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     text = json.dumps(config_to_dict(default_config())).encode()
@@ -343,7 +383,9 @@ def _no_runs(monkeypatch):
     monkeypatch.setattr(cli_mod, "run_experiment", refuse)
 
 
-@pytest.mark.parametrize("flag, value", [("--etas", "0,x"), ("--seeds", "a")])
+@pytest.mark.parametrize(
+    "flag, value", [("--etas", "0,x"), ("--seeds", "a"), ("--etas", "0,nan"), ("--etas", "inf")]
+)
 def test_sweep_malformed_lists_are_config_errors(tmp_path, capsys, flag, value):
     out_dir = tmp_path / "g"
     code = run_main(["sweep", flag, value, "--out-dir", str(out_dir)])
@@ -403,6 +445,39 @@ def test_sweep_writes_the_same_bytes_at_one_and_two_jobs(tmp_path, capsys):
         runs.append((captured.out.replace(str(out_dir), "DIR"), captured.err, files))
     assert len(runs[0][2]) == 4
     assert runs[0] == runs[1]
+
+
+def _blas_threads_of_this_process(payload):
+    """A stand-in for one sweep cell: its result line carries the process's
+    OpenBLAS thread count in place of an accuracy."""
+    raw, path = payload
+    threads = cli_mod._openblas().scipy_openblas_get_num_threads64_()
+    return {"out": path, "loss": raw["loss"]["kind"], "eta": raw["noise"]["eta"],
+            "seed": raw["seed"], "last_test_top1": threads}
+
+
+def test_sweep_pool_workers_use_one_blas_thread(tmp_path, capsys, monkeypatch):
+    lib = cli_mod._openblas()
+    if lib is None:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    own = lib.scipy_openblas_get_num_threads64_()
+    monkeypatch.setattr(cli_mod, "_run_one", _blas_threads_of_this_process)
+    argv = ["sweep", "--losses", "ce", "--etas", "0,0.4", "--seeds", "0,1"]
+    for jobs in ("2", "1"):
+        assert run_main(argv + ["--out-dir", str(tmp_path / jobs), "--jobs", jobs]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        threads = {json.loads(line)["last_test_top1"] for line in lines}
+        # pool workers are pinned; the in-process --jobs 1 path is left as it is
+        assert threads == ({1} if jobs == "2" else {own})
+    assert lib.scipy_openblas_get_num_threads64_() == own
+
+
+def test_importing_the_cli_does_not_import_the_process_pool():
+    src = os.path.dirname(os.path.dirname(eps_softmax.__file__))
+    code = "import sys, eps_softmax.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.stdout.strip() == "False", done.stderr
 
 
 def test_sweep_prints_the_seed_averaged_table_on_stderr(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Network forward/backward, the optimizer pieces, and evaluation."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +149,16 @@ def test_clip_rescales_to_the_threshold():
     assert np.sqrt(total) == pytest.approx(5.0)
 
 
+def test_clip_at_an_infinite_norm_returns_before_computing_the_norm():
+    params = init_params(MlpSpec((2, 2), init_seed=0))
+    grads = zeros_like_params(params)
+    grads.flat[...] = 1e300
+    out, scale = clip_grad_norm(grads, max_norm=math.inf)
+    assert out is grads and scale == 1.0
+    assert grads._scratch is None  # the squares were never written
+    assert OptimSpec(clip_norm=math.inf).clip_norm == math.inf
+
+
 def test_cosine_lr_endpoints_and_midpoint():
     assert cosine_lr(0, 100, 0.2) == 0.2
     assert cosine_lr(50, 100, 0.2) == pytest.approx(0.1)
@@ -261,13 +274,56 @@ def test_forward_through_a_workspace_overwrites_its_buffers():
     assert second is first and cache.outputs[-1] is first
     assert np.array_equal(second, forward(params, x2)[0])
     assert not np.array_equal(first, kept)
-    # another row count has its own buffers
+    # a smaller row count shares the leading rows
     other, _ = forward(params, x1[:3], ws)
-    assert not np.shares_memory(other, first)
+    assert np.shares_memory(other, first)
     # backward writes into the workspace's one gradient set
     grads = backward(cache, np.ones((4, 2)))
+    _, cache = forward(params, x1, ws)  # backward consumed the cache
     assert backward(cache, np.ones((4, 2))) is grads is ws.grads
     # without a workspace every call gets fresh arrays
     a, _ = forward(params, x1)
     b, _ = forward(params, x1)
     assert not np.shares_memory(a, b)
+
+
+def test_a_second_backward_on_one_cache_raises():
+    params = init_params(MlpSpec((3, 5, 2), init_seed=0))
+    _, cache = forward(params, np.ones((4, 3)), Workspace(params.layer_sizes))
+    backward(cache, np.ones((4, 2)))
+    with pytest.raises(ValueError, match="stale cache"):
+        backward(cache, np.ones((4, 2)))
+
+
+def test_evaluate_in_chunks_gives_the_metrics_of_one_pass():
+    rng = np.random.default_rng(3)
+    params = init_params(MlpSpec((16, 256, 256, 10), init_seed=3))
+    chunk = Workspace(params.layer_sizes).eval_rows()
+    n = 2 * chunk + 37  # a partial last chunk
+    x, y = rng.standard_normal((n, 16)), rng.integers(0, 10, size=n)
+    one_pass = Workspace(params.layer_sizes)
+    forward(params, x, one_pass)  # buffers for every row: no chunking
+    assert one_pass.eval_rows() == n
+    metrics = evaluate(params, x, y, ws=Workspace(params.layer_sizes))
+    assert metrics == evaluate(params, x, y, ws=one_pass)
+    logits = forward(params, x)[0]
+    rank = np.argmax(np.argsort(-logits, axis=1, kind="stable") == y[:, None], axis=1)
+    assert metrics["topk_errors"] == [float((rank >= k).mean()) for k in range(1, 6)]
+    assert 0.0 < metrics["top1_accuracy"] < 1.0
+
+
+def test_evaluate_holds_one_chunk_of_layer_outputs_not_the_test_set():
+    rng = np.random.default_rng(4)
+    params = init_params(MlpSpec((8, 64, 64, 10), init_seed=4))
+    n = 20_000
+    x, y = rng.standard_normal((n, 8)), rng.integers(0, 10, size=n)
+    ws = Workspace(params.layer_sizes)
+    forward(params, x[:64], ws)  # a workspace that has served 64-row batches
+    full_test_set = n * sum(params.layer_sizes[1:]) * 8  # bytes of every layer output
+    tracemalloc.start()
+    try:
+        evaluate(params, x, y, ws=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_test_set / 3

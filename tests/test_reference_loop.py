@@ -8,6 +8,7 @@ the arithmetic. The excess-risk check's own full-batch trainer, which
 train_step replaced, is kept below as well.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -160,6 +161,13 @@ CASES = {
     "sce": config_for("sce"),
     "partial_batch": config_for("ce_eps_mae", n_train=600),
     "clipping": config_for("ce", n_train=600, clip_norm=2.0),
+    "eval_chunks": dataclasses.replace(
+        config_for("ce"),
+        dataset=DatasetSpec(
+            source="blobs", n_classes=4, n_train=512, n_test=1200, dim=8, separation=10.0
+        ),
+        mlp=MlpSpec((8, 512, 512, 4), init_seed=5),
+    ),
 }
 
 
@@ -176,6 +184,9 @@ def test_run_experiment_writes_the_reference_bytes(case, tmp_path):
     if case == "clipping":
         fired = sum(s < 1.0 for s in scales)
         assert 0 < fired < len(scales)  # both branches of the clip ran
+    if case == "eval_chunks":
+        chunk = Workspace(config.mlp.layer_sizes).eval_rows()
+        assert config.optim.batch_size < chunk < config.dataset.n_test / 2
 
 
 def random_sets(seed):

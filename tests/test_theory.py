@@ -139,8 +139,8 @@ def _delta_shrinkage_script():
 
 @pytest.mark.parametrize(
     "ms, code, rows",
-    [("1,100", 0, 2), ("100,1", 2, 2), ("5", 1, 0), ("1,x", 1, 0)],
-    ids=["decreasing", "increasing", "one_value", "not_a_number"],
+    [("1,100", 0, 2), ("100,1", 2, 2), ("5", 1, 0), ("1,x", 1, 0), ("1,nan", 1, 0)],
+    ids=["decreasing", "increasing", "one_value", "not_a_number", "not_finite"],
 )
 def test_delta_shrinkage_script_exit_codes(monkeypatch, capsys, ms, code, rows):
     script = _delta_shrinkage_script()
