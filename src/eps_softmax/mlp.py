@@ -148,9 +148,13 @@ class Workspace:
     def __init__(self, layer_sizes):
         self.layer_sizes = tuple(layer_sizes)
         self.grads: ParamSet | None = None
-        self.rows = 0
-        self._outputs: list[np.ndarray] = []
-        self._masks: list[np.ndarray] = []
+        self._allocate(0)
+
+    def _allocate(self, rows: int) -> None:
+        widths = self.layer_sizes[1:]
+        self.rows = rows
+        self._outputs = [np.empty((rows, n)) for n in widths]
+        self._masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
         self._views: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
 
     def buffers(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -159,11 +163,7 @@ class Workspace:
         views = self._views.get(rows)
         if views is None:
             if rows > self.rows:
-                widths = self.layer_sizes[1:]
-                self._outputs = [np.empty((rows, n)) for n in widths]
-                self._masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
-                self._views = {}
-                self.rows = rows
+                self._allocate(rows)
             views = self._views[rows] = (
                 [z[:rows] for z in self._outputs],
                 [mask[:rows] for mask in self._masks],

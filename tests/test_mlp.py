@@ -327,3 +327,9 @@ def test_evaluate_holds_one_chunk_of_layer_outputs_not_the_test_set():
     finally:
         tracemalloc.stop()
     assert peak < full_test_set / 3
+
+
+def test_forward_of_an_empty_batch_through_a_fresh_workspace_gives_empty_logits():
+    params = init_params(MlpSpec((3, 5, 2), init_seed=0))
+    logits, _ = forward(params, np.zeros((0, 3)), Workspace(params.layer_sizes))
+    assert logits.shape == (0, 2)
