@@ -137,10 +137,14 @@ def generate_spirals(spec: DatasetSpec, seed: int) -> tuple[Dataset, Dataset]:
     )
 
 
-def load_csv(path: str, n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Parse rows of comma-separated reals whose last column is an integer label."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def load_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse UTF-8 rows of comma-separated finite reals whose last column is a
+    nonnegative integer label."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise DataError(f"{path}: empty file")
     features, labels = [], []
@@ -159,26 +163,33 @@ def load_csv(path: str, n_classes: int | None = None) -> tuple[np.ndarray, np.nd
             raise DataError(
                 f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
             )
+        if not all(math.isfinite(v) for v in row[:-1]):
+            raise DataError(f"{path}: line {lineno}: features must be finite")
         label = row[-1]
         if not (math.isfinite(label) and label == int(label)) or label < 0:
             raise DataError(f"{path}: line {lineno}: label must be a nonnegative integer")
         features.append(row[:-1])
         labels.append(int(label))
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if n_classes is not None and y.max() >= n_classes:
-        raise DataError(f"{path}: label {int(y.max())} out of range for {n_classes} classes")
-    return x, y
+    return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
-def _read_idx_header(data: bytes, path: str, expected_magic: int, n_dims: int) -> tuple:
+def _read_idx(path: str, magic: int, n_dims: int) -> tuple[list[int], np.ndarray]:
+    """The dimensions and the uint8 payload of one big-endian IDX file, whose
+    length must be exactly its header plus the product of its dimensions."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     header_len = 4 * (1 + n_dims)
     if len(data) < header_len:
         raise DataError(f"{path}: truncated header")
-    fields = struct.unpack(f">{1 + n_dims}I", data[:header_len])
-    if fields[0] != expected_magic:
-        raise DataError(f"{path}: bad magic {fields[0]}, expected {expected_magic}")
-    return fields[1:]
+    found, *dims = struct.unpack(f">{1 + n_dims}I", data[:header_len])
+    if found != magic:
+        raise DataError(f"{path}: bad magic {found}, expected {magic}")
+    expected = header_len + math.prod(dims)
+    if len(data) < expected:
+        raise DataError(f"{path}: truncated: expected {expected} bytes, got {len(data)}")
+    if len(data) > expected:
+        raise DataError(f"{path}: trailing bytes after {expected}")
+    return dims, np.frombuffer(data, dtype=np.uint8, offset=header_len)
 
 
 def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -186,35 +197,14 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
 
     Pixels are scaled to [0, 1] and flattened to (count, rows * cols).
     """
-    with open(images_path, "rb") as fh:
-        img_data = fh.read()
-    count, rows, cols = _read_idx_header(img_data, images_path, 2051, 3)
-    expected = 16 + count * rows * cols
-    if len(img_data) < expected:
-        raise DataError(f"{images_path}: truncated: expected {expected} bytes, got {len(img_data)}")
-    if len(img_data) > expected:
-        raise DataError(f"{images_path}: trailing bytes after {expected}")
-    images = (
-        np.frombuffer(img_data, dtype=np.uint8, count=count * rows * cols, offset=16)
-        .astype(np.float64)
-        .reshape(count, rows * cols)
-        / 255.0
-    )
-
-    with open(labels_path, "rb") as fh:
-        lab_data = fh.read()
-    (lab_count,) = _read_idx_header(lab_data, labels_path, 2049, 1)
-    expected = 8 + lab_count
-    if len(lab_data) < expected:
-        raise DataError(f"{labels_path}: truncated: expected {expected} bytes, got {len(lab_data)}")
-    if len(lab_data) > expected:
-        raise DataError(f"{labels_path}: trailing bytes after {expected}")
+    (count, rows, cols), pixels = _read_idx(images_path, 2051, 3)
+    (lab_count,), labels = _read_idx(labels_path, 2049, 1)
     if lab_count != count:
         raise DataError(
             f"{labels_path}: {lab_count} labels but {images_path} has {count} images"
         )
-    labels = np.frombuffer(lab_data, dtype=np.uint8, offset=8).astype(np.int64)
-    return images, labels
+    images = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
+    return images, labels.astype(np.int64)
 
 
 def standardize(train_x: np.ndarray, test_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,37 +215,41 @@ def standardize(train_x: np.ndarray, test_x: np.ndarray) -> tuple[np.ndarray, np
     return (train_x - mean) / std, (test_x - mean) / std
 
 
-def _subset(x: np.ndarray, y: np.ndarray, n: int, what: str) -> Dataset:
-    if n > y.size:
-        raise DataError(f"requested {n} {what} samples but only {y.size} available")
-    return Dataset(x[:n], y[:n])
-
-
 def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Dataset, Dataset]:
     """Materialize the train and test splits described by spec."""
     if spec.source == "blobs":
         train, test = generate_blobs(spec, seed)
     elif spec.source == "spirals":
         train, test = generate_spirals(spec, seed)
-    elif spec.source == "csv":
-        tx, ty = load_csv(spec.train_data_path, spec.n_classes)
-        ex, ey = load_csv(spec.test_data_path, spec.n_classes)
-        if tx.shape[1] != ex.shape[1]:
-            raise DataError(
-                f"train has {tx.shape[1]} features but test has {ex.shape[1]}"
-            )
-        train = _subset(tx, ty, spec.n_train, "train")
-        test = _subset(ex, ey, spec.n_test, "test")
     else:
-        tx, ty = load_idx(spec.train_images_path, spec.train_labels_path)
-        ex, ey = load_idx(spec.test_images_path, spec.test_labels_path)
-        for y_arr, name in ((ty, "train"), (ey, "test")):
-            if y_arr.max() >= spec.n_classes:
+        if spec.source == "csv":
+            label_paths = (spec.train_data_path, spec.test_data_path)
+            loaded = [load_csv(path) for path in label_paths]
+        else:
+            label_paths = (spec.train_labels_path, spec.test_labels_path)
+            image_paths = (spec.train_images_path, spec.test_images_path)
+            loaded = [load_idx(*paths) for paths in zip(image_paths, label_paths)]
+        splits = []
+        for (x, y), n, name, path in zip(
+            loaded, (spec.n_train, spec.n_test), ("train", "test"), label_paths
+        ):
+            # the size check comes first: it also refuses an empty file
+            if n > y.size:
                 raise DataError(
-                    f"{name} label {int(y_arr.max())} out of range for {spec.n_classes} classes"
+                    f"{path}: requested {n} {name} samples but only {y.size} available"
                 )
-        train = _subset(tx, ty, spec.n_train, "train")
-        test = _subset(ex, ey, spec.n_test, "test")
+            if y.max() >= spec.n_classes:
+                raise DataError(
+                    f"{path}: {name} label {int(y.max())} out of range "
+                    f"for {spec.n_classes} classes"
+                )
+            splits.append(Dataset(x[:n], y[:n]))
+        train, test = splits
+        if train.features.shape[1] != test.features.shape[1]:
+            raise DataError(
+                f"train has {train.features.shape[1]} features "
+                f"but test has {test.features.shape[1]}"
+            )
     if spec.normalize:
         train_x, test_x = standardize(train.features, test.features)
         train, test = Dataset(train_x, train.labels), Dataset(test_x, test.labels)

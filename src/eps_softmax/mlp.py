@@ -185,7 +185,6 @@ class ForwardCache:
     outputs: list[np.ndarray]
     masks: list[np.ndarray]
     workspace: Workspace
-    batch_size: int = 0
     consumed: bool = False
 
 
@@ -222,7 +221,7 @@ def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarra
     if ws is None:
         ws = Workspace(params.layer_sizes)
     outputs, masks = ws.buffers(a.shape[0])
-    cache = ForwardCache(params, a, outputs, masks, ws, batch_size=a.shape[0])
+    cache = ForwardCache(params, a, outputs, masks, ws)
     last = len(params.weights) - 1
     for i, (w, b, z) in enumerate(zip(params.weights, params.biases, outputs)):
         np.matmul(a, w.T, out=z)

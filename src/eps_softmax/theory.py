@@ -106,36 +106,26 @@ CALIBRATION_MAX_STEPS = 1000
 CALIBRATION_TOL = 1e-10
 
 
-def _expected_ce_eps_grad(p: np.ndarray, q_rows: np.ndarray, m: float) -> np.ndarray:
-    """Gradient of E_{y ~ q}[eps CE(h, y)] with respect to the logits h, at
-    softmax probabilities p = softmax(h).
-
-    Averaging the per-class gradients gives (p - q) plus a correction on the
-    argmax class whose fit term is damped by p_t / (p_t + m).
-    """
-    rows = np.arange(p.shape[0])
-    t = np.argmax(p, axis=1)
-    pt = p[rows, t]
-    qt = q_rows[rows, t]
-    coeff = qt * (pt / (pt + m) - 1.0)
-    grad = (p - q_rows) + coeff[:, None] * p
-    grad[rows, t] -= coeff
-    return grad
-
-
 def _calibration_optima(q_rows: np.ndarray, m: float) -> tuple[np.ndarray, int, float]:
     """Minimize the expected eps CE over predictions for every row of q.
 
-    Each step divides the gradient by p, so a class moves in proportion to
-    its log-probability error rather than to its tiny probability. Returns
-    (optima, steps, residual), the residual being the largest row gradient
-    norm at the returned optima. The minimum is interior only when q's
-    top-two gap exceeds m / (m + 1); below that the solve does not converge.
+    The expected gradient is the q-weighted sum, over the K labels, of the
+    loss table's ce_eps logit gradients, taken in one batch_loss call over the
+    K stacked copies of each row. Each step divides it by p, so a class moves
+    in proportion to its log-probability error rather than to its tiny
+    probability. Returns (optima, steps, residual), the residual being the
+    largest row gradient norm at the returned optima. The minimum is interior
+    only when q's top-two gap exceeds m / (m + 1); below that the solve does
+    not converge.
     """
+    n, k = q_rows.shape
+    spec = LossSpec("ce_eps", m=m)
+    labels = np.tile(np.arange(k), n)
     h = np.log(np.maximum(q_rows, LOG_FLOOR))
     for steps in range(CALIBRATION_MAX_STEPS + 1):
         p = softmax_rows(h)
-        grad = _expected_ce_eps_grad(p, q_rows, m)
+        _, grads = batch_loss(np.repeat(h, k, axis=0), labels, spec)
+        grad = np.einsum("nj,njk->nk", q_rows, grads.reshape(n, k, k))
         residual = float(np.linalg.norm(grad, axis=1).max())
         if residual <= CALIBRATION_TOL or steps == CALIBRATION_MAX_STEPS:
             return p, steps, residual
@@ -234,17 +224,17 @@ def verify_symmetric_term_cancellation(
     tol: float = 1e-9,
 ) -> CheckReport:
     """Adding a constant-symmetric-sum loss (MAE) to the eps CE must not move
-    symmetric-sum differences: the MAE contributions cancel pair by pair."""
+    symmetric-sum differences: the MAE contributions cancel pair by pair.
+    Both sides are the loss table's symmetric sums, so a ce_eps_mae row whose
+    bounded term breaks this fails here."""
     _require_at_least("trials", trials)
     rng = make_rng(seed)
     p1 = rng.dirichlet(np.ones(n_classes), size=trials)
     p2 = rng.dirichlet(np.ones(n_classes), size=trials)
+    combined = LossSpec("ce_eps_mae", m=m, alpha=alpha, beta=beta)
     ce_eps = LossSpec("ce_eps", m=m)
-    ce1, ce2 = symmetric_sums(p1, ce_eps), symmetric_sums(p2, ce_eps)
-    mae1 = 2.0 * (n_classes - p1.sum(axis=1))
-    mae2 = 2.0 * (n_classes - p2.sum(axis=1))
-    lhs = (alpha * ce1 + beta * mae1) - (alpha * ce2 + beta * mae2)
-    rhs = alpha * (ce1 - ce2)
+    lhs = symmetric_sums(p1, combined) - symmetric_sums(p2, combined)
+    rhs = alpha * (symmetric_sums(p1, ce_eps) - symmetric_sums(p2, ce_eps))
     worst = float(np.abs(lhs - rhs).max())
     return CheckReport(
         name=f"symmetric_term_cancellation_K{n_classes}",

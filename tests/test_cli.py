@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -324,6 +325,52 @@ def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "run.jsonl"
     assert run_main(["train", "--config", str(path), "--out", str(out)]) == 1
     assert "not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _idx_split(tmp_path, split, count, side):
+    images, labels = tmp_path / f"{split}-images", tmp_path / f"{split}-labels"
+    images.write_bytes(struct.pack(">IIII", 2051, count, side, side) + bytes(count * side**2))
+    labels.write_bytes(struct.pack(">II", 2049, count) + bytes(i % 4 for i in range(count)))
+    return {f"{split}_images_path": str(images), f"{split}_labels_path": str(labels)}
+
+
+def _csv_splits(tmp_path, second_line):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"0.5,0.5,0.5,0.5,0\n" + second_line + b"0.5,0.5,0.5,0.5,2\n" * 6)
+    return {"train_data_path": str(path), "test_data_path": str(path)}
+
+
+# each writes files of one fault and returns (source, paths); every split
+# holds 8 rows of 4 features (2x2 images) unless the fault says otherwise
+FAULTY_DATA_FILES = {
+    "idx feature width mismatch": lambda d: (
+        "idx", {**_idx_split(d, "train", 8, 2), **_idx_split(d, "test", 8, 3)}
+    ),
+    "empty idx file": lambda d: (
+        "idx", {**_idx_split(d, "train", 0, 2), **_idx_split(d, "test", 8, 2)}
+    ),
+    "nan csv feature": lambda d: ("csv", _csv_splits(d, b"0.5,nan,0.5,0.5,1\n")),
+    "csv not utf-8": lambda d: ("csv", _csv_splits(d, b"0.5,0.5,0.5,0.5,1 \xf6\n")),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTY_DATA_FILES)
+def test_faulty_data_files_are_data_errors_before_training(tmp_path, capsys, fault):
+    source, paths = FAULTY_DATA_FILES[fault](tmp_path)
+    raw = config_to_dict(default_config())
+    raw["dataset"] = {"source": source, "n_classes": 4, "n_train": 8, "n_test": 8, **paths}
+    raw["mlp"]["layer_sizes"] = [4, 8, 4]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "run.jsonl"
+    argv = ["train", "--config", str(config), "--out", str(out), "--epochs", "1"]
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "diverged" not in lines[0]  # bad input, not a training failure
     assert not out.exists()
 
 

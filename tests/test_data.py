@@ -160,12 +160,32 @@ def test_load_csv_rejects_bad_labels(tmp_path):
         load_csv(write_csv(tmp_path / "b.csv", "1.0,-1\n"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite_features(tmp_path, value):
+    p = write_csv(tmp_path / "d.csv", f"1.0,2.0,0\n1.0,{value},1\n")
+    with pytest.raises(DataError, match="line 2"):
+        load_csv(p)
+
+
+def test_load_csv_that_is_not_utf8_names_the_file(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"1.0,0\n\xf6,1\n")  # latin-1, not UTF-8
+    with pytest.raises(DataError, match="d.csv: not UTF-8"):
+        load_csv(str(p))
+
+
 def test_load_csv_checks_the_label_range(tmp_path):
-    p = write_csv(tmp_path / "d.csv", "1.0,0\n2.0,5\n")
+    p = write_csv(tmp_path / "d.csv", "1.0,0\n2.0,5\n" + "3.0,1\n" * 4)
+
+    def spec(k):
+        return DatasetSpec(
+            source="csv", n_classes=k, n_train=6, n_test=6, train_data_path=p, test_data_path=p
+        )
+
     with pytest.raises(DataError, match="out of range"):
-        load_csv(p, n_classes=3)
-    x, y = load_csv(p, n_classes=6)
-    assert y.max() == 5
+        build_dataset(spec(3), seed=0)
+    train, _ = build_dataset(spec(6), seed=0)
+    assert train.labels.max() == 5
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +342,34 @@ def test_build_dataset_idx_checks_label_range(tmp_path):
     )
     with pytest.raises(DataError, match="out of range"):
         build_dataset(spec, seed=0)
+
+
+def idx_spec(train, test):
+    return DatasetSpec(
+        source="idx",
+        n_classes=2,
+        n_train=2,
+        n_test=2,
+        train_images_path=train[0],
+        train_labels_path=train[1],
+        test_images_path=test[0],
+        test_labels_path=test[1],
+    )
+
+
+def test_build_dataset_idx_rejects_a_feature_width_mismatch(tmp_path):
+    (tmp_path / "train").mkdir()
+    (tmp_path / "test").mkdir()
+    train = write_idx_pair(tmp_path / "train", [0] * 8, [0, 1])
+    test = write_idx_pair(tmp_path / "test", [0] * 18, [0, 1], rows=3, cols=3)
+    with pytest.raises(DataError, match="train has 4 features but test has 9"):
+        build_dataset(idx_spec(train, test), seed=0)
+
+
+def test_build_dataset_idx_rejects_an_empty_file(tmp_path):
+    empty = write_idx_pair(tmp_path, [], [])
+    with pytest.raises(DataError, match="only 0 available"):
+        build_dataset(idx_spec(empty, empty), seed=0)
 
 
 def test_dataset_len():

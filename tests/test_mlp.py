@@ -77,7 +77,7 @@ def test_forward_matches_hand_computation():
     logits, cache = forward(params, x)
     # hidden = relu([2.0, -2.5]) = [2.0, 0.0]; output = [2.1, 0.0]
     assert np.allclose(logits, [[2.1, 0.0]], atol=1e-15)
-    assert cache.batch_size == 1
+    assert cache.x.shape[0] == 1
 
 
 def test_forward_no_relu_on_the_output_layer():
