@@ -23,6 +23,7 @@ from .experiment import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
+    embedded_config,
     emit_results,
     load_config_file,
     read_results,
@@ -186,12 +187,12 @@ def _reused_result(raw: dict, path: str) -> dict | None:
     if not os.path.exists(path):
         return None
     _, summary = read_results(path)
-    expected = {k: v for k, v in raw.items() if k != "output_path"}
-    if summary.get("config") != expected:
+    config = config_from_dict(raw)
+    if summary.get("config") != embedded_config(config):
         raise DataError(
             f"{path} holds results of another config; remove it or choose another --out-dir"
         )
-    return _result_line(config_from_dict(raw), path, summary)
+    return _result_line(config, path, summary)
 
 
 def _parse_list(flag: str, text: str, cast) -> list:

@@ -39,6 +39,18 @@ def check_prob_vector(p, tol: float = 1e-9) -> np.ndarray:
     return arr
 
 
+def check_logit_vector(logits) -> np.ndarray:
+    """Validate a logit vector: 1-D, at least 2 entries, all finite."""
+    arr = np.asarray(logits, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D logit vector, got shape {arr.shape}")
+    if arr.size < 2:
+        raise ValueError("need at least 2 classes")
+    if not np.isfinite(arr).all():
+        raise ValueError("logits must be finite")
+    return arr
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax for a batch of logit vectors. No input validation."""
     z = np.exp(logits - logits.max(axis=1, keepdims=True))

@@ -166,7 +166,8 @@ def load_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         if not all(math.isfinite(v) for v in row[:-1]):
             raise DataError(f"{path}: line {lineno}: features must be finite")
         label = row[-1]
-        if not (math.isfinite(label) and label == int(label)) or label < 0:
+        # labels are stored as int64, so 2**63 and above are refused here too
+        if not (math.isfinite(label) and label == int(label)) or not 0 <= label < 2**63:
             raise DataError(f"{path}: line {lineno}: label must be a nonnegative integer")
         features.append(row[:-1])
         labels.append(int(label))

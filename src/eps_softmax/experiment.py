@@ -166,6 +166,15 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
+def embedded_config(config: ExperimentConfig) -> dict:
+    """config_to_dict without output_path, as a results summary embeds it: it
+    describes the experiment, not where it is stored, so equal runs are
+    byte-identical wherever they land."""
+    out = config_to_dict(config)
+    del out["output_path"]
+    return out
+
+
 def load_config_file(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -273,13 +282,9 @@ def run_experiment(
             on_epoch(record)
 
     best = max(records, key=lambda r: r.test_top1)
-    # the embedded config describes the experiment, not its storage location:
-    # dropping output_path keeps equal runs byte-identical wherever they land
-    embedded = config_to_dict(config)
-    embedded.pop("output_path")
     summary = {
         "summary": True,
-        "config": embedded,
+        "config": embedded_config(config),
         "n_train": n_train,
         "n_test": len(test),
         "realized_noise_rate": corruption.realized_rate,

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import log_clamped, softmax_rows
+from .core import check_logit_vector, log_clamped, softmax_rows
 from .errors import ConfigError
 from .transform import amplify, argmax_mask
 
@@ -203,13 +203,7 @@ def batch_loss(logits, labels, spec: LossSpec):
 
 def evaluate_loss(logits, y: int, spec: LossSpec) -> LossOutput:
     """Validated single-sample loss evaluation."""
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D logit vector, got shape {x.shape}")
-    if x.size < 2:
-        raise ValueError("need at least 2 classes")
-    if not np.isfinite(x).all():
-        raise ValueError("logits must be finite")
+    x = check_logit_vector(logits)
     if not 0 <= y < x.size:
         raise IndexError(f"label {y} out of range for {x.size} classes")
     values, grads = batch_loss(x[None, :], np.array([y]), spec)

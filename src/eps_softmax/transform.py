@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import softmax_rows
+from .core import check_logit_vector, softmax_rows
 from .errors import ConfigError
 
 
@@ -37,13 +37,7 @@ def eps_softmax(logits, m: float = 0.0) -> np.ndarray:
     m = float(m)
     if m < 0:
         raise ConfigError("m must be nonnegative")
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D logit vector, got shape {x.shape}")
-    if x.size < 2:
-        raise ValueError("softmax needs at least 2 classes")
-    if not np.isfinite(x).all():
-        raise ValueError("logits must be finite")
+    x = check_logit_vector(logits)
     with np.errstate(over="ignore"):  # finite - finite may still overflow to -inf
         p = softmax_rows(x[None])[0]
     return amplify(p, argmax_mask(p), m)

@@ -352,6 +352,7 @@ FAULTY_DATA_FILES = {
     ),
     "nan csv feature": lambda d: ("csv", _csv_splits(d, b"0.5,nan,0.5,0.5,1\n")),
     "csv not utf-8": lambda d: ("csv", _csv_splits(d, b"0.5,0.5,0.5,0.5,1 \xf6\n")),
+    "csv label beyond int64": lambda d: ("csv", _csv_splits(d, b"0.5,0.5,0.5,0.5,1e20\n")),
 }
 
 

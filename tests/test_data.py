@@ -160,6 +160,16 @@ def test_load_csv_rejects_bad_labels(tmp_path):
         load_csv(write_csv(tmp_path / "b.csv", "1.0,-1\n"))
 
 
+def test_load_csv_refuses_labels_int64_cannot_hold(tmp_path):
+    for name, label in (("a", "1e20"), ("b", str(2**63))):
+        p = write_csv(tmp_path / f"{name}.csv", f"1.0,0\n2.0,{label}\n")
+        with pytest.raises(DataError, match="line 2: label must be a nonnegative integer"):
+            load_csv(p)
+    # the largest float below 2**63 still fits
+    _, y = load_csv(write_csv(tmp_path / "c.csv", "1.0,0\n2.0,9223372036854774784\n"))
+    assert y[1] == 9223372036854774784
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_csv_rejects_non_finite_features(tmp_path, value):
     p = write_csv(tmp_path / "d.csv", f"1.0,2.0,0\n1.0,{value},1\n")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eps_softmax import losses
+from eps_softmax import losses, theory
 from eps_softmax.core import log_clamped, make_rng
 from eps_softmax.errors import ConfigError
 from eps_softmax.noise import NoiseSpec
@@ -225,8 +225,62 @@ def test_excess_risk_demo_rejects_large_tasks():
 
 
 def test_fd_gradient_on_a_quadratic():
-    grad = fd_gradient(lambda v: float((v**2).sum()), np.array([1.0, -2.0, 3.0]))
+    grad = fd_gradient(lambda vs: (vs**2).sum(axis=1), np.array([1.0, -2.0, 3.0]))
     assert np.allclose(grad, [2.0, -4.0, 6.0], atol=1e-5)
+
+
+def ref_fd_gradient(fun, x):
+    """The per-coordinate loop fd_gradient replaced: fun takes one point."""
+    h = 1e-6
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xp.flat[i] += h
+        xm = x.copy()
+        xm.flat[i] -= h
+        grad.flat[i] = (fun(xp) - fun(xm)) / (2.0 * h)
+    return grad
+
+
+def test_fd_gradient_is_the_per_coordinate_loop_in_one_call():
+    x = np.array([[1.0, -2.0], [0.5, 3.0]])
+    stacks = []
+
+    def cubes(xs):
+        stacks.append(xs.shape)
+        return (xs**3).sum(axis=(1, 2))
+
+    grad = fd_gradient(cubes, x)
+    assert stacks == [(8, 2, 2)]
+    assert np.array_equal(grad, ref_fd_gradient(lambda v: cubes(v[None])[0], x))
+    # on the loss table: one batch_loss over the stack, the loop's bytes
+    rng = make_rng(0)
+    for kind in losses.LOSS_KINDS:
+        for _ in range(5):
+            logits, y = theory._draw_case(rng)
+            spec = theory._random_spec(kind, rng)
+            stacked = fd_gradient(
+                lambda xs: losses.batch_loss(xs, np.full(len(xs), y), spec)[0], logits
+            )
+            looped = ref_fd_gradient(lambda v: losses.evaluate_loss(v, y, spec).value, logits)
+            assert np.array_equal(stacked, looped)
+
+
+def test_gradcheck_losses_takes_one_call_of_each_loss_entry_point_per_case(monkeypatch):
+    # bench/tracing.py wraps theory.evaluate_loss: gradcheck must keep calling
+    # it once per case, and the finite differences go through one batch_loss
+    calls = {"evaluate_loss": 0, "batch_loss": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(theory, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(theory, name, counted)
+    kinds = ("ce", "fl_eps_mae", "gce")
+    reports = gradcheck_losses(kinds=kinds, cases=7, seed=0)
+    assert all(r.passed for r in reports)
+    assert calls == {"evaluate_loss": 7 * len(kinds), "batch_loss": 7 * len(kinds)}
 
 
 def test_gradcheck_losses_smoke():
