@@ -20,6 +20,12 @@ evaluate_loss (one validated sample) and symmetric_sums (every label of every
 row, for the symmetric-sum analysis) all evaluate the same rows. A new loss
 is one row; gradcheck then covers it through LOSS_KINDS.
 
+batch_loss works class-major: it transposes the logits once and runs the
+softmax, the label gather, the argmax-hit mask and the direction e_y - p on
+(K, n) arrays, so its reductions over the K classes are elementwise over the
+batch. Each operation rounds as it did on rows, so the values and the
+(n, K) gradients it returns are the row-major form's bytes.
+
 Weighted terms accumulate in table order: zero weights are skipped, the first
 term is assigned and later ones are added to a 0.0 start, so a combined kind
 with beta = 0 reproduces its fit term bit for bit.
@@ -32,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_logit_vector, log_clamped, softmax_rows
+from .core import LOG_FLOOR, check_logit_vector, softmax_cols
 from .errors import ConfigError
 from .transform import amplify, argmax_mask
 
@@ -47,14 +53,19 @@ class _Amplified(NamedTuple):
     m: float
 
 
+def _log_floor(f):
+    """log max(f, LOG_FLOOR), unchecked: f is a probability the table computed."""
+    return np.log(np.maximum(f, LOG_FLOOR))
+
+
 def _log_term(py, amp, spec):
     """-log f_y: CE, or eps CE on the amplified component."""
-    return -log_clamped(amp.fy), -amp.damp
+    return -_log_floor(amp.fy), -amp.damp
 
 
 def _focal_term(py, amp, spec):
     """-(1 - f_y)^gamma log f_y; gamma = 0 gives the log term."""
-    logf = log_clamped(amp.fy)
+    logf = _log_floor(amp.fy)
     one_minus = 1.0 - amp.fy
     mod = one_minus**spec.gamma  # gamma == 0 gives exactly 1
     coeff = np.zeros_like(py)
@@ -156,8 +167,7 @@ def _amplified(py, hit_mask, spec: LossSpec) -> _Amplified:
         return _Amplified(py, 1.0, 0.0)
     m = spec.m
     hit = hit_mask()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        damp = np.where(hit, py / (py + m), 1.0)
+    damp = np.divide(py, py + m, out=np.ones_like(py), where=hit)
     return _Amplified(amplify(py, hit, m), damp, m)
 
 
@@ -171,8 +181,9 @@ def _accumulate(total, part, weight: float, first: bool):
 
 
 def _weighted_sum(py, amp, spec: LossSpec, direction=None):
-    """Values and, given direction = e_y - p, the logit gradients: each term's
-    coefficient is pulled back as coefficient · (e_y - p) before weighting."""
+    """Values and, given direction = e_y - p as a class-major (K, n) array,
+    the class-major logit gradients: each term's coefficient is pulled back as
+    coefficient · (e_y - p) before weighting."""
     values = grads = 0.0
     for i, (field, term) in enumerate(_TABLE[spec.kind][1]):
         weight = 1.0 if field is None else getattr(spec, field)
@@ -181,24 +192,29 @@ def _weighted_sum(py, amp, spec: LossSpec, direction=None):
         value, coeff = term(py, amp, spec)
         values = _accumulate(values, value, weight, i == 0)
         if direction is not None:
-            grad = np.asarray(coeff)[..., None] * direction
+            grad = coeff * direction
             grads = _accumulate(grads, grad, weight, i == 0)
     return values, grads
 
 
 def batch_loss(logits, labels, spec: LossSpec):
-    """Per-sample values (n,) and logit gradients (n, K) for a batch.
+    """Per-sample values (n,) and logit gradients, a C-contiguous (n, K)
+    array, for a batch.
 
     Rows are independent; no validation happens here.
     """
-    p = softmax_rows(np.asarray(logits, dtype=np.float64))
+    p = softmax_cols(np.asarray(logits, dtype=np.float64).T)
     labels = np.asarray(labels)
-    rows = np.arange(p.shape[0])
-    py = p[rows, labels]
-    amp = _amplified(py, lambda: np.argmax(p, axis=1) == labels, spec)
+    n = p.shape[1]
+    # flat positions of the label entries (labels[j], j) in the (K, n) arrays
+    at_label = np.multiply(labels, n, dtype=np.intp)
+    at_label += np.arange(n)
+    py = p.take(at_label)
+    amp = _amplified(py, lambda: np.argmax(p, axis=0) == labels, spec)
     direction = -p
-    direction[rows, labels] += 1.0
-    return _weighted_sum(py, amp, spec, direction)
+    direction.ravel()[at_label] += 1.0
+    values, grads = _weighted_sum(py, amp, spec, direction)
+    return values, np.ascontiguousarray(grads.T)
 
 
 def evaluate_loss(logits, y: int, spec: LossSpec) -> LossOutput:
@@ -206,7 +222,8 @@ def evaluate_loss(logits, y: int, spec: LossSpec) -> LossOutput:
     x = check_logit_vector(logits)
     if not 0 <= y < x.size:
         raise IndexError(f"label {y} out of range for {x.size} classes")
-    values, grads = batch_loss(x[None, :], np.array([y]), spec)
+    with np.errstate(over="ignore"):  # finite - finite may still overflow to -inf
+        values, grads = batch_loss(x[None, :], np.array([y]), spec)
     return LossOutput(float(values[0]), grads[0])
 
 

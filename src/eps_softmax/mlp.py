@@ -93,6 +93,9 @@ class ParamSet:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _scratch_parts: list[np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def zeros(cls, layer_sizes) -> ParamSet:
@@ -124,6 +127,17 @@ class ParamSet:
         if self._scratch is None:
             self._scratch = np.empty_like(self.flat)
         return self._scratch
+
+    def scratch_parts(self) -> list[np.ndarray]:
+        """Flat views of ``scratch()``, one per array in ``arrays()`` order,
+        each over the range that array occupies in ``flat``; made once."""
+        if self._scratch_parts is None:
+            scratch, parts, start = self.scratch(), [], 0
+            for a in self.arrays():
+                parts.append(scratch[start : start + a.size])
+                start += a.size
+            self._scratch_parts = parts
+        return self._scratch_parts
 
 
 #: Bytes of layer outputs one evaluate chunk may hold. A matrix product can
@@ -258,7 +272,7 @@ def backward(cache: ForwardCache, grad_logits: np.ndarray) -> ParamSet:
     for i in range(len(params.weights) - 1, -1, -1):
         inputs = cache.outputs[i - 1] if i > 0 else cache.x
         np.matmul(g.T, inputs, out=grads.weights[i])
-        np.sum(g, axis=0, out=grads.biases[i])
+        np.add.reduce(g, axis=0, out=grads.biases[i])
         if i > 0:
             # a hidden output is relu(z), which is positive exactly where z is;
             # nothing reads the output after its mask, so the signal overwrites it
@@ -273,20 +287,18 @@ def backward(cache: ForwardCache, grad_logits: np.ndarray) -> ParamSet:
 def clip_grad_norm(grads: ParamSet, max_norm: float = 5.0) -> tuple[ParamSet, float]:
     """Rescale all gradients in place if their global L2 norm exceeds max_norm.
 
-    The squares go to ``grads.scratch()`` and are summed per array, weights
-    then biases, so the norm has the same bits as summing each layer's
-    gradient on its own. Returns the grads and the scale factor applied (1.0
-    when no clipping). An infinite max_norm returns at once, since no norm
-    can exceed it.
+    The squares go to ``grads.scratch()`` and are summed per array through
+    ``grads.scratch_parts()``, weights then biases, so the norm has the same
+    bits as summing each layer's gradient on its own. Returns the grads and
+    the scale factor applied (1.0 when no clipping). An infinite max_norm
+    returns at once, since no norm can exceed it.
     """
     if max_norm == math.inf:
         return grads, 1.0
-    squares = np.multiply(grads.flat, grads.flat, out=grads.scratch())
+    np.multiply(grads.flat, grads.flat, out=grads.scratch())
     total = 0.0
-    start = 0
-    for g in grads.arrays():
-        total += float(squares[start : start + g.size].sum())
-        start += g.size
+    for squares in grads.scratch_parts():
+        total += float(np.add.reduce(squares))
     norm = math.sqrt(total)
     scale = 1.0
     if norm > max_norm:
@@ -330,8 +342,9 @@ def evaluate(params: ParamSet, x, labels, max_k: int = 5, ws: Workspace | None =
     in k by construction. The rows run through ``ws`` (a fresh workspace
     without one) in chunks of ``ws.eval_rows()``, so the layer outputs held at
     once are bounded by EVAL_CHUNK_BYTES or the largest batch the workspace
-    has served. Raises FloatingPointError on non-finite logits, which have no
-    ranking.
+    has served. Each chunk's ranks are counted class-major, on the (K, rows)
+    transpose of its logits. Raises FloatingPointError on non-finite logits,
+    which have no ranking.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels)
@@ -342,6 +355,7 @@ def evaluate(params: ParamSet, x, labels, max_k: int = 5, ws: Workspace | None =
     if ws is None:
         ws = Workspace(params.layer_sizes)
     n_classes = params.layer_sizes[-1]
+    classes = np.arange(n_classes)[:, None]
     # rank_counts[r]: rows whose true label has rank r
     rank_counts = np.zeros(n_classes, dtype=np.int64)
     chunk = ws.eval_rows()
@@ -349,11 +363,12 @@ def evaluate(params: ParamSet, x, labels, max_k: int = 5, ws: Workspace | None =
         logits, _ = forward(params, x[start : start + chunk], ws)
         if not np.isfinite(logits).all():
             raise FloatingPointError("logits are not finite; the network has diverged")
-        yc = y[start : start + chunk, None]
-        true = np.take_along_axis(logits, yc, axis=1)
+        scores = np.ascontiguousarray(logits.T)
+        yc = y[start : start + chunk]
+        true = scores[yc, np.arange(yc.size)]
         # rank of the true label: classes scoring above it, plus equal ones at a lower index
-        lower = np.arange(n_classes) < yc
-        rank = np.count_nonzero(np.where(lower, logits >= true, logits > true), axis=1)
+        above = np.where(classes < yc, scores >= true, scores > true)
+        rank = np.add.reduce(above, axis=0, dtype=np.intp)
         rank_counts += np.bincount(rank, minlength=n_classes)
     misses = y.size - np.cumsum(rank_counts)  # misses[k - 1]: rows outside the top k
     topk_errors = [int(misses[k - 1]) / y.size for k in range(1, min(max_k, n_classes) + 1)]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from eps_softmax.core import (
     LOG_FLOOR,
     check_prob_vector,
+    class_sum,
     log_clamped,
     make_rng,
     softmax_rows,
@@ -52,6 +53,13 @@ def test_check_prob_vector_rejects_bad_shapes_and_values():
         check_prob_vector([0.5, 0.6])
 
 
+@pytest.mark.parametrize("bad", [[math.nan, 1.0], [0.5, math.nan], [math.inf, 0.0], [-math.inf, 1.0]])
+def test_check_prob_vector_rejects_non_finite_entries(bad):
+    # every comparison with nan is false, so only an explicit check refuses it
+    with pytest.raises(ValueError, match="finite"):
+        check_prob_vector(bad)
+
+
 # eps_softmax at its default m = 0 is the validated single-vector softmax
 
 
@@ -86,6 +94,25 @@ def test_softmax_rows_matches_single(x):
     rows = softmax_rows(np.stack([x, x * 0.5]))
     assert np.array_equal(rows[0], eps_softmax(x))
     assert np.array_equal(rows[1], eps_softmax(x * 0.5))
+
+
+@pytest.mark.parametrize("k", [*range(2, 11), 16, 17, 100, 128, 129, 300])
+def test_class_sum_is_the_row_sum_bit_for_bit(k):
+    # the class-major softmax and the row-major one divide by the same sums
+    rng = np.random.default_rng(k)
+    for n in (1, 5, 128):
+        rows = rng.normal(size=(n, k)) * rng.exponential(size=(n, k)) ** 3
+        got = class_sum(np.ascontiguousarray(rows.T))
+        assert got.shape == (n,)
+        assert got.tobytes() == rows.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (128, 4), (7, 10), (3, 129)])
+def test_softmax_rows_returns_c_contiguous_rows(n, k):
+    logits = np.random.default_rng(0).normal(size=(n, k))
+    p = softmax_rows(logits)
+    assert p.shape == (n, k)
+    assert p.flags.c_contiguous
 
 
 def test_log_clamped_floor():

@@ -232,6 +232,29 @@ def test_evaluate_loss_validates_inputs():
         evaluate_loss([0.0, 1.0], 2, spec)
 
 
+def test_evaluate_loss_silences_the_overflow_of_its_max_subtraction():
+    # -1e308 - 1e308 overflows to -inf, whose exp is an exact 0; warnings are
+    # errors under this suite, as in eps_softmax's test
+    with np.errstate(over="raise"):
+        out = evaluate_loss([1e308, -1e308], 0, LossSpec("ce"))
+    assert math.isfinite(out.value)
+    assert np.isfinite(out.grad_logits).all()
+    assert out.value == 0.0
+    assert np.array_equal(out.grad_logits, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (128, 4), (7, 10), (3, 129)])
+def test_batch_loss_gradients_are_c_contiguous_rows(n, k):
+    rng = np.random.default_rng(n * k)
+    logits = rng.normal(size=(n, k))
+    labels = rng.integers(0, k, size=n)
+    for kind in LOSS_KINDS:
+        values, grads = batch_loss(logits, labels, LossSpec(kind, m=2.0))
+        assert values.shape == (n,)
+        assert grads.shape == (n, k)
+        assert grads.flags.c_contiguous, kind
+
+
 def test_grad_shape_matches_logits():
     out = evaluate_loss([0.5, -0.5, 2.0], 1, LossSpec("fl_eps_mae", m=5.0))
     assert out.grad_logits.shape == (3,)

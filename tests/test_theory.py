@@ -1,6 +1,7 @@
 """Verification helpers: bound fuzzing, calibrated optima, risk bound, FD oracle."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +46,11 @@ def test_closed_form_optimum_known_value():
 def test_closed_form_optimum_with_zero_amplification_is_q():
     q = np.array([0.5, 0.3, 0.2])
     assert np.array_equal(closed_form_optimum(q, 0.0), q)
+
+
+def test_closed_form_optimum_refuses_a_nan_distribution():
+    with pytest.raises(ValueError, match="finite"):
+        closed_form_optimum([math.nan, 1.0], 1.0)
 
 
 def test_closed_form_optimum_is_a_distribution():
