@@ -3,11 +3,12 @@
 Everything runs in float64. All functions are pure; Generator instances are
 the only stateful objects and should stay confined to a single thread.
 
-The softmax runs class-major: on a (K, n) array whose rows are classes, so
-every reduction over the K classes is an elementwise operation over n-long
-rows rather than a reduction along a short axis. class_sum adds the K rows in
-the order numpy's pairwise sum adds a row of K entries, so the class-major
-softmax gives the bytes of the row-major one at every K.
+The softmax sums the K classes in numpy's own order for a row of K. Below 8
+classes it reduces along the class axis of a (K, n) array, an elementwise
+operation over n-long rows that adds the classes one by one, as numpy's
+pairwise sum adds fewer than 8 entries. From 8 classes on it reduces along the
+contiguous rows of an (n, K) array, where that pairwise sum runs itself. So
+either layout gives the bytes of the row-major softmax at every K.
 """
 
 from __future__ import annotations
@@ -59,49 +60,35 @@ def check_logit_vector(logits) -> np.ndarray:
     return arr
 
 
-#: Entries numpy's pairwise sum adds one by one, and the block size above
-#: which it splits a sum in two (numpy/_core/src/umath/loops_utils.h.src).
-_PAIRWISE_UNROLL = 8
-_PAIRWISE_BLOCK = 128
+#: Class count from which the softmax sums along contiguous rows of K. Below
+#: it numpy's pairwise sum adds a row's entries one by one, the order in which
+#: a reduction over axis 0 of a (K, n) array adds its K rows.
+_ROW_SUM_FROM = 8
 
 
-def class_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 of a (K, ...) array, adding the K entries of each column
-    in the order ``x.T.sum(axis=-1)`` adds a contiguous row of K: one by one
-    below 8 entries, in 8 interleaved accumulators up to 128, and split in two
-    halves above that."""
-    k = x.shape[0]
-    if k < _PAIRWISE_UNROLL:
-        return np.add.reduce(x, axis=0)
-    if k <= _PAIRWISE_BLOCK:
-        stop = k - k % _PAIRWISE_UNROLL
-        blocks = x[:stop].reshape(-1, _PAIRWISE_UNROLL, *x.shape[1:])
-        r = np.add.reduce(blocks, axis=0)  # r[j] = x[j] + x[j + 8] + ...
-        r = r[0::2] + r[1::2]
-        r = r[0::2] + r[1::2]
-        total = r[0] + r[1]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(stop, k):
-            total += x[i]
-        return total
-    half = k // 2
-    half -= half % _PAIRWISE_UNROLL
-    return class_sum(x[:half]) + class_sum(x[half:])
+def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along axis of a float64 array, in place."""
+    z -= np.maximum.reduce(z, axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=axis, keepdims=True)
+    return z
 
 
 def softmax_cols(logits: np.ndarray) -> np.ndarray:
     """Softmax over axis 0 of a (K, n) array of n logit columns, as a new
     C-contiguous (K, n) array. No input validation."""
-    z = np.array(logits, dtype=np.float64, order="C")
-    z -= np.maximum.reduce(z, axis=0)
-    np.exp(z, out=z)
-    z /= class_sum(z)
-    return z
+    if len(logits) >= _ROW_SUM_FROM:
+        return np.ascontiguousarray(softmax_rows(np.transpose(logits)).T)
+    return _softmax(np.array(logits, dtype=np.float64, order="C"), axis=0)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax for a batch of logit vectors, as a C-contiguous (n, K)
-    array. No input validation."""
-    return np.ascontiguousarray(softmax_cols(np.asarray(logits).T).T)
+    """Row-wise softmax for a batch of logit vectors, as a new C-contiguous
+    (n, K) array. No input validation."""
+    logits = np.asarray(logits)
+    if logits.shape[-1] < _ROW_SUM_FROM:
+        return np.ascontiguousarray(softmax_cols(logits.T).T)
+    return _softmax(np.array(logits, dtype=np.float64, order="C"), axis=-1)
 
 
 def log_clamped(x):

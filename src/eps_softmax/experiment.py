@@ -244,42 +244,45 @@ def run_experiment(
     y_batch = np.empty(rows, dtype=noisy.labels.dtype)
     records: list[EpochRecord] = []
     step = 0
-    for epoch in range(opt.epochs):
-        started = time.perf_counter()
-        lr = cosine_lr(epoch, opt.epochs, opt.lr0)
-        order = shuffle_rng.permutation(n_train)
-        loss_total = 0.0
-        for start in range(0, n_train, opt.batch_size):
-            idx = order[start : start + opt.batch_size]
-            # a permutation's indices are in range, and any mode but the
-            # default "raise" lets np.take write straight into out
-            x = np.take(noisy.features, idx, axis=0, out=x_batch[: idx.size], mode="clip")
-            y = np.take(noisy.labels, idx, out=y_batch[: idx.size], mode="clip")
-            batch_sum = train_step(params, velocity, ws, x, y, config.loss, lr, opt)
-            if not math.isfinite(batch_sum):
+    # a diverging run overflows before the finite checks below catch it; the
+    # typed error, not numpy's warnings, reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(opt.epochs):
+            started = time.perf_counter()
+            lr = cosine_lr(epoch, opt.epochs, opt.lr0)
+            order = shuffle_rng.permutation(n_train)
+            loss_total = 0.0
+            for start in range(0, n_train, opt.batch_size):
+                idx = order[start : start + opt.batch_size]
+                # a permutation's indices are in range, and any mode but the
+                # default "raise" lets np.take write straight into out
+                x = np.take(noisy.features, idx, axis=0, out=x_batch[: idx.size], mode="clip")
+                y = np.take(noisy.labels, idx, out=y_batch[: idx.size], mode="clip")
+                batch_sum = train_step(params, velocity, ws, x, y, config.loss, lr, opt)
+                if not math.isfinite(batch_sum):
+                    raise TrainingDiverged(
+                        f"training diverged at epoch {epoch}, step {step}: "
+                        f"batch loss sum is {batch_sum}"
+                    )
+                loss_total += batch_sum
+                step += 1
+            try:
+                metrics = evaluate(params, test.features, test.labels, ws=ws)
+            except FloatingPointError as exc:
                 raise TrainingDiverged(
-                    f"training diverged at epoch {epoch}, step {step}: "
-                    f"batch loss sum is {batch_sum}"
-                )
-            loss_total += batch_sum
-            step += 1
-        try:
-            metrics = evaluate(params, test.features, test.labels, ws=ws)
-        except FloatingPointError as exc:
-            raise TrainingDiverged(
-                f"training diverged at epoch {epoch}, after step {step - 1}: {exc}"
-            ) from None
-        record = EpochRecord(
-            epoch=epoch,
-            lr=lr,
-            train_loss=loss_total / n_train,
-            test_top1=metrics["top1_accuracy"],
-            test_topk_errors=metrics["topk_errors"],
-            wall_time_ms=(time.perf_counter() - started) * 1000.0,
-        )
-        records.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
+                    f"training diverged at epoch {epoch}, after step {step - 1}: {exc}"
+                ) from None
+            record = EpochRecord(
+                epoch=epoch,
+                lr=lr,
+                train_loss=loss_total / n_train,
+                test_top1=metrics["top1_accuracy"],
+                test_topk_errors=metrics["topk_errors"],
+                wall_time_ms=(time.perf_counter() - started) * 1000.0,
+            )
+            records.append(record)
+            if on_epoch is not None:
+                on_epoch(record)
 
     best = max(records, key=lambda r: r.test_top1)
     summary = {

@@ -210,7 +210,6 @@ def test_train_refuses_a_missing_directory_before_training(tmp_path, capsys, mon
     assert not out.parent.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_that_diverges_exits_1_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "run.jsonl"
     argv = ["train", "--lr0", "1e6", "--clip-norm", "1e12", "--epochs", "5", "--out", str(out),
@@ -218,6 +217,20 @@ def test_train_that_diverges_exits_1_and_writes_nothing(tmp_path, capsys):
     assert run_main(argv) == 1
     assert not out.exists()
     assert "training diverged at epoch" in capsys.readouterr().err
+
+
+def test_train_that_diverges_under_warnings_as_errors_prints_only_the_error_line(tmp_path):
+    # numpy's overflow warnings must not turn into a traceback before the typed error
+    src = os.path.dirname(os.path.dirname(eps_softmax.__file__))
+    out = tmp_path / "run.jsonl"
+    argv = ["train", "--lr0", "1e300", "--epochs", "1", "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "eps_softmax", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: training diverged"), done.stderr
+    assert not out.exists()
 
 
 def test_train_progress_goes_to_stderr(tmp_path, capsys):

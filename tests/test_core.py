@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from eps_softmax.core import (
     LOG_FLOOR,
     check_prob_vector,
-    class_sum,
     log_clamped,
     make_rng,
+    softmax_cols,
     softmax_rows,
 )
 from eps_softmax.transform import eps_softmax
@@ -97,14 +97,17 @@ def test_softmax_rows_matches_single(x):
 
 
 @pytest.mark.parametrize("k", [*range(2, 11), 16, 17, 100, 128, 129, 300])
-def test_class_sum_is_the_row_sum_bit_for_bit(k):
-    # the class-major softmax and the row-major one divide by the same sums
+def test_softmax_is_the_row_major_softmax_bit_for_bit(k):
+    # both layouts must add the K classes in the order numpy adds a row of K
     rng = np.random.default_rng(k)
     for n in (1, 5, 128):
-        rows = rng.normal(size=(n, k)) * rng.exponential(size=(n, k)) ** 3
-        got = class_sum(np.ascontiguousarray(rows.T))
-        assert got.shape == (n,)
-        assert got.tobytes() == rows.sum(axis=1).tobytes()
+        logits = rng.normal(size=(n, k)) * rng.exponential(size=(n, k)) ** 3
+        z = np.exp(logits - logits.max(axis=1, keepdims=True))
+        want = z / z.sum(axis=1, keepdims=True)
+        assert softmax_rows(logits).tobytes() == want.tobytes()
+        cols = softmax_cols(np.ascontiguousarray(logits.T))
+        assert cols.flags.c_contiguous
+        assert cols.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 @pytest.mark.parametrize("n, k", [(1, 2), (128, 4), (7, 10), (3, 129)])

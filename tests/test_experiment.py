@@ -172,7 +172,6 @@ def test_lr_schedule_lands_in_the_records():
     assert records[1].lr < records[0].lr
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_experiment_stops_on_a_non_finite_loss():
     config = dataclasses.replace(
         default_config(0), optim=OptimSpec(lr0=1e6, clip_norm=1e12, epochs=5)
@@ -181,7 +180,6 @@ def test_run_experiment_stops_on_a_non_finite_loss():
         run_experiment(config)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_experiment_stops_on_non_finite_test_logits():
     # one step per epoch: the first loss is finite, the update overflows the weights
     config = tiny_config(optim=OptimSpec(lr0=1e300, clip_norm=1e12, epochs=2, batch_size=90))

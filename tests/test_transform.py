@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from eps_softmax.core import softmax_rows
@@ -69,10 +69,18 @@ def test_transform_never_shrinks_the_top_probability(p, m):
 
 
 @given(prob_vectors(), amplifications)
+@example(np.array([0.7, 0.1, 0.10000000000000002]), 10.0)
+@example(np.array([0.4, 0.2, 0.4]), 1.0)
 def test_transform_preserves_the_ordering(p, m):
-    # non-target entries all scale by 1/(m+1), so every pairwise order survives
+    # non-target entries all scale by 1/(m+1), and correctly rounded division is
+    # monotone, so no pair swaps; two entries an ulp apart may round to a tie
     out = amplify(p, argmax_mask(p), m)
-    assert np.array_equal(np.argsort(-p, kind="stable"), np.argsort(-out, kind="stable"))
+    assert int(np.argmax(out)) == int(np.argmax(p))
+    assert (out[:, None] >= out[None, :])[p[:, None] > p[None, :]].all()
+    # a tie at the top is broken: only the lowest index is amplified
+    off = ~argmax_mask(p)
+    q, r = p[off], out[off]
+    assert (r[:, None] == r[None, :])[q[:, None] == q[None, :]].all()
 
 
 @given(logit_vectors(), amplifications)
