@@ -1,10 +1,10 @@
 """Command-line interface: train, sweep, verify, gradcheck.
 
-Exit codes: 0 on success, 1 on configuration or data errors or when training
-diverges, 2 when a verification or gradient check fails. Flags override config-file fields;
-without a config file the desk-scale blob defaults below apply. The --seed
-flag drives the run, the weight init, and the noise draw together so
-seed-averaged comparisons vary everything at once.
+Exit codes: 0 on success, 1 on usage, configuration or data errors or when
+training diverges, 2 when a verification or gradient check fails. Flags override
+config-file fields; without a config file the desk-scale blob defaults below
+apply. The --seed flag drives the run, the weight init, and the noise draw
+together so seed-averaged comparisons vary everything at once.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -21,9 +22,7 @@ from .data import DatasetSpec
 from .errors import ConfigError, DataError, TrainingDiverged
 from .experiment import (
     ExperimentConfig,
-    config_from_dict,
     config_to_dict,
-    embedded_config,
     emit_results,
     load_config_file,
     read_results,
@@ -87,7 +86,7 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_config(args: argparse.Namespace, out_path: str | None) -> ExperimentConfig:
+def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge config file (or defaults) with command-line overrides."""
     if args.config:
         config = load_config_file(args.config)
@@ -113,7 +112,6 @@ def build_config(args: argparse.Namespace, out_path: str | None) -> ExperimentCo
     config = dataclasses.replace(
         config,
         seed=args.seed if args.seed is not None else config.seed,
-        output_path=out_path if out_path is not None else config.output_path,
         **{
             name: dataclasses.replace(getattr(config, name), **fields)
             for name, fields in changes.items()
@@ -127,14 +125,12 @@ def build_config(args: argparse.Namespace, out_path: str | None) -> ExperimentCo
 def _cmd_train(args: argparse.Namespace) -> int:
     if args.log_every < 0:
         raise ConfigError(f"--log-every must be at least 0, got {args.log_every}")
-    config = build_config(args, args.out)
-    if config.output_path is None:
-        raise ConfigError("no output path: pass --out or set output_path in the config")
+    config = build_config(args)
     # fail before training; emit_results' exclusive create stays the real guard
-    if os.path.exists(config.output_path):
-        raise DataError(f"refusing to overwrite existing results file: {config.output_path}")
-    if not os.path.isdir(os.path.dirname(config.output_path) or "."):
-        raise DataError(f"cannot write results to {config.output_path}: no such directory")
+    if os.path.exists(args.out):
+        raise DataError(f"refusing to overwrite existing results file: {args.out}")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise DataError(f"cannot write results to {args.out}: no such directory")
 
     def progress(record):
         if args.log_every and record.epoch % args.log_every == 0:
@@ -146,11 +142,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
             )
 
     records, summary = run_experiment(config, on_epoch=progress)
-    emit_results(records, summary, config.output_path)
+    emit_results(records, summary, args.out)
     print(
         json.dumps(
             {
-                "out": config.output_path,
+                "out": args.out,
                 "last_test_top1": summary["last_test_top1"],
                 "best_test_top1": summary["best_test_top1"],
                 "realized_noise_rate": summary["realized_noise_rate"],
@@ -170,28 +166,28 @@ def _result_line(config: ExperimentConfig, path: str, summary: dict) -> dict:
     }
 
 
-def _run_one(payload: tuple[dict, str]) -> dict:
-    raw, path = payload
-    config = config_from_dict(raw)
+def _run_one(job: tuple[ExperimentConfig, str]) -> dict:
+    config, path = job
     records, summary = run_experiment(config)
     emit_results(records, summary, path)
     return _result_line(config, path, summary)
 
 
-def _reused_result(raw: dict, path: str) -> dict | None:
+def _reused_result(config: ExperimentConfig, path: str) -> dict | None:
     """The result line of an existing results file made by this job's config.
 
-    None when there is no file. A file that does not parse, or whose embedded
-    config differs from the job's, raises DataError naming it.
+    None when there is no file. A file that does not parse, embeds another
+    config or has no last_test_top1 raises DataError naming it.
     """
     if not os.path.exists(path):
         return None
     _, summary = read_results(path)
-    config = config_from_dict(raw)
-    if summary.get("config") != embedded_config(config):
+    if summary.get("config") != config_to_dict(config):
         raise DataError(
             f"{path} holds results of another config; remove it or choose another --out-dir"
         )
+    if not isinstance(summary.get("last_test_top1"), float):
+        raise DataError(f"{path}: summary has no last_test_top1 number")
     return _result_line(config, path, summary)
 
 
@@ -258,33 +254,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     losses = args.losses.split(",")
     etas = _parse_list("--etas", args.etas, float)
     seeds = _parse_list("--seeds", args.seeds, int)
-    for kind in losses:
-        if kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {kind!r}")
-    os.makedirs(args.out_dir, exist_ok=True)
-
     jobs = []
-    for kind in losses:
-        for eta in etas:
-            for seed in seeds:
-                sub = argparse.Namespace(**vars(args))
-                sub.loss = kind
-                sub.eta = eta
-                sub.seed = seed
-                if eta == 0.0:
-                    sub.noise_kind = "none"
-                elif args.noise_kind in (None, "none"):
-                    sub.noise_kind = "symmetric"
-                path = os.path.join(args.out_dir, f"{kind}_eta{eta:g}_seed{seed}.jsonl")
-                config = build_config(sub, path)
-                jobs.append((config_to_dict(config), path))
-
-    paths = [path for _, path in jobs]
-    for path in paths:
-        if paths.count(path) > 1:
+    for kind, eta, seed in itertools.product(losses, etas, seeds):
+        sub = argparse.Namespace(**{**vars(args), "loss": kind, "eta": eta, "seed": seed})
+        if eta == 0.0:
+            sub.noise_kind = "none"
+        elif args.noise_kind in (None, "none"):
+            sub.noise_kind = "symmetric"
+        path = os.path.join(args.out_dir, f"{kind}_eta{eta:g}_seed{seed}.jsonl")
+        if any(path == other for _, other in jobs):
             raise ConfigError(f"the grid lists {path} more than once")
-    # every existing file is checked before any run starts
+        jobs.append((build_config(sub), path))
+
+    # every cell's config and every existing file are checked before any run
     reused = [_reused_result(*job) for job in jobs]
+    os.makedirs(args.out_dir, exist_ok=True)
     todo = [job for job, done in zip(jobs, reused) if done is None]
     workers = args.jobs or min(4, os.cpu_count() or 1)
     if workers > 1:
@@ -326,8 +310,15 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return _print_reports(reports)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1); exit 2 means a check failed."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eps-softmax",
         description="Noise-tolerant classification with an amplified softmax output",
     )
@@ -335,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_train = sub.add_parser("train", help="run one training experiment")
     _add_override_flags(p_train)
-    p_train.add_argument("--out", help="results file (line-delimited JSON)")
+    p_train.add_argument("--out", required=True, help="results file (line-delimited JSON)")
     p_train.add_argument("--log-every", type=int, default=10, help="progress cadence; 0 silences")
     p_train.set_defaults(func=_cmd_train)
 
@@ -358,8 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.set_defaults(func=_cmd_gradcheck)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, DataError, TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,13 +43,14 @@ _SHUFFLE_STREAM = 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; where its results are written is not part of it."""
+
     dataset: DatasetSpec
     mlp: MlpSpec
     loss: LossSpec
     noise: NoiseSpec
     optim: OptimSpec
     seed: int = 0
-    output_path: str | None = None
 
     def validate(self) -> None:
         """Cross-field consistency; raises ConfigError before any work is done."""
@@ -133,8 +134,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    top_level = {k: raw[k] for k in ("seed", "output_path") if k in raw}
-    _check_field_types("", ExperimentConfig, top_level)
+    if "seed" in raw:
+        _check_field_types("", ExperimentConfig, {"seed": raw["seed"]})
     parts = {}
     for name, cls in _SECTIONS:
         section = raw.get(name)
@@ -147,31 +148,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             parts[name] = cls(**section)
         except TypeError as exc:
             raise ConfigError(f"config section {name!r}: {exc}") from None
-    extras = set(raw) - {name for name, _ in _SECTIONS} - {"seed", "output_path"}
+    extras = set(raw) - {name for name, _ in _SECTIONS} - {"seed"}
     if extras:
         raise ConfigError(f"unknown config keys: {sorted(extras)}")
-    return ExperimentConfig(
-        seed=raw.get("seed", 0),
-        output_path=raw.get("output_path"),
-        **parts,
-    )
+    return ExperimentConfig(seed=raw.get("seed", 0), **parts)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
+    """The config as nested dicts, as config files hold it and results embed it."""
     out = {name: asdict(getattr(config, name)) for name, _ in _SECTIONS}
     out["dataset"] = {k: v for k, v in out["dataset"].items() if v is not None}
     out["mlp"]["layer_sizes"] = list(config.mlp.layer_sizes)
     out["seed"] = config.seed
-    out["output_path"] = config.output_path
-    return out
-
-
-def embedded_config(config: ExperimentConfig) -> dict:
-    """config_to_dict without output_path, as a results summary embeds it: it
-    describes the experiment, not where it is stored, so equal runs are
-    byte-identical wherever they land."""
-    out = config_to_dict(config)
-    del out["output_path"]
     return out
 
 
@@ -287,7 +275,7 @@ def run_experiment(
     best = max(records, key=lambda r: r.test_top1)
     summary = {
         "summary": True,
-        "config": embedded_config(config),
+        "config": config_to_dict(config),
         "n_train": n_train,
         "n_test": len(test),
         "realized_noise_rate": corruption.realized_rate,

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import LOG_FLOOR, check_logit_vector, softmax_cols
-from .errors import ConfigError
+from .errors import ConfigError, check_finite_fields
 from .transform import amplify, argmax_mask
 
 
@@ -135,6 +135,7 @@ class LossSpec:
     A: float = -4.0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.kind not in _TABLE:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
         amplified, terms = _TABLE[self.kind]

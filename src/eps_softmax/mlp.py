@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import make_rng
-from .errors import ConfigError
+from .errors import ConfigError, check_finite_fields
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ class OptimSpec:
     batch_size: int = 128
 
     def __post_init__(self):
+        check_finite_fields(self, allow_inf="clip_norm")  # inf: no clipping
         if self.lr0 <= 0:
             raise ConfigError("lr0 must be positive")
         if not 0.0 <= self.momentum < 1.0:

@@ -44,17 +44,16 @@ def test_build_config_applies_flag_overrides():
     args = parse_train(
         ["--loss", "ce_eps_mae", "--m", "100", "--alpha", "0.1", "--epochs", "7"]
     )
-    config = build_config(args, "out.jsonl")
+    config = build_config(args)
     assert config.loss.kind == "ce_eps_mae"
     assert config.loss.m == 100.0
     assert config.loss.alpha == 0.1
     assert config.optim.epochs == 7
-    assert config.output_path == "out.jsonl"
 
 
 def test_build_config_seed_drives_init_and_noise():
     args = parse_train(["--seed", "11", "--noise-kind", "symmetric", "--eta", "0.2"])
-    config = build_config(args, None)
+    config = build_config(args)
     assert config.seed == 11
     assert config.mlp.init_seed == 11
     assert config.noise.seed == 11
@@ -67,17 +66,17 @@ def test_build_config_reads_file_then_flags_win(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_to_dict(base)), encoding="utf-8")
     args = parse_train(["--config", str(path), "--epochs", "3"])
-    config = build_config(args, None)
+    config = build_config(args)
     assert config.optim.epochs == 3
     assert config.dataset == base.dataset
 
 
 def test_build_config_layer_sizes_flag():
     args = parse_train(["--layer-sizes", "8,32,4"])
-    config = build_config(args, None)
+    config = build_config(args)
     assert config.mlp.layer_sizes == (8, 32, 4)
     with pytest.raises(ConfigError, match="bad --layer-sizes"):
-        build_config(parse_train(["--layer-sizes", "8,x,4"]), None)
+        build_config(parse_train(["--layer-sizes", "8,x,4"]))
 
 
 # (argv, attribute path, value): each override flag and every field it sets.
@@ -143,7 +142,7 @@ def test_every_override_flag_reaches_its_fields(tmp_path, argv, path, value, fro
     else:
         base = default_config(0)
     assert _field(base, path) != value
-    config = build_config(parse_train(argv), None)
+    config = build_config(parse_train(argv))
     assert _field(config, path) == value
     # the file (or the defaults) still decides every field no flag here names
     named = {p for a, p, _ in FLAG_CASES if a[0] in argv}
@@ -155,7 +154,7 @@ def test_every_override_flag_reaches_its_fields(tmp_path, argv, path, value, fro
 def test_build_config_rejects_inconsistent_overrides():
     # shrinking the class count alone breaks the mlp output size
     with pytest.raises(ConfigError):
-        build_config(parse_train(["--n-classes", "3"]), None)
+        build_config(parse_train(["--n-classes", "3"]))
 
 
 def run_main(argv):
@@ -252,6 +251,40 @@ def test_bad_flag_value_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--loss", "bogus"], ["train", "--epochs", "x"], ["verify", "--trials", "x"], []],
+)
+def test_usage_errors_exit_1_with_one_error_line(capsys, monkeypatch, argv):
+    # exit 2 is what a failed verify or gradcheck returns; a bad flag is not one
+    _no_runs(monkeypatch)
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["train", "-h"], ["sweep", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_config_file_with_an_output_path_is_refused(tmp_path, capsys):
+    raw = config_to_dict(default_config())
+    raw["output_path"] = str(tmp_path / "elsewhere.jsonl")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'output_path'" in err
+    assert not out.exists() and not (tmp_path / "elsewhere.jsonl").exists()
+
+
 def test_missing_config_file_exits_1(capsys):
     code = run_main(["train", "--config", "/nonexistent/config.json", "--out", "x.jsonl"])
     assert code == 1
@@ -281,7 +314,6 @@ def _set(section, field, value):
         ("mlp.layer_sizes", _set("mlp", "layer_sizes", [8, "64", 64, 4])),
         ("noise.n_classes", _set("noise", "n_classes", 4.0)),
         ("loss.kind", _set("loss", "kind", 3)),
-        ("output_path", _set(None, "output_path", 7)),
     ],
 )
 def test_config_file_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, field, edit):
@@ -394,7 +426,7 @@ def test_integers_in_float_fields_of_a_config_file_are_valid(tmp_path):
     raw["dataset"]["separation"] = 10
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    config = build_config(parse_train(["--config", str(path)]), None)
+    config = build_config(parse_train(["--config", str(path)]))
     assert config.optim.lr0 == 1 and config.dataset.separation == 10
 
 
@@ -511,10 +543,10 @@ def test_sweep_writes_the_same_bytes_at_one_and_two_jobs(tmp_path, capsys):
 def _blas_threads_of_this_process(payload):
     """A stand-in for one sweep cell: its result line carries the process's
     OpenBLAS thread count in place of an accuracy."""
-    raw, path = payload
+    config, path = payload
     threads = cli_mod._openblas().scipy_openblas_get_num_threads64_()
-    return {"out": path, "loss": raw["loss"]["kind"], "eta": raw["noise"]["eta"],
-            "seed": raw["seed"], "last_test_top1": threads}
+    return {"out": path, "loss": config.loss.kind, "eta": config.noise.eta,
+            "seed": config.seed, "last_test_top1": threads}
 
 
 def test_sweep_pool_workers_use_one_blas_thread(tmp_path, capsys, monkeypatch):
@@ -609,6 +641,24 @@ def test_sweep_refuses_a_file_that_does_not_parse(tmp_path, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "ce_eta0.4_seed1.jsonl" in captured.err
+
+
+def test_sweep_refuses_a_reused_file_without_last_test_top1(tmp_path, capsys, monkeypatch):
+    argv = ["sweep", "--losses", "ce", "--etas", "0", "--seeds", "0", "--epochs", "1",
+            "--n-train", "100", "--n-test", "50", "--jobs", "1", "--out-dir", str(tmp_path / "g")]
+    assert run_main(argv) == 0
+    capsys.readouterr()
+    target = tmp_path / "g" / "ce_eta0_seed0.jsonl"
+    *records, summary = target.read_text(encoding="utf-8").splitlines()
+    summary = json.loads(summary)
+    del summary["last_test_top1"]  # the embedded config still matches the cell
+    target.write_text("\n".join(records + [json.dumps(summary)]) + "\n", encoding="utf-8")
+    _no_runs(monkeypatch)
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(target) in lines[0]
 
 
 def test_verify_exit_code_and_output(capsys):

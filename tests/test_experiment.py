@@ -87,6 +87,47 @@ def test_config_from_dict_rejects_unknown_fields_inside_a_section():
         config_from_dict(raw)
 
 
+def test_config_dict_holds_the_experiment_only():
+    # where a run's results go is the caller's choice, not part of its config;
+    # results embed these keys in this order
+    keys = ["dataset", "mlp", "loss", "noise", "optim", "seed"]
+    assert list(config_to_dict(tiny_config())) == keys
+
+
+#: every float field of every spec, with arguments that make the rest valid;
+#: kind "ce" reads none of the loss fields, so the check does not depend on it
+SPEC_FLOAT_FIELDS = [
+    (DatasetSpec, {"source": "blobs", "n_classes": 4, "n_train": 8, "n_test": 8, "dim": 2},
+     "separation"),
+    *((LossSpec, {"kind": "ce"}, name) for name in ("m", "alpha", "beta", "gamma", "q", "A")),
+    (NoiseSpec, {"kind": "symmetric", "n_classes": 4}, "eta"),
+    *((OptimSpec, {}, name) for name in ("lr0", "momentum", "weight_decay", "clip_norm")),
+]
+
+
+def test_spec_float_fields_are_all_listed():
+    listed = {(cls, name) for cls, _, name in SPEC_FLOAT_FIELDS}
+    found = {
+        (cls, f.name)
+        for cls in (DatasetSpec, LossSpec, NoiseSpec, OptimSpec)
+        for f in dataclasses.fields(cls)
+        if f.type == "float"
+    }
+    assert listed == found
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "cls, kwargs, name", SPEC_FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, _, n in SPEC_FLOAT_FIELDS]
+)
+def test_specs_refuse_non_finite_floats(cls, kwargs, name, value):
+    if (name, value) == ("clip_norm", float("inf")):
+        assert cls(**kwargs, clip_norm=value).clip_norm == value  # documented: no clipping
+        return
+    with pytest.raises(ConfigError, match=f"^{name} must be finite, got {value}$"):
+        cls(**kwargs, **{name: value})
+
+
 def test_config_from_dict_rejects_non_dict_root():
     with pytest.raises(ConfigError, match="root"):
         config_from_dict([1, 2, 3])

@@ -121,11 +121,9 @@ def reference_run(config):
         top1, errors = ref_evaluate(weights, biases, test.features, test.labels)
         records.append(EpochRecord(epoch, lr, loss_total / n, top1, errors))
     best = max(records, key=lambda r: r.test_top1)
-    embedded = config_to_dict(config)
-    embedded.pop("output_path")
     summary = {
         "summary": True,
-        "config": embedded,
+        "config": config_to_dict(config),
         "n_train": n,
         "n_test": len(test),
         "realized_noise_rate": corruption.realized_rate,

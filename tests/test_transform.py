@@ -25,6 +25,14 @@ def test_config_rejects_negative_amplification():
         eps_softmax([1.0, 0.0], -0.5)
 
 
+@pytest.mark.parametrize("m", [np.nan, np.inf, -np.inf])
+def test_transform_entry_points_refuse_a_non_finite_amplification(m):
+    with pytest.raises(ConfigError, match="m must be finite"):
+        eps_softmax([1.0, 0.0], m)
+    with pytest.raises(ConfigError, match="m must be finite"):
+        eps_bound(4, m)
+
+
 def test_eps_softmax_validates_its_logits():
     for bad in ([[1.0, 0.0]], [1.0], [1.0, np.nan], [np.inf, 0.0]):
         with pytest.raises(ValueError):
