@@ -246,25 +246,27 @@ def _print_table(results: list[dict], losses: list[str], etas: list[float]) -> N
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    for axis in ("loss", "eta", "seed"):
+    for axis, grid in (("loss", "--losses"), ("eta", "--etas"), ("seed", "--seeds")):
         if getattr(args, axis) is not None:
-            raise ConfigError(f"sweep takes --{axis}s, not --{axis}: each grid cell sets its own")
+            raise ConfigError(f"sweep takes {grid}, not --{axis}: each grid cell sets its own")
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     losses = args.losses.split(",")
     etas = _parse_list("--etas", args.etas, float)
     seeds = _parse_list("--seeds", args.seeds, int)
+    # one base for every cell; eta 0 suits every noise kind, and each cell sets its own eta
+    base = build_config(argparse.Namespace(**{**vars(args), "loss": losses[0], "eta": 0.0}))
+    noisy_kind = "symmetric" if base.noise.kind == "none" else base.noise.kind
     jobs = []
     for kind, eta, seed in itertools.product(losses, etas, seeds):
-        sub = argparse.Namespace(**{**vars(args), "loss": kind, "eta": eta, "seed": seed})
-        if eta == 0.0:
-            sub.noise_kind = "none"
-        elif args.noise_kind in (None, "none"):
-            sub.noise_kind = "symmetric"
         path = os.path.join(args.out_dir, f"{kind}_eta{eta:g}_seed{seed}.jsonl")
         if any(path == other for _, other in jobs):
             raise ConfigError(f"the grid lists {path} more than once")
-        jobs.append((build_config(sub), path))
+        loss = dataclasses.replace(base.loss, kind=kind)
+        noise_kind = "none" if eta == 0.0 else noisy_kind
+        noise = dataclasses.replace(base.noise, kind=noise_kind, eta=eta, seed=seed)
+        mlp = dataclasses.replace(base.mlp, init_seed=seed)
+        jobs.append((dataclasses.replace(base, seed=seed, loss=loss, noise=noise, mlp=mlp), path))
 
     # every cell's config and every existing file are checked before any run
     reused = [_reused_result(*job) for job in jobs]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
@@ -100,7 +101,8 @@ def _is_int(value) -> bool:
 _JSON_FIELD_TYPES = {
     "int": (_is_int, "an integer"),
     "float": (
-        lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+        # abs() <= max is False for NaN, the infinities and integers too large for a double
+        lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
         "a finite number",
     ),
     "bool": (lambda v: isinstance(v, bool), "true or false"),

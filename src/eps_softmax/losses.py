@@ -4,18 +4,22 @@ Every kind is a function of the label's probability p_y = softmax(logits)_y
 and, for the eps kinds, of whether the argmax hit the label. So every logit
 gradient has the form c · (e_y − p): the chain rule through the softmax gives
 dp_y/dlogits = p_y (e_y − p), and the argmax index is treated as locally
-constant. The table below maps each kind to weighted terms:
+constant. Each term reads one view of the label's output component:
 
-    term(p_y, amp, spec) -> (value, coefficient)
+    term(v, spec) -> (value, coefficient)
 
-where amp carries the output component the term reads. For the eps kinds it
-is the amplified component f_y = (p_y + m [hit]) / (m + 1), whose log has
-slope p_y / (p_y + m) in log p_y on hit rows (the damping) and 1 elsewhere;
-for the other kinds f_y = p_y and the damping is 1. So ce_eps is the CE term
-read through the amplified output, and fl_eps the focal term. The shared
-pullback turns each coefficient into coefficient · (e_y − p).
+where v = (f, slope, damp) is the component f with the two chain factors of
+its gradient, df = slope · (e_y − p) and d log f = damp · (e_y − p). The plain
+view is (p_y, p_y, 1). The amplified view is the eps-softmax component
+f_y = (p_y + m [hit]) / (m + 1), with slope p_y / (m + 1), and damp
+p_y / (p_y + m) on argmax-hit rows and 1 elsewhere. A term g(f) writes its
+coefficient as g'(f) · slope or as f g'(f) · damp, so it is right on either
+view. Each table entry names the view its term reads: ce_eps is the log term
+on the amplified view, fl_eps the focal term, and an eps variant of any term
+is one row. The shared pullback turns each coefficient into
+coefficient · (e_y − p).
 
-The table's terms are elementwise in p_y, so batch_loss (one label per row),
+The terms are elementwise in the view, so batch_loss (one label per row),
 evaluate_loss (one validated sample) and symmetric_sums (every label of every
 row, for the symmetric-sum analysis) all evaluate the same rows. A new loss
 is one row; gradcheck then covers it through LOSS_KINDS.
@@ -43,14 +47,13 @@ from .errors import ConfigError, check_finite_fields
 from .transform import amplify, argmax_mask
 
 
-class _Amplified(NamedTuple):
-    """What a term reads besides p_y: the amplified label component f_y, its
-    damping p_y / (p_y + m) on argmax-hit rows (1 elsewhere), and m. The plain
-    kinds read f_y = p_y, damping 1 and m = 0."""
+class _View(NamedTuple):
+    """What a term reads: the component f, and slope and damp with
+    df = slope · (e_y - p) and d log f = damp · (e_y - p)."""
 
-    fy: np.ndarray
+    f: np.ndarray
+    slope: np.ndarray
     damp: np.ndarray | float
-    m: float
 
 
 def _log_floor(f):
@@ -58,58 +61,53 @@ def _log_floor(f):
     return np.log(np.maximum(f, LOG_FLOOR))
 
 
-def _log_term(py, amp, spec):
-    """-log f_y: CE, or eps CE on the amplified component."""
-    return -_log_floor(amp.fy), -amp.damp
+def _log_term(v, spec):
+    """-log f: CE, or eps CE on the amplified view."""
+    return -_log_floor(v.f), -v.damp
 
 
-def _focal_term(py, amp, spec):
-    """-(1 - f_y)^gamma log f_y; gamma = 0 gives the log term."""
-    logf = _log_floor(amp.fy)
-    one_minus = 1.0 - amp.fy
+def _focal_term(v, spec):
+    """-(1 - f)^gamma log f; gamma = 0 gives the log term."""
+    logf = _log_floor(v.f)
+    one_minus = 1.0 - v.f
     mod = one_minus**spec.gamma  # gamma == 0 gives exactly 1
-    coeff = np.zeros_like(py)
+    coeff = np.zeros_like(v.f)
     if spec.gamma > 0.0:
         pos = one_minus > 0.0
-        coeff[pos] = (
-            spec.gamma
-            * one_minus[pos] ** (spec.gamma - 1.0)
-            * logf[pos]
-            * (py[pos] / (amp.m + 1.0))
-        )
-    coeff -= mod * amp.damp
+        coeff[pos] = spec.gamma * one_minus[pos] ** (spec.gamma - 1.0) * logf[pos] * v.slope[pos]
+    coeff -= mod * v.damp
     return -mod * logf, coeff
 
 
-def _mae_term(py, amp, spec):
-    """2 (1 - p_y) on the plain softmax output, bounded and symmetric."""
-    return 2.0 * (1.0 - py), -2.0 * py
+def _mae_term(v, spec):
+    """2 (1 - f), bounded and symmetric on the plain view."""
+    return 2.0 * (1.0 - v.f), -2.0 * v.slope
 
 
-def _gce_term(py, amp, spec):
-    """(1 - p_y^q) / q."""
-    pq = py**spec.q
-    return (1.0 - pq) / spec.q, -pq
+def _gce_term(v, spec):
+    """(1 - f^q) / q."""
+    fq = v.f**spec.q
+    return (1.0 - fq) / spec.q, -fq * v.damp
 
 
-def _rce_term(py, amp, spec):
-    """sce's reverse term -A (1 - p_y)."""
-    return -spec.A * (1.0 - py), spec.A * py
+def _rce_term(v, spec):
+    """sce's reverse term -A (1 - f)."""
+    return -spec.A * (1.0 - v.f), spec.A * v.slope
 
 
-# kind -> (reads the amplified output, ((weight field or None, term), ...));
-# sce lists its reverse term first so that with beta = 0 the CE value is
-# added to the 0.0 start, as the two-term sum always gave (+0.0 at p_y = 1)
+# kind -> ((weight field or None, reads the amplified view, term), ...); sce
+# lists its reverse term first so that with beta = 0 the CE value is added to
+# the 0.0 start, as the two-term sum always gave (+0.0 at p_y = 1)
 _TABLE = {
-    "ce": (False, ((None, _log_term),)),
-    "fl": (False, ((None, _focal_term),)),
-    "mae": (False, ((None, _mae_term),)),
-    "ce_eps": (True, ((None, _log_term),)),
-    "fl_eps": (True, ((None, _focal_term),)),
-    "ce_eps_mae": (True, (("alpha", _log_term), ("beta", _mae_term))),
-    "fl_eps_mae": (True, (("alpha", _focal_term), ("beta", _mae_term))),
-    "gce": (False, ((None, _gce_term),)),
-    "sce": (False, (("beta", _rce_term), ("alpha", _log_term))),
+    "ce": ((None, False, _log_term),),
+    "fl": ((None, False, _focal_term),),
+    "mae": ((None, False, _mae_term),),
+    "ce_eps": ((None, True, _log_term),),
+    "fl_eps": ((None, True, _focal_term),),
+    "ce_eps_mae": (("alpha", True, _log_term), ("beta", False, _mae_term)),
+    "fl_eps_mae": (("alpha", True, _focal_term), ("beta", False, _mae_term)),
+    "gce": ((None, False, _gce_term),),
+    "sce": (("beta", False, _rce_term), ("alpha", False, _log_term)),
 }
 LOSS_KINDS = tuple(_TABLE)
 
@@ -138,9 +136,9 @@ class LossSpec:
         check_finite_fields(self)
         if self.kind not in _TABLE:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        amplified, terms = _TABLE[self.kind]
-        reads = {term for _, term in terms}
-        if amplified and self.m < 0:
+        terms = _TABLE[self.kind]
+        reads = {term for _, _, term in terms}
+        if any(amplified for _, amplified, _ in terms) and self.m < 0:
             raise ConfigError("m must be nonnegative")
         if _focal_term in reads and self.gamma < 0:
             raise ConfigError("gamma must be nonnegative")
@@ -161,15 +159,9 @@ class LossOutput:
     grad_logits: np.ndarray
 
 
-def _amplified(py, hit_mask, spec: LossSpec) -> _Amplified:
-    """The kind's view of p_y. hit_mask() gives the argmax-hit mask; it is
-    called, and f_y and the damping computed, only for the kinds that read them."""
-    if not _TABLE[spec.kind][0]:
-        return _Amplified(py, 1.0, 0.0)
-    m = spec.m
-    hit = hit_mask()
+def _amplified_view(py, hit, m: float) -> _View:
     damp = np.divide(py, py + m, out=np.ones_like(py), where=hit)
-    return _Amplified(amplify(py, hit, m), damp, m)
+    return _View(amplify(py, hit, m), py / (m + 1.0), damp)
 
 
 def _accumulate(total, part, weight: float, first: bool):
@@ -181,16 +173,21 @@ def _accumulate(total, part, weight: float, first: bool):
     return total
 
 
-def _weighted_sum(py, amp, spec: LossSpec, direction=None):
+def _weighted_sum(py, hit_mask, spec: LossSpec, direction=None):
     """Values and, given direction = e_y - p as a class-major (K, n) array,
     the class-major logit gradients: each term's coefficient is pulled back as
-    coefficient · (e_y - p) before weighting."""
+    coefficient · (e_y - p) before weighting. hit_mask() gives the argmax-hit
+    mask; it is called, and the amplified view built, only when a term with a
+    nonzero weight reads that view."""
+    plain, amp = _View(py, py, 1.0), None
     values = grads = 0.0
-    for i, (field, term) in enumerate(_TABLE[spec.kind][1]):
+    for i, (field, amplified, term) in enumerate(_TABLE[spec.kind]):
         weight = 1.0 if field is None else getattr(spec, field)
         if weight == 0.0:
             continue
-        value, coeff = term(py, amp, spec)
+        if amplified and amp is None:
+            amp = _amplified_view(py, hit_mask(), spec.m)
+        value, coeff = term(amp if amplified else plain, spec)
         values = _accumulate(values, value, weight, i == 0)
         if direction is not None:
             grad = coeff * direction
@@ -211,10 +208,9 @@ def batch_loss(logits, labels, spec: LossSpec):
     at_label = np.multiply(labels, n, dtype=np.intp)
     at_label += np.arange(n)
     py = p.take(at_label)
-    amp = _amplified(py, lambda: np.argmax(p, axis=0) == labels, spec)
     direction = -p
     direction.ravel()[at_label] += 1.0
-    values, grads = _weighted_sum(py, amp, spec, direction)
+    values, grads = _weighted_sum(py, lambda: np.argmax(p, axis=0) == labels, spec, direction)
     return values, np.ascontiguousarray(grads.T)
 
 
@@ -236,5 +232,4 @@ def symmetric_sums(p_rows, spec: LossSpec) -> np.ndarray:
     them noise-tolerant.
     """
     p = np.asarray(p_rows, dtype=np.float64)
-    amp = _amplified(p, lambda: argmax_mask(p), spec)
-    return _weighted_sum(p, amp, spec)[0].sum(axis=1)
+    return _weighted_sum(p, lambda: argmax_mask(p), spec)[0].sum(axis=1)

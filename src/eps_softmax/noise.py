@@ -65,14 +65,11 @@ def transition_matrix(spec: NoiseSpec) -> np.ndarray:
         mat = np.full((k, k), spec.eta / (k - 1))
         np.fill_diagonal(mat, 1.0 - spec.eta)
         return mat
-    # asymmetric_shift: nudge the diagonal by at most one ulp so each row sums
-    # to exactly 1.0 in floating point
-    diag = 1.0 - spec.eta
-    while diag + spec.eta != 1.0:
-        diag = np.nextafter(diag, np.inf if diag + spec.eta < 1.0 else -np.inf)
+    # asymmetric_shift; for eta < 1/2, fl(1 - eta) is within 2^-54 of 1 - eta,
+    # so each row's two entries sum to exactly 1.0
     mat = np.zeros((k, k))
     for i in range(k):
-        mat[i, i] = diag
+        mat[i, i] = 1.0 - spec.eta
         mat[i, (i + 1) % k] = spec.eta
     return mat
 

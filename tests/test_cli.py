@@ -15,7 +15,7 @@ import eps_softmax
 import eps_softmax.cli as cli_mod
 from eps_softmax.cli import build_config, default_config, main
 from eps_softmax.errors import ConfigError
-from eps_softmax.experiment import config_to_dict, read_results
+from eps_softmax.experiment import config_to_dict, load_config_file, read_results
 from eps_softmax.losses import LossSpec
 from eps_softmax.mlp import MlpSpec, OptimSpec
 from eps_softmax.noise import NoiseSpec
@@ -335,6 +335,7 @@ def test_config_file_values_of_the_wrong_type_are_config_errors(tmp_path, capsys
         ("loss.m", "NaN"),
         ("optim.lr0", "Infinity"),
         ("dataset.separation", "-Infinity"),
+        pytest.param("optim.lr0", 10**400, id="optim.lr0-10**400"),
         ("--clip-norm", "nan"),
         ("--m", "nan"),
         ("--lr0", "inf"),
@@ -351,15 +352,17 @@ def test_non_finite_numbers_in_config_files_and_flags_are_config_errors(
     else:
         raw = config_to_dict(default_config())
         section, field = name.split(".")
-        raw[section][field] = float(value)
+        # json writes NaN and Infinity, and an integer too large for a double in full
+        raw[section][field] = value if isinstance(value, int) else float(value)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw), encoding="utf-8")  # json writes NaN and Infinity
-        assert value in path.read_text(encoding="utf-8")
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert str(value) in path.read_text(encoding="utf-8")
         argv += ["--config", str(path)]
         name = repr(name)
     assert run_main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err and "finite" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err and "finite" in err
     assert not out.exists()
 
 
@@ -417,6 +420,23 @@ def test_faulty_data_files_are_data_errors_before_training(tmp_path, capsys, fau
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "diverged" not in lines[0]  # bad input, not a training failure
+    assert not out.exists()
+
+
+def test_mlp_input_size_that_does_not_match_the_loaded_features_is_a_config_error(
+    tmp_path, capsys
+):
+    raw = config_to_dict(default_config())
+    paths = _csv_splits(tmp_path, b"0.5,0.5,0.5,0.5,1\n")  # 4 features per row
+    raw["dataset"] = {"source": "csv", "n_classes": 4, "n_train": 8, "n_test": 8, **paths}
+    raw["mlp"]["layer_sizes"] = [5, 8, 4]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", "--config", str(config), "--out", str(out), "--epochs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mlp input size 5 does not match loaded feature dim 4\n"
     assert not out.exists()
 
 
@@ -508,8 +528,74 @@ def test_sweep_rejects_the_flags_its_grid_sets(tmp_path, capsys, monkeypatch, fl
     assert run_main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"sweep takes {flag}s, not {flag}" in captured.err
+    grid = {"--loss": "--losses", "--eta": "--etas", "--seed": "--seeds"}[flag]
+    assert f"sweep takes {grid}, not {flag}:" in captured.err
     assert not out_dir.exists()
+
+
+def _config_file(tmp_path, **noise):
+    raw = config_to_dict(default_config())
+    raw["noise"].update(noise)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
+
+
+def _record_cells(monkeypatch):
+    """Replace the sweep's runs with a stub; returns the list of configs it is given."""
+    cells = []
+
+    def record(job):
+        cells.append(job[0])
+        return cli_mod._result_line(*job, {"last_test_top1": 0.5})
+
+    monkeypatch.setattr(cli_mod, "_run_one", record)
+    return cells
+
+
+def test_sweep_cells_keep_the_noise_kind_of_a_config_file(tmp_path, capsys):
+    config = _config_file(tmp_path, kind="asymmetric_shift", eta=0.2)
+    out_dir = tmp_path / "g"
+    argv = ["sweep", "--config", config, "--losses", "ce", "--etas", "0,0.2,0.3", "--seeds",
+            "0,1", "--epochs", "1", "--n-train", "100", "--n-test", "50", "--jobs", "1"]
+    assert run_main(argv + ["--out-dir", str(out_dir)]) == 0
+    kinds = {}
+    for path in sorted(out_dir.iterdir()):
+        noise = read_results(str(path))[1]["config"]["noise"]
+        kinds[path.name] = (noise["kind"], noise["eta"])
+    assert kinds == {
+        f"ce_eta{eta:g}_seed{seed}.jsonl": ("none" if eta == 0 else "asymmetric_shift", eta)
+        for eta in (0.0, 0.2, 0.3)
+        for seed in (0, 1)
+    }
+
+
+def test_sweep_loads_its_config_file_once(tmp_path, capsys, monkeypatch):
+    config = _config_file(tmp_path, kind="asymmetric_shift", eta=0.2)
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_config_file(path)
+
+    monkeypatch.setattr(cli_mod, "load_config_file", counted)
+    cells = _record_cells(monkeypatch)
+    argv = ["sweep", "--config", config, "--losses", "ce,mae", "--etas", "0.2,0.3", "--seeds",
+            "0,1", "--jobs", "1", "--out-dir", str(tmp_path / "g")]
+    assert run_main(argv) == 0
+    assert loads == [config]
+    assert len(cells) == 8
+
+
+def test_sweep_noise_kind_flag_wins_over_the_config_files_noise(tmp_path, capsys, monkeypatch):
+    # the file's eta 0.6 is not a valid shift rate, but every cell sets its own eta
+    config = _config_file(tmp_path, kind="symmetric", eta=0.6)
+    cells = _record_cells(monkeypatch)
+    argv = ["sweep", "--config", config, "--noise-kind", "asymmetric_shift", "--losses", "ce",
+            "--etas", "0,0.4", "--seeds", "3", "--jobs", "1", "--out-dir", str(tmp_path / "g")]
+    assert run_main(argv) == 0
+    got = [(c.noise.kind, c.noise.eta, c.seed, c.noise.seed, c.mlp.init_seed) for c in cells]
+    assert got == [("none", 0.0, 3, 3, 3), ("asymmetric_shift", 0.4, 3, 3, 3)]
 
 
 @pytest.mark.parametrize(

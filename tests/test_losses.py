@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eps_softmax import losses
 from eps_softmax.core import softmax_rows
 from eps_softmax.errors import ConfigError
 from eps_softmax.losses import LOSS_KINDS, LossSpec, batch_loss, evaluate_loss, symmetric_sums
+from eps_softmax.theory import gradcheck_losses
 from eps_softmax.transform import amplify, argmax_mask
 
 from conftest import labeled_logits, prob_vectors
@@ -315,3 +317,52 @@ def test_symmetric_sums_add_up_the_per_label_values(case):
         spec = LossSpec(kind, m=3.0, alpha=0.4, beta=1.5)
         per_label = [evaluate_loss(x, k, spec).value for k in range(x.size)]
         assert symmetric_sums(p, spec)[0] == pytest.approx(math.fsum(per_label), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# An eps variant of any term is one table row
+# ---------------------------------------------------------------------------
+
+EPS_ROWS = {
+    "gce_eps": ((None, True, losses._gce_term),),
+    "mae_eps": ((None, True, losses._mae_term),),
+    "rce_eps": ((None, True, losses._rce_term),),
+    "sce_eps": (("beta", True, losses._rce_term), ("alpha", True, losses._log_term)),
+    "gce_eps_mae": (("alpha", True, losses._gce_term), ("beta", False, losses._mae_term)),
+}
+
+
+@pytest.fixture
+def eps_rows(monkeypatch):
+    for kind, row in EPS_ROWS.items():
+        monkeypatch.setitem(losses._TABLE, kind, row)
+    return tuple(EPS_ROWS)
+
+
+def test_eps_rows_of_existing_terms_pass_gradcheck(eps_rows):
+    reports = gradcheck_losses(kinds=eps_rows, cases=300, seed=0)
+    assert [r.name for r in reports] == [f"gradcheck_loss_{kind}" for kind in eps_rows]
+    for report in reports:
+        assert report.passed, (report.name, report.stats)
+
+
+def test_eps_rows_read_the_amplified_component(eps_rows):
+    p = np.array([0.6, 0.3, 0.1])
+    m, q, A = 4.0, 0.7, -4.0
+    for y in range(p.size):
+        f = float(amplify(p, argmax_mask(p), m)[y])
+        values = {
+            kind: evaluate_loss(np.log(p), y, LossSpec(kind, m=m, q=q, A=A)).value
+            for kind in eps_rows
+        }
+        assert values["gce_eps"] == pytest.approx((1.0 - f**q) / q, abs=1e-14)
+        assert values["mae_eps"] == pytest.approx(2.0 * (1.0 - f), abs=1e-14)
+        assert values["rce_eps"] == pytest.approx(-A * (1.0 - f), abs=1e-14)
+
+
+def test_an_eps_row_refuses_a_negative_m(eps_rows):
+    # the m check keys on a term reading the amplified view, not on the kind
+    for kind in eps_rows:
+        with pytest.raises(ConfigError, match="m must be nonnegative"):
+            LossSpec(kind, m=-1.0)
+    LossSpec("gce", m=-1.0)  # gce reads the plain view and ignores m

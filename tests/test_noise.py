@@ -58,9 +58,18 @@ def test_transition_matrix_shift_structure():
 
 @pytest.mark.parametrize("eta", [0.0, 0.1, 0.3, 0.45])
 def test_shift_rows_sum_to_exactly_one(eta):
-    # the shift diagonal is nudged by ulps so that diagonal + eta == 1.0 exactly
+    # fl(1 - eta) + eta rounds to 1.0 for every eta in [0, 1/2)
     mat = transition_matrix(NoiseSpec("asymmetric_shift", eta=eta, n_classes=7))
     assert (mat.sum(axis=1) == 1.0).all()
+
+
+def test_shift_rows_sum_to_exactly_one_over_a_dense_grid_of_etas():
+    rng = np.random.default_rng(0)
+    edges = [5e-324, 2.0**-54, 2.0**-53, 1e-17, np.nextafter(0.5, 0.0)]
+    etas = np.concatenate([np.linspace(0.0, 0.5, 4001)[:-1], rng.uniform(0.0, 0.5, 4000), edges])
+    for eta in etas:
+        mat = transition_matrix(NoiseSpec("asymmetric_shift", eta=float(eta), n_classes=3))
+        assert (mat.sum(axis=1) == 1.0).all(), eta
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.1, 0.3, 0.45])

@@ -124,14 +124,14 @@ def test_symmetric_term_cancellation():
     assert report.stats["max_abs_discrepancy"] <= 1e-9
 
 
-def _undamped_log_term(py, amp, spec):
-    return -log_clamped(amp.fy), -1.0
+def _undamped_log_term(v, spec):
+    return -log_clamped(v.f), -1.0
 
 
 def test_calibration_reads_the_loss_table(monkeypatch):
     # without the damping p_y / (p_y + m) the ce_eps gradient is CE's, whose
     # minimizer is q itself rather than the closed form
-    monkeypatch.setitem(losses._TABLE, "ce_eps", (True, ((None, _undamped_log_term),)))
+    monkeypatch.setitem(losses._TABLE, "ce_eps", ((None, True, _undamped_log_term),))
     (report,) = verify_calibration(n_classes=3, ms=(1.0,), n_distributions=5, seed=0)
     assert report.stats["max_abs_err"] > report.stats["tolerance"]
     assert not report.passed
@@ -139,8 +139,8 @@ def test_calibration_reads_the_loss_table(monkeypatch):
 
 def test_symmetric_term_cancellation_reads_the_loss_table(monkeypatch):
     # gce's symmetric sum varies with p, so a beta term built from it does not cancel
-    rows = (("alpha", losses._log_term), ("beta", losses._gce_term))
-    monkeypatch.setitem(losses._TABLE, "ce_eps_mae", (True, rows))
+    rows = (("alpha", True, losses._log_term), ("beta", False, losses._gce_term))
+    monkeypatch.setitem(losses._TABLE, "ce_eps_mae", rows)
     report = verify_symmetric_term_cancellation(trials=500, n_classes=6, seed=0)
     assert report.stats["max_abs_discrepancy"] > 1e-3
     assert not report.passed
