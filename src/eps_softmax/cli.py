@@ -24,6 +24,7 @@ from .experiment import (
     ExperimentConfig,
     config_to_dict,
     emit_results,
+    is_int64,
     load_config_file,
     read_results,
     run_experiment,
@@ -32,6 +33,13 @@ from .losses import LOSS_KINDS, LossSpec
 from .mlp import MlpSpec, OptimSpec
 from .noise import NOISE_KINDS, NoiseSpec
 from .theory import gradcheck_losses, gradcheck_mlp, run_verification_suite
+
+
+def int64(text: str) -> int:
+    """Type of every integer flag: an integer that int64 holds."""
+    if not is_int64(value := int(text)):
+        raise ValueError(f"{text} is outside [-2**63, 2**63)")
+    return value
 
 
 def default_config(seed: int = 0) -> ExperimentConfig:
@@ -61,23 +69,23 @@ _OVERRIDES = {
     "--A": (("loss",), "A", float, "sce log-zero stand-in (negative)"),
     "--noise-kind": (("noise",), "kind", NOISE_KINDS, "label corruption kind"),
     "--eta": (("noise",), "eta", float, "label corruption rate"),
-    "--epochs": (("optim",), "epochs", int, None),
-    "--batch-size": (("optim",), "batch_size", int, None),
+    "--epochs": (("optim",), "epochs", int64, None),
+    "--batch-size": (("optim",), "batch_size", int64, None),
     "--lr0": (("optim",), "lr0", float, None),
     "--momentum": (("optim",), "momentum", float, None),
     "--weight-decay": (("optim",), "weight_decay", float, None),
     "--clip-norm": (("optim",), "clip_norm", float, None),
-    "--n-train": (("dataset",), "n_train", int, None),
-    "--n-test": (("dataset",), "n_test", int, None),
-    "--n-classes": (("dataset", "noise"), "n_classes", int, None),
-    "--dim": (("dataset",), "dim", int, None),
+    "--n-train": (("dataset",), "n_train", int64, None),
+    "--n-test": (("dataset",), "n_test", int64, None),
+    "--n-classes": (("dataset", "noise"), "n_classes", int64, None),
+    "--dim": (("dataset",), "dim", int64, None),
     "--separation": (("dataset",), "separation", float, None),
 }
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--seed", type=int, help="run, init, and noise seed")
+    parser.add_argument("--seed", type=int64, help="run, init, and noise seed")
     for flag, (_, _, kind, text) in _OVERRIDES.items():
         typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
         parser.add_argument(flag, help=text, **typed)
@@ -103,7 +111,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
                 changes[name][field] = value
     if args.layer_sizes is not None:
         try:
-            sizes = tuple(int(s) for s in args.layer_sizes.split(","))
+            sizes = tuple(int64(s) for s in args.layer_sizes.split(","))
         except ValueError:
             raise ConfigError(f"bad --layer-sizes: {args.layer_sizes!r}") from None
         changes["mlp"]["layer_sizes"] = sizes
@@ -253,7 +261,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     losses = args.losses.split(",")
     etas = _parse_list("--etas", args.etas, float)
-    seeds = _parse_list("--seeds", args.seeds, int)
+    seeds = _parse_list("--seeds", args.seeds, int64)
     # one base for every cell; eta 0 suits every noise kind, and each cell sets its own eta
     base = build_config(argparse.Namespace(**{**vars(args), "loss": losses[0], "eta": 0.0}))
     noisy_kind = "symmetric" if base.noise.kind == "none" else base.noise.kind
@@ -329,7 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     p_train = sub.add_parser("train", help="run one training experiment")
     _add_override_flags(p_train)
     p_train.add_argument("--out", required=True, help="results file (line-delimited JSON)")
-    p_train.add_argument("--log-every", type=int, default=10, help="progress cadence; 0 silences")
+    p_train.add_argument(
+        "--log-every", type=int64, default=10, help="progress cadence; 0 silences"
+    )
     p_train.set_defaults(func=_cmd_train)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over losses, noise rates, seeds")
@@ -338,17 +348,17 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--etas", default="0,0.2,0.4,0.6", help="comma-separated noise rates")
     p_sweep.add_argument("--seeds", default="0", help="comma-separated seeds")
     p_sweep.add_argument("--out-dir", required=True)
-    p_sweep.add_argument("--jobs", type=int, help="parallel workers (default: up to 4)")
+    p_sweep.add_argument("--jobs", type=int64, help="parallel workers (default: up to 4)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the numeric verification suite")
-    p_verify.add_argument("--trials", type=int, default=100_000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", type=int64, default=100_000)
+    p_verify.add_argument("--seed", type=int64, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    p_grad.add_argument("--cases", type=int, default=200)
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--cases", type=int64, default=200)
+    p_grad.add_argument("--seed", type=int64, default=0)
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     try:

@@ -31,8 +31,12 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def check_prob_vector(p, tol: float = 1e-9) -> np.ndarray:
-    """Validate a probability vector: entries in [0, 1] summing to 1 within tol."""
+#: How far from 1 the entries of a valid probability vector may sum.
+PROB_SUM_TOL = 1e-9
+
+
+def check_prob_vector(p) -> np.ndarray:
+    """Validate a probability vector: entries in [0, 1] summing to 1 within PROB_SUM_TOL."""
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D array, got shape {arr.shape}")
@@ -43,7 +47,7 @@ def check_prob_vector(p, tol: float = 1e-9) -> np.ndarray:
     if (arr < 0.0).any() or (arr > 1.0).any():
         raise ValueError("probabilities must lie in [0, 1]")
     total = float(arr.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return arr
 

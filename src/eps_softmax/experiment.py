@@ -91,26 +91,27 @@ _SECTIONS = (
 )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def is_int64(value) -> bool:
+    """The rule for every integer field and flag: an int, not a bool, in int64's range."""
+    return type(value) is int and -(2**63) <= value < 2**63
 
 
 #: field annotation -> (test of a JSON value, what the test accepts). An integer
 #: is a valid float, but NaN and the infinities that Python's json reads are
 #: not; true and false are valid only as booleans.
 _JSON_FIELD_TYPES = {
-    "int": (_is_int, "an integer"),
+    "int": (is_int64, "an integer in [-2**63, 2**63)"),
     "float": (
         # abs() <= max is False for NaN, the infinities and integers too large for a double
-        lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
+        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
         "a finite number",
     ),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "tuple[int, ...]": (
-        lambda v: isinstance(v, list) and all(map(_is_int, v)),
-        "a list of integers",
+        lambda v: isinstance(v, list) and all(map(is_int64, v)),
+        "a list of integers in [-2**63, 2**63)",
     ),
 }
 

@@ -54,10 +54,12 @@ def report(capsys):
 def test_01_one_hot_distance_bound_fuzz(report):
     """10^5 random logit draws per (K, m) never exceed the closed-form bound."""
     started = time.perf_counter()
-    reports = one_hot_bound_grid(ks=(2, 10, 100), ms=(0.0, 1.0, 10.0, 100.0), trials=100_000)
+    reports = one_hot_bound_grid(trials=100_000)
     elapsed = time.perf_counter() - started
     violations = sum(r.stats["violations"] for r in reports)
+    cells = [f"one_hot_bound_K{k}_m{m:g}" for k in (2, 10, 100) for m in (0.0, 1.0, 10.0, 100.0)]
     ok = all(r.passed for r in reports) and violations == 0 and elapsed < 30.0
+    ok = ok and [r.name for r in reports] == cells
     report(
         "one-hot distance bound fuzz",
         ok,
@@ -69,8 +71,8 @@ def test_01_one_hot_distance_bound_fuzz(report):
 def test_02_gradients_match_finite_differences(report):
     """Analytic loss and end-to-end network gradients agree with central FD."""
     started = time.perf_counter()
-    loss_reports = gradcheck_losses(kinds=GRADED_KINDS, cases=1000, tol=1e-5)
-    mlp_reports = gradcheck_mlp(kinds=GRADED_KINDS, tol=1e-4)
+    loss_reports = gradcheck_losses(kinds=GRADED_KINDS, cases=1000)
+    mlp_reports = gradcheck_mlp(kinds=GRADED_KINDS)
     elapsed = time.perf_counter() - started
     worst_loss = max(r.stats["max_rel_err"] for r in loss_reports)
     worst_mlp = max(r.stats["max_rel_err"] for r in mlp_reports)
@@ -92,7 +94,7 @@ def test_02_gradients_match_finite_differences(report):
 def test_03_calibrated_optimum_matches_closed_form(report):
     """Numeric risk minimizers hit the closed form and preserve label ranks."""
     started = time.perf_counter()
-    reports = verify_calibration(n_classes=4, ms=(1.0, 10.0), n_distributions=100, tol=1e-3)
+    reports = verify_calibration(n_classes=4, ms=(1.0, 10.0), n_distributions=100)
     elapsed = time.perf_counter() - started
     worst = max(r.stats["max_abs_err"] for r in reports)
     ranks = all(r.stats["rank_preserving"] for r in reports)
@@ -110,9 +112,9 @@ def test_04_bounded_term_cancels_in_symmetric_sums(report):
     worsts = []
     ok = True
     for k in (2, 10):
-        rep = verify_symmetric_term_cancellation(n_classes=k, trials=10_000, tol=1e-9)
+        rep = verify_symmetric_term_cancellation(n_classes=k, trials=10_000)
         worsts.append(rep.stats["max_abs_discrepancy"])
-        ok = ok and rep.passed
+        ok = ok and rep.passed and rep.stats["max_abs_discrepancy"] <= 1e-9
     report(
         "bounded-term cancellation (10^4 pairs, K in {2, 10})",
         ok,

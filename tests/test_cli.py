@@ -253,7 +253,13 @@ def test_bad_flag_value_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["train", "--loss", "bogus"], ["train", "--epochs", "x"], ["verify", "--trials", "x"], []],
+    [
+        ["train", "--loss", "bogus"],
+        ["train", "--epochs", "x"],
+        ["verify", "--trials", "x"],
+        [],
+        ["train", "--epochs", str(10**400)],  # too large for int64
+    ],
 )
 def test_usage_errors_exit_1_with_one_error_line(capsys, monkeypatch, argv):
     # exit 2 is what a failed verify or gradcheck returns; a bad flag is not one
@@ -263,6 +269,7 @@ def test_usage_errors_exit_1_with_one_error_line(capsys, monkeypatch, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert all(flag in lines[0] for flag in argv if flag.startswith("--"))
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["train", "-h"], ["sweep", "--help"]])
@@ -314,6 +321,11 @@ def _set(section, field, value):
         ("mlp.layer_sizes", _set("mlp", "layer_sizes", [8, "64", 64, 4])),
         ("noise.n_classes", _set("noise", "n_classes", 4.0)),
         ("loss.kind", _set("loss", "kind", 3)),
+        # integers that int64 cannot hold
+        pytest.param("optim.epochs", _set("optim", "epochs", 10**400), id="optim.epochs-10**400"),
+        pytest.param(
+            "dataset.n_train", _set("dataset", "n_train", 10**400), id="dataset.n_train-10**400"
+        ),
     ],
 )
 def test_config_file_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, field, edit):
@@ -324,7 +336,7 @@ def test_config_file_values_of_the_wrong_type_are_config_errors(tmp_path, capsys
     out = tmp_path / "run.jsonl"
     assert run_main(["train", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(field) in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(field) in err
     assert not out.exists()
 
 

@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eps_softmax import losses, theory
-from eps_softmax.core import log_clamped, make_rng
+from eps_softmax import losses, theory, transform
+from eps_softmax.core import log_clamped, make_rng, softmax_rows
 from eps_softmax.errors import ConfigError
 from eps_softmax.noise import NoiseSpec
 from eps_softmax.theory import (
+    BOUND_GRID_KS,
+    BOUND_GRID_MS,
     CALIBRATION_MAX_STEPS,
     CALIBRATION_TOL,
     _calibration_optima,
@@ -22,20 +24,57 @@ from eps_softmax.theory import (
     fd_gradient,
     gradcheck_losses,
     gradcheck_mlp,
-    measure_delta,
+    one_hot_bound_grid,
     sample_gapped_distribution,
     verify_calibration,
     verify_excess_risk,
-    verify_one_hot_bound,
     verify_symmetric_term_cancellation,
 )
+from eps_softmax.transform import distances_to_one_hot_rows, eps_bound, eps_softmax_rows
 
 
 def test_one_hot_bound_fuzz_smoke():
-    report = verify_one_hot_bound(n_classes=5, m=1.0, trials=2000, seed=0)
-    assert report.passed
-    assert report.stats["violations"] == 0
-    assert report.stats["max_observed"] <= report.stats["bound"]
+    reports = one_hot_bound_grid(trials=2000, seed=0)
+    assert len(reports) == len(BOUND_GRID_KS) * len(BOUND_GRID_MS)
+    for report in reports:
+        assert report.passed
+        assert report.stats["violations"] == 0
+        assert report.stats["max_observed"] <= report.stats["bound"]
+
+
+def ref_one_hot_bound(n_classes, m, trials, seed):
+    """The per-(K, m) check the grid replaced: it draws and softmaxes the
+    logits anew for every m. Returns (max_observed, violations)."""
+    rng = make_rng(seed)
+    worst, violations, remaining = 0.0, 0, trials
+    while remaining > 0:
+        logits = rng.uniform(-10.0, 10.0, size=(min(20_000, remaining), n_classes))
+        dist = distances_to_one_hot_rows(eps_softmax_rows(logits, m))
+        worst = max(worst, float(dist.max()))
+        violations += int((dist > eps_bound(n_classes, m)).sum())
+        remaining -= len(logits)
+    return worst, violations
+
+
+def test_one_hot_bound_grid_takes_one_softmax_per_k_and_chunk(monkeypatch):
+    # 45,000 trials are 3 chunks of at most 20,000 rows; every softmax the grid
+    # takes, through theory or through the transform, is counted, and every
+    # cell still reports what the per-cell check reports
+    calls = []
+    for module in (theory, transform):
+        original = module.softmax_rows
+        monkeypatch.setattr(
+            module, "softmax_rows", lambda z, _f=original: calls.append(z.shape) or _f(z)
+        )
+    reports = one_hot_bound_grid(trials=45_000, seed=3)
+    assert calls == [(n, k) for k in BOUND_GRID_KS for n in (20_000, 20_000, 5_000)]
+    monkeypatch.undo()
+    cells = [(k, m) for k in BOUND_GRID_KS for m in BOUND_GRID_MS]
+    assert [r.name for r in reports] == [f"one_hot_bound_K{k}_m{m:g}" for k, m in cells]
+    for report, (k, m) in zip(reports, cells):
+        stats = report.stats
+        assert (stats["max_observed"], stats["violations"]) == ref_one_hot_bound(k, m, 45_000, 3)
+        assert stats["bound"] == eps_bound(k, m) and stats["trials"] == 45_000
 
 
 def test_closed_form_optimum_known_value():
@@ -147,9 +186,24 @@ def test_symmetric_term_cancellation_reads_the_loss_table(monkeypatch):
 
 
 def test_measured_delta_shrinks_with_amplification():
-    small = measure_delta(5, m=1000.0, trials=300, seed=0)
-    large = measure_delta(5, m=1.0, trials=300, seed=0)
+    large, small = delta_sweep(5, ms=(1.0, 1000.0), trials=300, seed=0).stats["deltas"]
     assert small < large
+
+
+def test_delta_sweep_draws_once_for_every_m(monkeypatch):
+    # the reference is the per-m measurement the sweep replaced, which drew
+    # and softmaxed both prediction sets anew for each m
+    ms = (1.0, 10.0, 100.0)
+    calls = []
+    monkeypatch.setattr(theory, "softmax_rows", lambda z: calls.append(z.shape) or softmax_rows(z))
+    deltas = delta_sweep(6, ms=ms, trials=200, seed=4).stats["deltas"]
+    assert calls == [(200, 6), (200, 6)]
+    for m, delta in zip(ms, deltas):
+        rng = make_rng(4)
+        p1, p2 = (softmax_rows(rng.uniform(-10.0, 10.0, size=(200, 6))) for _ in range(2))
+        spec = losses.LossSpec("ce_eps", m=m)
+        sums1, sums2 = losses.symmetric_sums(p1, spec), losses.symmetric_sums(p2, spec)
+        assert delta == float(np.abs(sums1 - sums2).max())
 
 
 def test_delta_sweep_smoke():
@@ -184,10 +238,10 @@ def test_delta_shrinkage_script_exit_codes(monkeypatch, capsys, ms, code, rows):
 @pytest.mark.parametrize(
     "check, kwargs",
     [
-        (verify_one_hot_bound, {"n_classes": 3, "m": 1.0, "trials": 0}),
+        (one_hot_bound_grid, {"trials": 0}),
         (verify_calibration, {"n_distributions": 0}),
         (verify_symmetric_term_cancellation, {"trials": 0}),
-        (measure_delta, {"n_classes": 3, "m": 1.0, "trials": 0}),
+        (verify_excess_risk, {"noise_specs": []}),
         (delta_sweep, {"trials": 0}),
         (delta_sweep, {"ms": ()}),
         (delta_sweep, {"ms": (1.0,)}),
@@ -202,7 +256,8 @@ def test_checks_below_their_minimum_count_are_config_errors(check, kwargs):
 
 def test_excess_risk_demo_clean_labels_have_zero_gap():
     # same labels, same init: both models coincide, so the gap is exactly zero
-    report = verify_excess_risk(NoiseSpec("none", n_classes=4), m=100.0, n_points=80, steps=600)
+    spec = NoiseSpec("none", n_classes=4)
+    (report,) = verify_excess_risk([spec], m=100.0, n_points=80, steps=600)
     assert report.stats["risk_gap"] == 0.0
     assert report.stats["risk_gap"] <= report.stats["bound"]
     assert report.passed
@@ -210,7 +265,7 @@ def test_excess_risk_demo_clean_labels_have_zero_gap():
 
 def test_excess_risk_demo_noisy_gap_within_bound():
     spec = NoiseSpec("symmetric", eta=0.3, n_classes=4, seed=0)
-    report = verify_excess_risk(spec, m=1e4, n_points=120, steps=1500)
+    (report,) = verify_excess_risk([spec], m=1e4, n_points=120, steps=1500)
     assert report.passed
     assert report.stats["risk_gap"] <= report.stats["bound"]
     assert report.stats["max_output_distance"] <= report.stats["eps"] + 1e-12
@@ -222,12 +277,54 @@ def test_excess_risk_demo_rejects_degenerate_margins():
     with pytest.warns(UserWarning):
         spec = NoiseSpec("symmetric", eta=0.5, n_classes=2)
     with pytest.raises(ConfigError):
-        verify_excess_risk(spec, m=10.0)
+        verify_excess_risk([spec], m=10.0)
 
 
 def test_excess_risk_demo_rejects_large_tasks():
     with pytest.raises(ConfigError):
-        verify_excess_risk(NoiseSpec("none", n_classes=4), m=10.0, n_points=500)
+        verify_excess_risk([NoiseSpec("none", n_classes=4)], m=10.0, n_points=500)
+
+
+def _count_train_steps(monkeypatch):
+    calls = []
+
+    def counted(*args, _original=theory.train_step):
+        calls.append(None)
+        return _original(*args)
+
+    monkeypatch.setattr(theory, "train_step", counted)
+    return calls
+
+
+def test_excess_risk_trains_the_clean_model_once_for_every_spec(monkeypatch):
+    specs = [
+        NoiseSpec("symmetric", eta=0.4, n_classes=4, seed=1),
+        NoiseSpec("asymmetric_shift", eta=0.3, n_classes=4, seed=1),
+        NoiseSpec("none", n_classes=4, seed=1),
+    ]
+    calls = _count_train_steps(monkeypatch)
+    reports = verify_excess_risk(specs, m=1e3, seed=1, n_points=40, steps=30)
+    assert len(calls) == 4 * 30
+    # sharing the clean model changes no number: each line is the one-spec check's
+    alone = [verify_excess_risk([s], m=1e3, seed=1, n_points=40, steps=30)[0] for s in specs]
+    assert [(r.name, r.passed, r.stats) for r in reports] == [
+        (r.name, r.passed, r.stats) for r in alone
+    ]
+
+
+def test_excess_risk_refuses_bad_spec_lists_before_any_training(monkeypatch):
+    calls = _count_train_steps(monkeypatch)
+    clean = NoiseSpec("none", n_classes=4)
+    with pytest.warns(UserWarning):
+        no_margin = NoiseSpec("symmetric", eta=0.75, n_classes=4)
+    for specs, match in (
+        ([], "must be at least 1"),
+        ([clean, NoiseSpec("none", n_classes=3)], "one class count"),
+        ([clean, no_margin], "margin"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            verify_excess_risk(specs, steps=5)
+    assert calls == []
 
 
 def test_fd_gradient_on_a_quadratic():
