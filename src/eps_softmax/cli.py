@@ -30,7 +30,7 @@ from .experiment import (
     run_experiment,
 )
 from .losses import LOSS_KINDS, LossSpec
-from .mlp import MlpSpec, OptimSpec
+from .mlp import MlpSpec, OptimSpec, set_blas_threads
 from .noise import NOISE_KINDS, NoiseSpec
 from .theory import gradcheck_losses, gradcheck_mlp, run_verification_suite
 
@@ -209,37 +209,6 @@ def _parse_list(flag: str, text: str, cast) -> list:
     return values
 
 
-def _openblas():
-    """numpy's bundled OpenBLAS (``libscipy_openblas64_``) through ctypes, or
-    None when numpy was built against another BLAS."""
-    import ctypes
-    import glob
-
-    import numpy
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            lib.scipy_openblas_set_num_threads64_.restype = None
-            lib.scipy_openblas_get_num_threads64_.argtypes = []
-            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-            return lib
-    return None
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: one OpenBLAS thread per worker, so the workers do not
-    contend for the CPUs; other BLAS builds keep their settings."""
-    lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
-
-
 def _print_table(results: list[dict], losses: list[str], etas: list[float]) -> None:
     """Seed-averaged last_test_top1 as a loss x eta table, on stderr."""
     header = "loss".ljust(12) + "".join(f"eta={eta:g}".rjust(10) for eta in etas)
@@ -285,7 +254,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # imported here: no other command, and no --jobs 1 sweep, pays for it
         from concurrent.futures import ProcessPoolExecutor
 
-        runner = ProcessPoolExecutor(workers, initializer=_one_blas_thread)
+        # one BLAS thread per worker, so the workers do not contend for the CPUs
+        runner = ProcessPoolExecutor(workers, initializer=set_blas_threads, initargs=(1,))
     else:
         runner = contextlib.nullcontext()
     results = []
@@ -364,7 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, DataError, TrainingDiverged, OSError) as exc:
+    # a Warning arrives here only as an exception, under -W error
+    except (ConfigError, DataError, TrainingDiverged, OSError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,11 +26,18 @@ evaluate runs the test set through the workspace in chunks, so a run's
 working memory follows the batch size rather than the test-set size.
 Identical seeds give bitwise identical parameters and trajectories in
 single-threaded use.
+
+The BLAS thread count of numpy's bundled OpenBLAS is set here too, through
+``set_blas_threads``: a run whose largest per-step matrix product is below
+ONE_THREAD_BELOW multiply-adds trains at one thread (see
+``experiment.run_experiment``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -374,3 +381,45 @@ def evaluate(params: ParamSet, x, labels, max_k: int = 5, ws: Workspace | None =
     misses = y.size - np.cumsum(rank_counts)  # misses[k - 1]: rows outside the top k
     topk_errors = [int(misses[k - 1]) / y.size for k in range(1, min(max_k, n_classes) + 1)]
     return {"top1_accuracy": 1.0 - topk_errors[0], "topk_errors": topk_errors}
+
+
+#: Multiply-adds (rows x fan_in x fan_out) in a run's largest per-step matrix
+#: product below which it trains at one BLAS thread. Measured on 2 CPUs with
+#: OpenBLAS 0.3.31, as the wall time at 2 threads over that at 1: 1.15 for
+#: 8-64-64-4 at batch 128 (2**19), 1.06 and 0.95 for two nets at 2**21, and
+#: 0.78 at 2**25. Below 2**20 a second thread costs more than it saves.
+ONE_THREAD_BELOW = 2**20
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (``libscipy_openblas64_``) through ctypes, or
+    None when numpy was built against another BLAS; looked up once."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Set numpy's bundled OpenBLAS to n threads and return the count it had;
+    on any other BLAS build do nothing and return None. The setting is
+    process-wide, so it is not safe to change from several threads at once."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(n)
+    return previous

@@ -13,6 +13,7 @@ import pytest
 
 import eps_softmax
 import eps_softmax.cli as cli_mod
+from eps_softmax import mlp
 from eps_softmax.cli import build_config, default_config, main
 from eps_softmax.errors import ConfigError
 from eps_softmax.experiment import config_to_dict, load_config_file, read_results
@@ -218,18 +219,47 @@ def test_train_that_diverges_exits_1_and_writes_nothing(tmp_path, capsys):
     assert "training diverged at epoch" in capsys.readouterr().err
 
 
+def run_module(argv, *flags):
+    src = os.path.dirname(os.path.dirname(eps_softmax.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *flags, "-m", "eps_softmax", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 def test_train_that_diverges_under_warnings_as_errors_prints_only_the_error_line(tmp_path):
     # numpy's overflow warnings must not turn into a traceback before the typed error
-    src = os.path.dirname(os.path.dirname(eps_softmax.__file__))
     out = tmp_path / "run.jsonl"
-    argv = ["train", "--lr0", "1e300", "--epochs", "1", "--out", str(out)]
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "eps_softmax", *argv],
-                          env=env, capture_output=True, text=True, timeout=300)
+    done = run_module(["train", "--lr0", "1e300", "--epochs", "1", "--out", str(out)], "-W", "error")
     assert done.returncode == 1
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: training diverged"), done.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_config_warning_under_warnings_as_errors_is_one_error_line(tmp_path, command):
+    # eta 0.9 at K = 4 leaves the clean class without a plurality
+    out = tmp_path / "x"
+    if command == "train":
+        argv = ["train", "--noise-kind", "symmetric", "--eta", "0.9", "--out", str(out)]
+    else:
+        argv = ["sweep", "--etas", "0,0.9", "--out-dir", str(out)]
+    done = run_module(argv + ["--epochs", "1"], "-W", "error")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: symmetric eta=0.9"), done.stderr
+    assert not out.exists()
+
+
+def test_a_config_warning_with_default_warnings_warns_and_trains(tmp_path):
+    out = tmp_path / "x.jsonl"
+    argv = ["train", "--noise-kind", "symmetric", "--eta", "0.9", "--epochs", "1",
+            "--n-train", "100", "--n-test", "50", "--log-every", "0", "--out", str(out)]
+    done = run_module(argv)
+    assert done.returncode == 0, done.stderr
+    assert "UserWarning: symmetric eta=0.9" in done.stderr
+    assert len(read_results(str(out))[0]) == 1
 
 
 def test_train_progress_goes_to_stderr(tmp_path, capsys):
@@ -642,13 +672,13 @@ def _blas_threads_of_this_process(payload):
     """A stand-in for one sweep cell: its result line carries the process's
     OpenBLAS thread count in place of an accuracy."""
     config, path = payload
-    threads = cli_mod._openblas().scipy_openblas_get_num_threads64_()
+    threads = mlp._openblas().scipy_openblas_get_num_threads64_()
     return {"out": path, "loss": config.loss.kind, "eta": config.noise.eta,
             "seed": config.seed, "last_test_top1": threads}
 
 
 def test_sweep_pool_workers_use_one_blas_thread(tmp_path, capsys, monkeypatch):
-    lib = cli_mod._openblas()
+    lib = mlp._openblas()
     if lib is None:
         pytest.skip("numpy does not bundle scipy-openblas here")
     own = lib.scipy_openblas_get_num_threads64_()
@@ -658,7 +688,8 @@ def test_sweep_pool_workers_use_one_blas_thread(tmp_path, capsys, monkeypatch):
         assert run_main(argv + ["--out-dir", str(tmp_path / jobs), "--jobs", jobs]) == 0
         lines = capsys.readouterr().out.splitlines()
         threads = {json.loads(line)["last_test_top1"] for line in lines}
-        # pool workers are pinned; the in-process --jobs 1 path is left as it is
+        # pool workers are pinned for life; in process, the stand-in runs outside
+        # run_experiment, which alone sets the count for the length of a run
         assert threads == ({1} if jobs == "2" else {own})
     assert lib.scipy_openblas_get_num_threads64_() == own
 

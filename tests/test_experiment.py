@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from eps_softmax import experiment
+from eps_softmax import experiment, mlp
 from eps_softmax.cli import default_config
 from eps_softmax.data import DatasetSpec
 from eps_softmax.errors import ConfigError, DataError, TrainingDiverged
@@ -267,6 +267,86 @@ def test_the_training_loop_calls_every_name_the_benchmark_wraps(monkeypatch):
     # the tracer reads the applied scale off clip_grad_norm's result
     for grads, scale in clip_results:
         assert isinstance(grads, ParamSet) and isinstance(scale, float)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+
+def blas_threads() -> int:
+    return mlp._openblas().scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The process at 2 OpenBLAS threads for the test, then at its own count
+    again; skips where numpy does not bundle scipy-openblas."""
+    own = mlp.set_blas_threads(2)
+    if own is None:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    try:
+        if blas_threads() != 2:
+            pytest.skip("OpenBLAS here cannot run 2 threads")
+        yield
+    finally:
+        mlp.set_blas_threads(own)
+
+
+def threads_seen_by_train_step(monkeypatch) -> set:
+    seen = set()
+
+    def spy(*args, _original=experiment.train_step):
+        seen.add(blas_threads())
+        return _original(*args)
+
+    monkeypatch.setattr(experiment, "train_step", spy)
+    return seen
+
+
+def small_default_config(**optim) -> ExperimentConfig:
+    return dataclasses.replace(
+        default_config(0),
+        dataset=DatasetSpec(source="blobs", n_classes=4, n_train=300, n_test=100, dim=8),
+        optim=OptimSpec(epochs=2, **optim),
+    )
+
+
+def test_a_run_below_the_threshold_trains_at_one_blas_thread(two_blas_threads, monkeypatch):
+    seen = threads_seen_by_train_step(monkeypatch)
+    run_experiment(small_default_config())  # 128 x 64 x 64 = 2**19 multiply-adds
+    assert seen == {1}
+    assert blas_threads() == 2
+
+
+def test_a_run_at_the_threshold_keeps_the_process_thread_count(two_blas_threads, monkeypatch):
+    seen = threads_seen_by_train_step(monkeypatch)
+    config = small_default_config(batch_size=8)
+    config = dataclasses.replace(config, mlp=MlpSpec((8, 512, 512, 4)))
+    assert 8 * 512 * 512 == 2 * mlp.ONE_THREAD_BELOW
+    run_experiment(config)
+    assert seen == {2}
+    assert blas_threads() == 2
+
+
+def test_a_diverging_run_restores_the_blas_thread_count(two_blas_threads, monkeypatch):
+    seen = threads_seen_by_train_step(monkeypatch)
+    config = tiny_config(optim=OptimSpec(lr0=1e300, clip_norm=1e12, epochs=2, batch_size=90))
+    with pytest.raises(TrainingDiverged):
+        run_experiment(config)
+    assert seen == {1}
+    assert blas_threads() == 2
+
+
+def test_the_blas_thread_count_picks_no_different_bits(two_blas_threads, monkeypatch):
+    one_thread = run_experiment(small_default_config())
+    monkeypatch.setattr(experiment, "ONE_THREAD_BELOW", 0)
+    seen = threads_seen_by_train_step(monkeypatch)
+    own_threads = run_experiment(small_default_config())
+    assert seen == {2}
+    for a, b in zip(one_thread[0], own_threads[0]):
+        assert dataclasses.replace(a, wall_time_ms=0.0) == dataclasses.replace(b, wall_time_ms=0.0)
+    assert one_thread[1] == own_threads[1]
 
 
 # ---------------------------------------------------------------------------
