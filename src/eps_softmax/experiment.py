@@ -23,18 +23,17 @@ from .data import Dataset, DatasetSpec, build_dataset
 from .errors import ConfigError, DataError, TrainingDiverged
 from .losses import LossSpec, batch_loss
 from .mlp import (
-    ONE_THREAD_BELOW,
     MlpSpec,
     OptimSpec,
     ParamSet,
     Workspace,
     backward,
+    blas_threads_for,
     clip_grad_norm,
     cosine_lr,
     evaluate,
     forward,
     init_params,
-    set_blas_threads,
     sgd_step,
     zeros_like_params,
 )
@@ -215,10 +214,8 @@ def run_experiment(
     epoch and step, when a batch's loss sum or the test logits stop being
     finite; a non-finite loss sum is caught after its step's update.
 
-    A run whose largest per-step matrix product, rows x fan_in x fan_out with
-    rows = min(batch_size, n_train), is below ONE_THREAD_BELOW multiply-adds
-    trains and evaluates at one BLAS thread, then restores the count it found.
-    The results are the same bytes at any thread count.
+    Training and evaluation run under ``blas_threads_for``, so a small net
+    trains at one BLAS thread; the results are the same bytes at any count.
     """
     config.validate()
     train, test = build_dataset(config.dataset, config.seed)
@@ -227,24 +224,6 @@ def run_experiment(
             f"mlp input size {config.mlp.layer_sizes[0]} does not match "
             f"loaded feature dim {train.features.shape[1]}"
         )
-    sizes = config.mlp.layer_sizes
-    rows = min(config.optim.batch_size, len(train))
-    small = max(rows * i * o for i, o in zip(sizes, sizes[1:])) < ONE_THREAD_BELOW
-    previous = set_blas_threads(1) if small else None
-    try:
-        return _train(config, train, test, on_epoch)
-    finally:
-        if previous is not None:
-            set_blas_threads(previous)
-
-
-def _train(
-    config: ExperimentConfig,
-    train: Dataset,
-    test: Dataset,
-    on_epoch: Callable[[EpochRecord], None] | None,
-) -> tuple[list[EpochRecord], dict]:
-    """run_experiment's training loop and summary, on the loaded dataset."""
     corruption = corrupt_labels(train.labels, config.noise)
     noisy = Dataset(train.features, corruption.noisy_labels)
 
@@ -260,9 +239,12 @@ def _train(
     y_batch = np.empty(rows, dtype=noisy.labels.dtype)
     records: list[EpochRecord] = []
     step = 0
-    # a diverging run overflows before the finite checks below catch it; the
-    # typed error, not numpy's warnings, reports it
-    with np.errstate(over="ignore", invalid="ignore"):
+    with (
+        blas_threads_for(config.mlp.layer_sizes, rows),
+        # a diverging run overflows before the finite checks below catch it;
+        # the typed error, not numpy's warnings, reports it
+        np.errstate(over="ignore", invalid="ignore"),
+    ):
         for epoch in range(opt.epochs):
             started = time.perf_counter()
             lr = cosine_lr(epoch, opt.epochs, opt.lr0)

@@ -27,14 +27,14 @@ working memory follows the batch size rather than the test-set size.
 Identical seeds give bitwise identical parameters and trajectories in
 single-threaded use.
 
-The BLAS thread count of numpy's bundled OpenBLAS is set here too, through
-``set_blas_threads``: a run whose largest per-step matrix product is below
-ONE_THREAD_BELOW multiply-adds trains at one thread (see
-``experiment.run_experiment``).
+The BLAS thread rule lives here too: under ``blas_threads_for``, a net whose
+largest per-step matrix product is below ONE_THREAD_BELOW multiply-adds runs
+numpy's bundled OpenBLAS at one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -423,3 +423,18 @@ def set_blas_threads(n: int) -> int | None:
     previous = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(n)
     return previous
+
+
+@contextlib.contextmanager
+def blas_threads_for(layer_sizes: tuple[int, ...], rows: int):
+    """Run the block at one BLAS thread when the net's largest per-step matrix
+    product, rows x fan_in x fan_out, is below ONE_THREAD_BELOW multiply-adds,
+    then restore the count found, also on an exception. At or above the
+    threshold, or on a BLAS other than the bundled OpenBLAS, do nothing."""
+    largest = max(rows * i * o for i, o in zip(layer_sizes, layer_sizes[1:]))
+    previous = set_blas_threads(1) if largest < ONE_THREAD_BELOW else None
+    try:
+        yield
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)

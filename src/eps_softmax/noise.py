@@ -45,7 +45,7 @@ class NoiseSpec:
             warnings.warn(
                 f"symmetric eta={self.eta} at K={self.n_classes} leaves the clean "
                 "class without a plurality; labels are no longer recoverable",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

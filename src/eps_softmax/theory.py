@@ -146,30 +146,14 @@ def sample_gapped_distribution(n_classes: int, m: float, rng: np.random.Generato
     return np.insert((1.0 - qt) * rest, t, qt)
 
 
-def check_rank_preserving(f, q) -> np.ndarray:
-    """For each k, does f order the top k classes of q correctly?
-
-    Entry k - 1 is true when every class strictly above q's (k+1)-th value
-    stays strictly above f's, and every class strictly below q's k-th value
-    stays strictly below f's. Non-strict cases impose no constraint.
-    """
+def check_rank_preserving(f, q) -> bool:
+    """Does f keep q's strict order: q_i > q_j implies f_i > f_j for every
+    pair? Ties in q impose no constraint."""
     fv = np.asarray(f, dtype=np.float64)
     qv = np.asarray(q, dtype=np.float64)
     if fv.shape != qv.shape:
         raise ValueError(f"shape mismatch: {fv.shape} vs {qv.shape}")
-    k_count = qv.size
-    q_sorted = np.sort(qv)[::-1]
-    f_sorted = np.sort(fv)[::-1]
-    out = np.empty(k_count, dtype=bool)
-    for k in range(1, k_count + 1):
-        ok = True
-        if k < k_count:
-            above = qv > q_sorted[k]  # strictly above the (k+1)-th value
-            ok = ok and bool((fv[above] > f_sorted[k]).all())
-        below = qv < q_sorted[k - 1]
-        ok = ok and bool((fv[below] < f_sorted[k - 1]).all())
-        out[k - 1] = ok
-    return out
+    return bool((fv[:, None] > fv)[qv[:, None] > qv].all())
 
 
 def verify_calibration(
@@ -187,7 +171,7 @@ def verify_calibration(
         optima, steps, residual = _calibration_optima(qs, m)
         targets = np.stack([closed_form_optimum(q, m) for q in qs])
         max_err = float(np.abs(optima - targets).max())
-        ranks_ok = all(check_rank_preserving(p, q).all() for p, q in zip(optima, qs))
+        ranks_ok = all(check_rank_preserving(p, q) for p, q in zip(optima, qs))
         reports.append(
             CheckReport(
                 name=f"calibration_optimum_m{m:g}",

@@ -340,13 +340,29 @@ def test_a_diverging_run_restores_the_blas_thread_count(two_blas_threads, monkey
 
 def test_the_blas_thread_count_picks_no_different_bits(two_blas_threads, monkeypatch):
     one_thread = run_experiment(small_default_config())
-    monkeypatch.setattr(experiment, "ONE_THREAD_BELOW", 0)
+    monkeypatch.setattr(mlp, "ONE_THREAD_BELOW", 0)
     seen = threads_seen_by_train_step(monkeypatch)
     own_threads = run_experiment(small_default_config())
     assert seen == {2}
     for a, b in zip(one_thread[0], own_threads[0]):
         assert dataclasses.replace(a, wall_time_ms=0.0) == dataclasses.replace(b, wall_time_ms=0.0)
     assert one_thread[1] == own_threads[1]
+
+
+def test_blas_threads_for_does_nothing_without_the_bundled_openblas(two_blas_threads, monkeypatch):
+    lib = mlp._openblas()
+    monkeypatch.setattr(mlp, "_openblas", lambda: None)
+    with mlp.blas_threads_for((8, 64, 64, 4), 128):
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+    assert lib.scipy_openblas_get_num_threads64_() == 2
+
+
+def test_blas_threads_for_restores_the_count_after_an_exception(two_blas_threads):
+    with pytest.raises(RuntimeError, match="inside"):
+        with mlp.blas_threads_for((8, 64, 64, 4), 128):
+            assert blas_threads() == 1
+            raise RuntimeError("inside")
+    assert blas_threads() == 2
 
 
 # ---------------------------------------------------------------------------

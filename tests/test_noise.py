@@ -1,5 +1,7 @@
 """Label corruption: transition matrices, determinism, realized rates."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -35,6 +37,13 @@ def test_spec_rejects_bad_settings():
 def test_spec_warns_when_symmetric_noise_drowns_the_clean_class():
     with pytest.warns(UserWarning):
         NoiseSpec("symmetric", eta=0.95, n_classes=10)
+
+
+def test_the_drowned_clean_class_warning_names_the_line_that_built_the_spec():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        NoiseSpec("symmetric", eta=0.9, n_classes=4)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_transition_matrix_none_is_identity():

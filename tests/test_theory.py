@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eps_softmax import losses, theory, transform
 from eps_softmax.core import log_clamped, make_rng, softmax_rows
@@ -140,12 +142,45 @@ def test_sampled_distributions_respect_the_gap():
 
 def test_rank_preserving_on_aligned_predictions():
     q = np.array([0.7, 0.2, 0.1])
-    assert check_rank_preserving(np.array([0.96, 0.03, 0.01]), q).all()
+    assert check_rank_preserving(np.array([0.96, 0.03, 0.01]), q)
 
 
 def test_rank_preserving_flags_a_swap():
     q = np.array([0.7, 0.2, 0.1])
-    assert not check_rank_preserving(np.array([0.96, 0.01, 0.03]), q).all()
+    assert not check_rank_preserving(np.array([0.96, 0.01, 0.03]), q)
+
+
+def rank_preserving_per_cutoff(f, q) -> np.ndarray:
+    """The reference: for each k, does f order the top k classes of q correctly?
+
+    Entry k - 1 is true when every class strictly above q's (k+1)-th value
+    stays strictly above f's, and every class strictly below q's k-th value
+    stays strictly below f's. Non-strict cases impose no constraint.
+    """
+    k_count = q.size
+    q_sorted = np.sort(q)[::-1]
+    f_sorted = np.sort(f)[::-1]
+    out = np.empty(k_count, dtype=bool)
+    for k in range(1, k_count + 1):
+        ok = True
+        if k < k_count:
+            above = q > q_sorted[k]  # strictly above the (k+1)-th value
+            ok = ok and bool((f[above] > f_sorted[k]).all())
+        below = q < q_sorted[k - 1]
+        ok = ok and bool((f[below] < f_sorted[k - 1]).all())
+        out[k - 1] = ok
+    return out
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda k: st.tuples(*[st.lists(st.integers(0, 3), min_size=k, max_size=k)] * 2)
+    )
+)
+def test_pairwise_rank_check_agrees_with_the_per_cutoff_reference(fq):
+    # small integers make ties in f and in q common
+    f, q = (np.array(v, dtype=np.float64) for v in fq)
+    assert check_rank_preserving(f, q) == rank_preserving_per_cutoff(f, q).all()
 
 
 def test_verify_calibration_smoke():
