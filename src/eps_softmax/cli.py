@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import json
 import math
@@ -94,12 +93,14 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge config file (or defaults) with command-line overrides."""
-    if args.config:
-        config = load_config_file(args.config)
-    else:
-        config = default_config(args.seed or 0)
+def build_config(
+    args: argparse.Namespace, base: ExperimentConfig | None = None
+) -> ExperimentConfig:
+    """Apply the command-line overrides to ``base``: by default the --config
+    file, or the defaults without one. Each section a flag changes is rebuilt by
+    its own constructor, so every spec checks the merged values."""
+    if base is None:
+        base = load_config_file(args.config) if args.config else default_config()
 
     changes = {name: {} for name in ("dataset", "loss", "noise", "optim", "mlp")}
     for flag, (sections, field, kind, _) in _OVERRIDES.items():
@@ -117,17 +118,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         changes["mlp"]["layer_sizes"] = sizes
     if args.seed is not None:
         changes["mlp"]["init_seed"] = changes["noise"]["seed"] = args.seed
-    config = dataclasses.replace(
-        config,
-        seed=args.seed if args.seed is not None else config.seed,
-        **{
-            name: dataclasses.replace(getattr(config, name), **fields)
-            for name, fields in changes.items()
-            if fields
-        },
-    )
-    config.validate()
-    return config
+    specs = {name: getattr(base, name) for name in changes}
+    for name, fields in changes.items():
+        if fields:
+            specs[name] = type(specs[name])(**{**vars(specs[name]), **fields})
+    return ExperimentConfig(**specs, seed=base.seed if args.seed is None else args.seed)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -231,19 +226,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     losses = args.losses.split(",")
     etas = _parse_list("--etas", args.etas, float)
     seeds = _parse_list("--seeds", args.seeds, int64)
-    # one base for every cell; eta 0 suits every noise kind, and each cell sets its own eta
-    base = build_config(argparse.Namespace(**{**vars(args), "loss": losses[0], "eta": 0.0}))
-    noisy_kind = "symmetric" if base.noise.kind == "none" else base.noise.kind
+    # the base of every cell, so a config file is read once
+    base = load_config_file(args.config) if args.config else default_config()
+    noisy_kind = args.noise_kind or base.noise.kind
+    if noisy_kind == "none":
+        noisy_kind = "symmetric"
     jobs = []
     for kind, eta, seed in itertools.product(losses, etas, seeds):
         path = os.path.join(args.out_dir, f"{kind}_eta{eta:g}_seed{seed}.jsonl")
         if any(path == other for _, other in jobs):
             raise ConfigError(f"the grid lists {path} more than once")
-        loss = dataclasses.replace(base.loss, kind=kind)
-        noise_kind = "none" if eta == 0.0 else noisy_kind
-        noise = dataclasses.replace(base.noise, kind=noise_kind, eta=eta, seed=seed)
-        mlp = dataclasses.replace(base.mlp, init_seed=seed)
-        jobs.append((dataclasses.replace(base, seed=seed, loss=loss, noise=noise, mlp=mlp), path))
+        cell = {"loss": kind, "eta": eta, "seed": seed,
+                "noise_kind": "none" if eta == 0.0 else noisy_kind}
+        jobs.append((build_config(argparse.Namespace(**{**vars(args), **cell}), base), path))
 
     # every cell's config and every existing file are checked before any run
     reused = [_reused_result(*job) for job in jobs]

@@ -45,7 +45,10 @@ _SHUFFLE_STREAM = 1
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment; where its results are written is not part of it."""
+    """One experiment; where its results are written is not part of it.
+
+    Construction checks the sections agree on the class count and, for the
+    generated sources, the input width; a mismatch raises ConfigError."""
 
     dataset: DatasetSpec
     mlp: MlpSpec
@@ -54,8 +57,7 @@ class ExperimentConfig:
     optim: OptimSpec
     seed: int = 0
 
-    def validate(self) -> None:
-        """Cross-field consistency; raises ConfigError before any work is done."""
+    def __post_init__(self):
         k = self.dataset.n_classes
         if self.mlp.n_classes != k:
             raise ConfigError(
@@ -217,7 +219,6 @@ def run_experiment(
     Training and evaluation run under ``blas_threads_for``, so a small net
     trains at one BLAS thread; the results are the same bytes at any count.
     """
-    config.validate()
     train, test = build_dataset(config.dataset, config.seed)
     if config.mlp.layer_sizes[0] != train.features.shape[1]:
         raise ConfigError(

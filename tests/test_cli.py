@@ -36,8 +36,7 @@ def parse_train(argv):
 
 
 def test_default_config_is_self_consistent():
-    config = default_config(0)
-    config.validate()
+    config = default_config(0)  # construction checks the sections agree
     assert config.dataset.n_classes == config.mlp.n_classes == config.noise.n_classes
 
 
@@ -158,6 +157,27 @@ def test_build_config_rejects_inconsistent_overrides():
         build_config(parse_train(["--n-classes", "3"]))
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("repair", [[], ["--layer-sizes", "8,64,64,4"]], ids=["alone", "repaired"])
+def test_a_config_file_that_disagrees_with_itself_is_refused(
+    tmp_path, capsys, monkeypatch, command, repair
+):
+    # a file must be consistent on its own: a flag that would repair it is
+    # applied only to a valid file
+    _no_runs(monkeypatch)
+    raw = config_to_dict(default_config())
+    raw["mlp"]["layer_sizes"] = [8, 64, 64, 3]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "x"
+    dest = ["--out", str(out)] if command == "train" else ["--out-dir", str(out)]
+    assert run_main([command, "--config", str(config), *repair, *dest]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mlp output size 3 does not match n_classes 4\n"
+    assert not out.exists()
+
+
 def run_main(argv):
     return main(argv)
 
@@ -260,6 +280,26 @@ def test_a_config_warning_with_default_warnings_warns_and_trains(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "UserWarning: symmetric eta=0.9" in done.stderr
     assert len(read_results(str(out))[0]) == 1
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_config_warning_names_the_cli_line_once(tmp_path, monkeypatch, command):
+    # default filters show a warning once per message and line, so the four
+    # eta-0.9 cells of the sweep print one
+    for name in ("PYTHONWARNINGS", "PYTHONDEVMODE"):
+        monkeypatch.delenv(name, raising=False)
+    out = tmp_path / "x"
+    if command == "train":
+        argv = ["train", "--noise-kind", "symmetric", "--eta", "0.9", "--log-every", "0",
+                "--out", str(out)]
+    else:
+        argv = ["sweep", "--etas", "0,0.9", "--seeds", "0,1", "--jobs", "1",
+                "--out-dir", str(out)]
+    done = run_module(argv + ["--epochs", "1", "--n-train", "100", "--n-test", "50"])
+    assert done.returncode == 0, done.stderr
+    warned = [line for line in done.stderr.splitlines() if "UserWarning" in line]
+    assert len(warned) == 1, done.stderr
+    assert os.path.join("eps_softmax", "cli.py:") in warned[0]
 
 
 def test_train_progress_goes_to_stderr(tmp_path, capsys):
@@ -638,6 +678,26 @@ def test_sweep_noise_kind_flag_wins_over_the_config_files_noise(tmp_path, capsys
     assert run_main(argv) == 0
     got = [(c.noise.kind, c.noise.eta, c.seed, c.noise.seed, c.mlp.init_seed) for c in cells]
     assert got == [("none", 0.0, 3, 3, 3), ("asymmetric_shift", 0.4, 3, 3, 3)]
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["defaults", "shift-file"])
+def test_each_sweep_cell_is_the_train_config_of_its_flags(tmp_path, capsys, monkeypatch, from_file):
+    flags = ["--m", "3", "--alpha", "0.5", "--epochs", "2", "--n-train", "120"]
+    if from_file:
+        flags += ["--config", _config_file(tmp_path, kind="asymmetric_shift", eta=0.2)]
+    noisy_kind = "asymmetric_shift" if from_file else "symmetric"
+    cells = _record_cells(monkeypatch)
+    argv = ["sweep", *flags, "--losses", "ce,ce_eps_mae", "--etas", "0,0.3", "--seeds", "0,5",
+            "--jobs", "1", "--out-dir", str(tmp_path / "g")]
+    assert run_main(argv) == 0
+    expected = [
+        build_config(parse_train(flags + ["--loss", kind, "--eta", eta, "--seed", seed,
+                                          "--noise-kind", "none" if eta == "0" else noisy_kind]))
+        for kind in ("ce", "ce_eps_mae")
+        for eta in ("0", "0.3")
+        for seed in ("0", "5")
+    ]
+    assert cells == expected
 
 
 @pytest.mark.parametrize(

@@ -42,13 +42,14 @@ def tiny_config(**overrides) -> ExperimentConfig:
 
 
 def test_validate_catches_class_count_mismatches():
+    # the config checks itself when it is built
     with pytest.raises(ConfigError, match="mlp output"):
-        tiny_config(mlp=MlpSpec((4, 8, 5))).validate()
+        tiny_config(mlp=MlpSpec((4, 8, 5)))
     with pytest.raises(ConfigError, match="noise n_classes"):
-        tiny_config(noise=NoiseSpec("symmetric", eta=0.2, n_classes=4)).validate()
+        tiny_config(noise=NoiseSpec("symmetric", eta=0.2, n_classes=4))
     with pytest.raises(ConfigError, match="input size"):
-        tiny_config(mlp=MlpSpec((5, 8, 3))).validate()
-    tiny_config().validate()
+        tiny_config(mlp=MlpSpec((5, 8, 3)))
+    tiny_config()
 
 
 def test_config_dict_round_trip():

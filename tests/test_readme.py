@@ -26,4 +26,4 @@ def test_config_file_example_is_a_valid_config():
     block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
     raw = json.loads(block)
     assert "output_path" not in raw  # train takes --out; a config file holds no path
-    config_from_dict(raw).validate()
+    config_from_dict(raw)  # raises ConfigError when the sections disagree
