@@ -16,14 +16,14 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .data import DatasetSpec
-from .errors import ConfigError, DataError, TrainingDiverged
+from .errors import ConfigError, DataError, TrainingDiverged, is_int64
 from .experiment import (
     ExperimentConfig,
     config_to_dict,
     emit_results,
-    is_int64,
     load_config_file,
     read_results,
     run_experiment,
@@ -39,6 +39,20 @@ def int64(text: str) -> int:
     if not is_int64(value := int(text)):
         raise ValueError(f"{text} is outside [-2**63, 2**63)")
     return value
+
+
+def finite(text: str) -> float:
+    """Type of every float flag: a number that is neither NaN nor infinite."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not finite")
+    return value
+
+
+def _parse_list(flag: str, text: str, cast) -> list:
+    try:
+        return [cast(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag} {text!r}: {exc}") from None
 
 
 def default_config(seed: int = 0) -> ExperimentConfig:
@@ -60,25 +74,25 @@ def default_config(seed: int = 0) -> ExperimentConfig:
 #: handled apart.
 _OVERRIDES = {
     "--loss": (("loss",), "kind", LOSS_KINDS, "loss kind"),
-    "--m": (("loss",), "m", float, "amplification for the eps loss kinds"),
-    "--alpha": (("loss",), "alpha", float, "fit-term weight"),
-    "--beta": (("loss",), "beta", float, "bounded-term weight"),
-    "--gamma": (("loss",), "gamma", float, "focal exponent"),
-    "--q": (("loss",), "q", float, "gce exponent"),
-    "--A": (("loss",), "A", float, "sce log-zero stand-in (negative)"),
+    "--m": (("loss",), "m", finite, "amplification for the eps loss kinds"),
+    "--alpha": (("loss",), "alpha", finite, "fit-term weight"),
+    "--beta": (("loss",), "beta", finite, "bounded-term weight"),
+    "--gamma": (("loss",), "gamma", finite, "focal exponent"),
+    "--q": (("loss",), "q", finite, "gce exponent"),
+    "--A": (("loss",), "A", finite, "sce log-zero stand-in (negative)"),
     "--noise-kind": (("noise",), "kind", NOISE_KINDS, "label corruption kind"),
-    "--eta": (("noise",), "eta", float, "label corruption rate"),
+    "--eta": (("noise",), "eta", finite, "label corruption rate"),
     "--epochs": (("optim",), "epochs", int64, None),
     "--batch-size": (("optim",), "batch_size", int64, None),
-    "--lr0": (("optim",), "lr0", float, None),
-    "--momentum": (("optim",), "momentum", float, None),
-    "--weight-decay": (("optim",), "weight_decay", float, None),
-    "--clip-norm": (("optim",), "clip_norm", float, None),
+    "--lr0": (("optim",), "lr0", finite, None),
+    "--momentum": (("optim",), "momentum", finite, None),
+    "--weight-decay": (("optim",), "weight_decay", finite, None),
+    "--clip-norm": (("optim",), "clip_norm", finite, None),
     "--n-train": (("dataset",), "n_train", int64, None),
     "--n-test": (("dataset",), "n_test", int64, None),
     "--n-classes": (("dataset", "noise"), "n_classes", int64, None),
     "--dim": (("dataset",), "dim", int64, None),
-    "--separation": (("dataset",), "separation", float, None),
+    "--separation": (("dataset",), "separation", finite, None),
 }
 
 
@@ -93,35 +107,37 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _base_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The --config file, read with its specs' warnings ignored, or the defaults.
+    build_config rebuilds every spec, so a warning fires once, for values a run uses."""
+    if not args.config:
+        return default_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return load_config_file(args.config)
+
+
 def build_config(
     args: argparse.Namespace, base: ExperimentConfig | None = None
 ) -> ExperimentConfig:
-    """Apply the command-line overrides to ``base``: by default the --config
-    file, or the defaults without one. Each section a flag changes is rebuilt by
-    its own constructor, so every spec checks the merged values."""
+    """Apply the command-line overrides to ``base`` (by default ``_base_config``).
+    Every section is rebuilt by its constructor, which checks the merged values."""
     if base is None:
-        base = load_config_file(args.config) if args.config else default_config()
+        base = _base_config(args)
 
     changes = {name: {} for name in ("dataset", "loss", "noise", "optim", "mlp")}
     for flag, (sections, field, kind, _) in _OVERRIDES.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            if kind is float and not math.isfinite(value):
-                raise ConfigError(f"{flag} must be a finite number, got {value}")
             for name in sections:
                 changes[name][field] = value
     if args.layer_sizes is not None:
-        try:
-            sizes = tuple(int64(s) for s in args.layer_sizes.split(","))
-        except ValueError:
-            raise ConfigError(f"bad --layer-sizes: {args.layer_sizes!r}") from None
-        changes["mlp"]["layer_sizes"] = sizes
+        changes["mlp"]["layer_sizes"] = _parse_list("--layer-sizes", args.layer_sizes, int64)
     if args.seed is not None:
         changes["mlp"]["init_seed"] = changes["noise"]["seed"] = args.seed
     specs = {name: getattr(base, name) for name in changes}
-    for name, fields in changes.items():
-        if fields:
-            specs[name] = type(specs[name])(**{**vars(specs[name]), **fields})
+    for name, spec in specs.items():
+        specs[name] = type(spec)(**{**vars(spec), **changes[name]})
     return ExperimentConfig(**specs, seed=base.seed if args.seed is None else args.seed)
 
 
@@ -194,16 +210,6 @@ def _reused_result(config: ExperimentConfig, path: str) -> dict | None:
     return _result_line(config, path, summary)
 
 
-def _parse_list(flag: str, text: str, cast) -> list:
-    try:
-        values = [cast(s) for s in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad {flag}: {text!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{flag} must list finite numbers, got {text!r}")
-    return values
-
-
 def _print_table(results: list[dict], losses: list[str], etas: list[float]) -> None:
     """Seed-averaged last_test_top1 as a loss x eta table, on stderr."""
     header = "loss".ljust(12) + "".join(f"eta={eta:g}".rjust(10) for eta in etas)
@@ -224,10 +230,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     losses = args.losses.split(",")
-    etas = _parse_list("--etas", args.etas, float)
+    etas = _parse_list("--etas", args.etas, finite)
     seeds = _parse_list("--seeds", args.seeds, int64)
     # the base of every cell, so a config file is read once
-    base = load_config_file(args.config) if args.config else default_config()
+    base = _base_config(args)
     noisy_kind = args.noise_kind or base.noise.kind
     if noisy_kind == "none":
         noisy_kind = "symmetric"
@@ -285,7 +291,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return _print_reports(reports)
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """Usage errors are configuration errors (exit 1); exit 2 means a check failed."""
 
     def error(self, message):
@@ -293,7 +299,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _Parser(
+    parser = Parser(
         prog="eps-softmax",
         description="Noise-tolerant classification with an amplified softmax output",
     )

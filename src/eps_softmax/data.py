@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import make_rng
-from .errors import ConfigError, DataError, check_finite_fields
+from .errors import ConfigError, DataError, check_fields
 
 DATA_SOURCES = ("blobs", "spirals", "csv", "idx")
 
@@ -44,7 +44,7 @@ class DatasetSpec:
     test_labels_path: str | None = None
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if self.source not in DATA_SOURCES:
             raise ConfigError(f"unknown data source {self.source!r}")
         if self.n_classes < 2:

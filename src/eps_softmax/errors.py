@@ -1,7 +1,13 @@
-"""Exception types shared across the package, and the specs' finite check."""
+"""Exception types shared across the package, and the one rule for spec fields.
+
+Every spec checks its fields against ``FIELD_RULES`` when it is built, for
+library, config-file and flag callers alike. The CLI reads a config file with
+the specs' warnings ignored and warns once, from cli.py, for the specs a run uses.
+"""
 
 import dataclasses
 import math
+import sys
 
 
 class ConfigError(ValueError):
@@ -16,11 +22,38 @@ class TrainingDiverged(FloatingPointError):
     """Training produced a non-finite loss or non-finite network outputs."""
 
 
-def check_finite_fields(spec, allow_inf: str | None = None) -> None:
-    """Raise ConfigError naming the first float field of a spec dataclass that
-    is NaN or infinite; the field named allow_inf may be +inf."""
+def is_int64(value) -> bool:
+    """The rule of every integer field and flag: an int (not a bool) that int64 holds."""
+    return type(value) is int and -(2**63) <= value < 2**63
+
+
+#: field annotation -> (test of a value, what it accepts). An integer is a valid
+#: float; only true and false are booleans; numpy integers are not integers.
+FIELD_RULES = {
+    "int": (is_int64, "an integer in [-2**63, 2**63)"),
+    "float": (
+        # abs() <= max is False for NaN, the infinities and integers too large for a double
+        lambda v: isinstance(v, (int, float)) and type(v) is not bool
+        and abs(v) <= sys.float_info.max,
+        "a finite number",
+    ),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "tuple[int, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(is_int64, v)),
+        "a list of integers in [-2**63, 2**63)",
+    ),
+}
+
+
+def check_fields(spec, names=None, allow_inf: str | None = None) -> None:
+    """Raise ConfigError naming the first field of a spec dataclass whose value
+    breaks the rule of its annotation; only the fields in ``names`` when given.
+    The float field named ``allow_inf`` may also be +inf."""
     for f in dataclasses.fields(spec):
         value = getattr(spec, f.name)
-        if f.type == "float" and isinstance(value, float) and not math.isfinite(value):
-            if not (f.name == allow_inf and value == math.inf):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if (names is None or f.name in names) and not (f.name == allow_inf and value == math.inf):
+            fits, expected = FIELD_RULES[f.type]
+            if not fits(value):
+                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")

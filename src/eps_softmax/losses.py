@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import LOG_FLOOR, check_logit_vector, softmax_cols
-from .errors import ConfigError, check_finite_fields
+from .errors import ConfigError, check_fields
 from .transform import amplify, argmax_mask
 
 
@@ -133,7 +133,7 @@ class LossSpec:
     A: float = -4.0
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if self.kind not in _TABLE:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
         terms = _TABLE[self.kind]

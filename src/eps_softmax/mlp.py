@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import make_rng
-from .errors import ConfigError, check_finite_fields
+from .errors import ConfigError, check_fields
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ class MlpSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        check_fields(self)
+        object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))  # a file gives a list
         if len(self.layer_sizes) < 2:
             raise ConfigError("need at least an input and an output layer")
         if any(s < 1 for s in self.layer_sizes):
@@ -75,7 +76,7 @@ class OptimSpec:
     batch_size: int = 128
 
     def __post_init__(self):
-        check_finite_fields(self, allow_inf="clip_norm")  # inf: no clipping
+        check_fields(self, allow_inf="clip_norm")  # inf: no clipping
         if self.lr0 <= 0:
             raise ConfigError("lr0 must be positive")
         if not 0.0 <= self.momentum < 1.0:

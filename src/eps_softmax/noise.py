@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import make_rng
-from .errors import ConfigError, check_finite_fields
+from .errors import ConfigError, check_fields
 
 NOISE_KINDS = ("none", "symmetric", "asymmetric_shift")
 
@@ -30,7 +30,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.eta < 1.0:

@@ -302,6 +302,41 @@ def test_a_config_warning_names_the_cli_line_once(tmp_path, monkeypatch, command
     assert os.path.join("eps_softmax", "cli.py:") in warned[0]
 
 
+def _drowned_config_file(tmp_path):
+    # symmetric eta 0.9 at K = 4 warns; the file itself is valid
+    raw = config_to_dict(default_config())
+    raw["noise"].update(kind="symmetric", eta=0.9)
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("flags, count", [([], 1), (["--eta", "0.9"], 1), (["--eta", "0.2"], 0)])
+def test_a_config_file_warning_fires_once_for_the_eta_the_run_uses(
+    tmp_path, monkeypatch, flags, count
+):
+    for name in ("PYTHONWARNINGS", "PYTHONDEVMODE"):
+        monkeypatch.delenv(name, raising=False)
+    argv = ["train", "--config", _drowned_config_file(tmp_path), *flags, "--epochs", "1",
+            "--n-train", "100", "--n-test", "50", "--log-every", "0",
+            "--out", str(tmp_path / "x.jsonl")]
+    done = run_module(argv)
+    assert done.returncode == 0, done.stderr
+    warned = [line for line in done.stderr.splitlines() if "UserWarning" in line]
+    assert len(warned) == count, done.stderr
+    assert all(os.path.join("eps_softmax", "cli.py:") in line for line in warned)
+
+
+def test_a_sweep_does_not_check_the_noise_rate_its_cells_replace(tmp_path):
+    out = tmp_path / "g"
+    argv = ["sweep", "--config", _drowned_config_file(tmp_path), "--losses", "ce",
+            "--etas", "0,0.2", "--epochs", "1", "--n-train", "100", "--n-test", "50",
+            "--jobs", "1", "--out-dir", str(out)]
+    done = run_module(argv, "-W", "error")
+    assert done.returncode == 0, done.stderr
+    assert sorted(os.listdir(out)) == ["ce_eta0.2_seed0.jsonl", "ce_eta0_seed0.jsonl"]
+
+
 def test_train_progress_goes_to_stderr(tmp_path, capsys):
     out = str(tmp_path / "run.jsonl")
     code = run_main(
@@ -368,6 +403,13 @@ def test_missing_config_file_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def assert_names_the_field(err, field):
+    # "config section 'optim': epochs must be ..."; seed is outside any section
+    section, _, name = field.rpartition(".")
+    assert f" {name} must be " in err
+    assert (f"config section {section!r}: " in err) == bool(section)
+
+
 def _set(section, field, value):
     def edit(raw):
         (raw[section] if section else raw)[field] = value
@@ -406,7 +448,8 @@ def test_config_file_values_of_the_wrong_type_are_config_errors(tmp_path, capsys
     out = tmp_path / "run.jsonl"
     assert run_main(["train", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and repr(field) in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert_names_the_field(err, field)
     assert not out.exists()
 
 
@@ -414,6 +457,8 @@ def test_config_file_values_of_the_wrong_type_are_config_errors(tmp_path, capsys
     "name, value",
     [
         ("optim.clip_norm", "NaN"),
+        # +inf is the library's "no clipping", but a results file cannot embed it
+        ("optim.clip_norm", "Infinity"),
         ("loss.m", "NaN"),
         ("optim.lr0", "Infinity"),
         ("dataset.separation", "-Infinity"),
@@ -425,8 +470,9 @@ def test_config_file_values_of_the_wrong_type_are_config_errors(tmp_path, capsys
     ],
 )
 def test_non_finite_numbers_in_config_files_and_flags_are_config_errors(
-    tmp_path, capsys, name, value
+    tmp_path, capsys, monkeypatch, name, value
 ):
+    _no_runs(monkeypatch)
     out = tmp_path / "run.jsonl"
     argv = ["train", "--out", str(out), "--epochs", "1", "--log-every", "0"]
     if name.startswith("--"):
@@ -440,11 +486,13 @@ def test_non_finite_numbers_in_config_files_and_flags_are_config_errors(
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert str(value) in path.read_text(encoding="utf-8")
         argv += ["--config", str(path)]
-        name = repr(name)
     assert run_main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert name in err and "finite" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+    if name.startswith("--"):
+        assert name in err
+    else:
+        assert_names_the_field(err, name)
     assert not out.exists()
 
 
@@ -871,6 +919,22 @@ def test_gradcheck_exit_code_and_output(capsys):
     assert any(name.startswith("gradcheck_loss_") for name in kinds)
     assert any(name.startswith("gradcheck_mlp_") for name in kinds)
     assert all(line["passed"] for line in lines)
+
+
+@pytest.mark.parametrize("command", ["verify", "gradcheck"])
+def test_a_failed_check_exits_2_and_counts_the_failures(monkeypatch, capsys, command):
+    from eps_softmax.theory import CheckReport
+
+    reports = [CheckReport("good", True), CheckReport("bad", False, {"error": 1.0})]
+    for name in ("run_verification_suite", "gradcheck_losses"):
+        monkeypatch.setattr(cli_mod, name, lambda **kwargs: list(reports))
+    monkeypatch.setattr(cli_mod, "gradcheck_mlp", lambda **kwargs: [])
+    assert run_main([command]) == 2
+    captured = capsys.readouterr()
+    lines = [json.loads(s) for s in captured.out.splitlines()]
+    assert lines == [{"name": "good", "passed": True},
+                     {"name": "bad", "passed": False, "error": 1.0}]
+    assert captured.err == "1 of 2 checks failed\n"
 
 
 @pytest.mark.parametrize(

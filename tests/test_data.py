@@ -111,6 +111,13 @@ def test_spirals_shapes_and_determinism():
     assert np.bincount(a_train.labels).tolist() == [30, 30, 30]
 
 
+def test_build_dataset_of_a_spirals_spec_is_generate_spirals():
+    spec = DatasetSpec(source="spirals", n_classes=3, n_train=90, n_test=30, dim=2)
+    for built, generated in zip(build_dataset(spec, seed=4), generate_spirals(spec, seed=4)):
+        assert np.array_equal(built.features, generated.features)
+        assert np.array_equal(built.labels, generated.labels)
+
+
 # ---------------------------------------------------------------------------
 # CSV loader
 # ---------------------------------------------------------------------------

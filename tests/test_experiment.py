@@ -9,7 +9,7 @@ import pytest
 from eps_softmax import experiment, mlp
 from eps_softmax.cli import default_config
 from eps_softmax.data import DatasetSpec
-from eps_softmax.errors import ConfigError, DataError, TrainingDiverged
+from eps_softmax.errors import FIELD_RULES, ConfigError, DataError, TrainingDiverged
 from eps_softmax.experiment import (
     ExperimentConfig,
     config_from_dict,
@@ -106,15 +106,48 @@ SPEC_FLOAT_FIELDS = [
 ]
 
 
-def test_spec_float_fields_are_all_listed():
-    listed = {(cls, name) for cls, _, name in SPEC_FLOAT_FIELDS}
-    found = {
-        (cls, f.name)
-        for cls in (DatasetSpec, LossSpec, NoiseSpec, OptimSpec)
+def test_every_spec_field_has_a_rule():
+    # check_fields looks each annotation up in FIELD_RULES, so a field whose
+    # annotation has no rule would fail to build rather than go unchecked
+    annotations = {
+        f.type
+        for cls in (DatasetSpec, MlpSpec, LossSpec, NoiseSpec, OptimSpec, ExperimentConfig)
         for f in dataclasses.fields(cls)
-        if f.type == "float"
+        if cls is not ExperimentConfig or f.name == "seed"
     }
-    assert listed == found
+    assert annotations == set(FIELD_RULES)
+
+
+@pytest.mark.parametrize(
+    "build, field, rule",
+    [
+        (lambda: MlpSpec((8, 64.5, 4)), "layer_sizes", "integers"),
+        (lambda: MlpSpec((np.int64(8), 4)), "layer_sizes", "integers"),
+        (lambda: OptimSpec(epochs=2.5), "epochs", "integer"),
+        (lambda: OptimSpec(epochs=True), "epochs", "integer"),
+        (lambda: OptimSpec(batch_size=np.int64(64)), "batch_size", "integer"),
+        (lambda: OptimSpec(lr0=10**400), "lr0", "finite"),
+        (lambda: OptimSpec(lr0="0.01"), "lr0", "finite"),
+        (lambda: LossSpec("ce_eps", m=10**400), "m", "finite"),
+        (lambda: NoiseSpec("symmetric", n_classes=4.0), "n_classes", "integer"),
+        (lambda: DatasetSpec("blobs", 4, 8, 8, dim=2, normalize=1), "normalize", "true or false"),
+        (lambda: tiny_config(seed=1.5), "seed", "integer"),
+    ],
+    ids=["MlpSpec.fraction", "MlpSpec.numpy_int", "OptimSpec.fraction", "OptimSpec.bool",
+         "OptimSpec.numpy_int", "OptimSpec.huge_int", "OptimSpec.string", "LossSpec.huge_int",
+         "NoiseSpec.float_count", "DatasetSpec.int_bool", "ExperimentConfig.seed"],
+)
+def test_library_specs_check_every_field_by_its_rule(build, field, rule):
+    # a library caller gets the rule a config file gets: no cast, no later traceback
+    with pytest.raises(ConfigError, match=f"^{field} must be .*{rule}.*, got ") as info:
+        build()
+    assert "config section" not in str(info.value)
+
+
+def test_a_spec_keeps_a_float_an_integer_and_a_numpy_float_as_given():
+    assert OptimSpec(lr0=1).lr0 == 1 and type(OptimSpec(lr0=1).lr0) is int
+    assert LossSpec("ce_eps", m=np.float64(10.0)).m == 10.0
+    assert MlpSpec([8, 4]).layer_sizes == (8, 4)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -125,7 +158,7 @@ def test_specs_refuse_non_finite_floats(cls, kwargs, name, value):
     if (name, value) == ("clip_norm", float("inf")):
         assert cls(**kwargs, clip_norm=value).clip_norm == value  # documented: no clipping
         return
-    with pytest.raises(ConfigError, match=f"^{name} must be finite, got {value}$"):
+    with pytest.raises(ConfigError, match=f"^{name} must be a finite number, got {value}$"):
         cls(**kwargs, **{name: value})
 
 
@@ -138,6 +171,16 @@ def test_load_config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_to_dict(tiny_config())), encoding="utf-8")
     assert load_config_file(str(path)) == tiny_config()
+
+
+@pytest.mark.parametrize("number", ["1e400", "-1e400", "Infinity", "NaN"])
+def test_load_config_file_refuses_a_number_that_is_not_finite(tmp_path, number):
+    # json reads 1e400 as inf; clip_norm = inf is legal in a spec but not in a file
+    text = json.dumps(config_to_dict(tiny_config()))
+    path = tmp_path / "config.json"
+    path.write_text(text.replace('"clip_norm": 5.0', f'"clip_norm": {number}'), encoding="utf-8")
+    with pytest.raises(ConfigError, match="^config section 'optim': clip_norm must be a finite"):
+        load_config_file(str(path))
 
 
 def test_load_config_file_bad_json(tmp_path):

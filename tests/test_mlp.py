@@ -262,6 +262,19 @@ def test_evaluate_rejects_non_finite_logits(bad):
         evaluate(params, np.zeros((3, 4)), np.array([0, 1, 2]))
 
 
+@pytest.mark.parametrize(
+    "x, labels, message",
+    [
+        (np.zeros((0, 4)), np.array([], dtype=np.int64), "empty dataset"),
+        (np.zeros((3, 4)), np.array([0, 1]), r"features of shape \(3, 4\) do not match 2 labels"),
+    ],
+    ids=["empty", "mismatched"],
+)
+def test_evaluate_refuses_an_empty_or_mismatched_set(x, labels, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate(identity_net(4), x, labels)
+
+
 def test_forward_through_a_workspace_overwrites_its_buffers():
     """The aliasing contract in forward's docstring."""
     rng = np.random.default_rng(0)

@@ -256,18 +256,31 @@ def _delta_shrinkage_script():
 
 
 @pytest.mark.parametrize(
-    "ms, code, rows",
-    [("1,100", 0, 2), ("100,1", 2, 2), ("5", 1, 0), ("1,x", 1, 0), ("1,nan", 1, 0)],
-    ids=["decreasing", "increasing", "one_value", "not_a_number", "not_finite"],
+    "ms, code, rows, flags",
+    [
+        ("1,100", 0, 2, []),
+        ("100,1", 2, 2, []),
+        ("5", 1, 0, []),
+        ("1,x", 1, 0, []),
+        ("1,nan", 1, 0, []),
+        # exit 2 means the spread did not decrease; a bad flag is exit 1, not argparse's 2
+        ("1,100", 1, 0, ["--classes", "x"]),
+        ("1,100", 1, 0, ["--classes", str(2**63)]),
+        ("1,100", 1, 0, ["--bogus"]),
+    ],
+    ids=["decreasing", "increasing", "one_value", "not_a_number", "not_finite",
+         "classes_not_an_integer", "classes_beyond_int64", "unknown_flag"],
 )
-def test_delta_shrinkage_script_exit_codes(monkeypatch, capsys, ms, code, rows):
+def test_delta_shrinkage_script_exit_codes(monkeypatch, capsys, ms, code, rows, flags):
     script = _delta_shrinkage_script()
-    monkeypatch.setattr(sys, "argv", ["delta_shrinkage.py", "--ms", ms, "--trials", "50"])
+    argv = ["delta_shrinkage.py", "--ms", ms, "--trials", "50", *flags]
+    monkeypatch.setattr(sys, "argv", argv)
     assert script.main() == code
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == (rows + 1 if rows else 0)  # header and rows
     assert err.startswith({0: "", 1: "error: ", 2: "warning: "}[code])
-    assert bool(err) == (code != 0)
+    assert len(err.splitlines()) == (code != 0)
+    assert all(flag in err for flag in flags if flag.startswith("--"))
 
 
 @pytest.mark.parametrize(
