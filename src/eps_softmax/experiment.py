@@ -177,7 +177,17 @@ def run_experiment(
 
     Training and evaluation run under ``blas_threads_for``, so a small net
     trains at one BLAS thread; the results are the same bytes at any count.
+    A config its results file could not embed raises ConfigError before the
+    run starts.
     """
+    try:
+        json.dumps(config_to_dict(config), allow_nan=False)
+    except ValueError:
+        # every other float field of a checked config is finite
+        raise ConfigError(
+            f"optim.clip_norm is {config.optim.clip_norm}, which a results file cannot "
+            "hold (strict JSON has no infinity); train_step takes it as no clipping"
+        ) from None
     train, test = build_dataset(config.dataset, config.seed)
     if config.mlp.layer_sizes[0] != train.features.shape[1]:
         raise ConfigError(
@@ -287,7 +297,8 @@ def emit_results(records: list[EpochRecord], summary: dict, path: str) -> None:
 
 
 def read_results(path: str) -> tuple[list[EpochRecord], dict]:
-    """Parse a results file back into records and the summary object."""
+    """Parse a results file back into records and the summary object, which
+    must be its last line."""
     records: list[EpochRecord] = []
     summary = None
     try:
@@ -298,6 +309,8 @@ def read_results(path: str) -> tuple[list[EpochRecord], dict]:
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             raise DataError(f"{path}: line {lineno}: blank line in results file")
+        if summary is not None:
+            raise DataError(f"{path}: line {lineno}: a line after the summary line")
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:

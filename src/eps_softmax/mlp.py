@@ -19,9 +19,12 @@ and evaluate: the workspace owns one set of layer outputs and ReLU masks,
 sized to the largest batch it has served, and the gradient set, so a step
 allocates no per-layer arrays. Smaller batches use the leading rows of the
 same buffers, and backward writes each hidden layer's backpropagated signal
-over that layer's output. Results computed through a workspace are views of
-its buffers and are overwritten by its next forward; callers that need
-snapshots should copy. Without a workspace every call gets fresh buffers.
+over that layer's output. The layer outputs live in one arena that also
+holds the gradient set's scratch, which the clip and the update use once
+backward has spent the outputs. Results computed through a workspace are
+views of its buffers and are overwritten by its next forward, or by a clip or
+update of its gradients; callers that need snapshots should copy. Without a
+workspace every call gets fresh buffers.
 evaluate runs the test set through the workspace in chunks, so a run's
 working memory follows the batch size rather than the test-set size.
 Identical seeds give bitwise identical parameters and trajectories in
@@ -89,6 +92,11 @@ class OptimSpec:
             raise ConfigError("epochs and batch_size must be positive")
 
 
+def n_params(layer_sizes) -> int:
+    """Weights and biases of a network with these layer widths."""
+    return sum(i * o + o for i, o in zip(layer_sizes, layer_sizes[1:]))
+
+
 @dataclass
 class ParamSet:
     """Per-layer weights and biases as views into one flat buffer; also the
@@ -110,7 +118,7 @@ class ParamSet:
     def zeros(cls, layer_sizes) -> ParamSet:
         """A zero-filled set for a network with these layer widths."""
         shapes = list(zip(layer_sizes[1:], layer_sizes[:-1]))  # (fan_out, fan_in)
-        flat = np.zeros(sum(o * i + o for o, i in shapes))
+        flat = np.zeros(n_params(layer_sizes))
         weights, start = [], 0
         for shape in shapes:
             stop = start + shape[0] * shape[1]
@@ -132,10 +140,17 @@ class ParamSet:
 
     def scratch(self) -> np.ndarray:
         """A buffer shaped like ``flat`` for in-place temporaries, made on the
-        first call and returned again after; its contents are undefined."""
+        first call and returned again after, unless ``borrow_scratch`` gave
+        one; its contents are undefined."""
         if self._scratch is None:
             self._scratch = np.empty_like(self.flat)
         return self._scratch
+
+    def borrow_scratch(self, buffer: np.ndarray) -> None:
+        """Use the leading ``flat.size`` entries of ``buffer`` as ``scratch()``
+        from now on; whatever else writes ``buffer`` overwrites it."""
+        self._scratch = buffer[: self.flat.size]
+        self._scratch_parts = None
 
     def scratch_parts(self) -> list[np.ndarray]:
         """Flat views of ``scratch()``, one per array in ``arrays()`` order,
@@ -166,26 +181,42 @@ class Workspace:
     chunk, gets leading-row views of the same buffers. The views are cached
     per row count, so repeated forwards with the same rows return the same
     arrays.
+
+    The layer outputs are views into one float64 arena of
+    max(rows x sum(layer_sizes[1:]), n_params) entries, made at the first
+    forward and remade when a forward needs more rows. The gradient set takes
+    its ``scratch()`` from the arena's first n_params entries and follows the
+    arena when it is remade. So clip_grad_norm and sgd_step on ``grads``
+    overwrite the layer outputs: call them between a backward, which has spent
+    the outputs, and the next forward, as train_step does.
     """
 
     def __init__(self, layer_sizes):
         self.layer_sizes = tuple(layer_sizes)
         self.grads: ParamSet | None = None
-        self._allocate(0)
+        self.rows = 0
+        self._arena: np.ndarray | None = None
+        self._views: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
 
     def _allocate(self, rows: int) -> None:
         widths = self.layer_sizes[1:]
         self.rows = rows
-        self._outputs = [np.empty((rows, n)) for n in widths]
+        self._arena = np.empty(max(rows * sum(widths), n_params(self.layer_sizes)))
+        self._outputs, start = [], 0
+        for n in widths:
+            self._outputs.append(self._arena[start : start + rows * n].reshape(rows, n))
+            start += rows * n
         self._masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
-        self._views: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+        self._views = {}
+        if self.grads is not None:
+            self.grads.borrow_scratch(self._arena)
 
     def buffers(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Each layer's output (hidden activations, then logits) and each
         hidden layer's ReLU mask for a batch of ``rows``."""
         views = self._views.get(rows)
         if views is None:
-            if rows > self.rows:
+            if self._arena is None or rows > self.rows:
                 self._allocate(rows)
             views = self._views[rows] = (
                 [z[:rows] for z in self._outputs],
@@ -230,8 +261,9 @@ def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarra
 
     Layer outputs are written into the leading rows of ``ws``'s buffers: the
     returned logits and the cache alias them until the next forward through
-    the same workspace, whatever its row count. Without ``ws`` they are fresh
-    arrays.
+    the same workspace, whatever its row count, and until a clip_grad_norm or
+    sgd_step on ``ws.grads``, whose scratch shares their arena. Without ``ws``
+    they are fresh arrays.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -277,6 +309,7 @@ def backward(cache: ForwardCache, grad_logits: np.ndarray) -> ParamSet:
     ws = cache.workspace
     if ws.grads is None:
         ws.grads = zeros_like_params(params)
+        ws.grads.borrow_scratch(ws._arena)  # the forward made the arena
     grads = ws.grads
     for i in range(len(params.weights) - 1, -1, -1):
         inputs = cache.outputs[i - 1] if i > 0 else cache.x
@@ -300,7 +333,8 @@ def clip_grad_norm(grads: ParamSet, max_norm: float = 5.0) -> tuple[ParamSet, fl
     ``grads.scratch_parts()``, weights then biases, so the norm has the same
     bits as summing each layer's gradient on its own. Returns the grads and
     the scale factor applied (1.0 when no clipping). An infinite max_norm
-    returns at once, since no norm can exceed it.
+    returns at once, since no norm can exceed it. For a workspace's gradients
+    the scratch is its layer-output arena (see Workspace).
     """
     if max_norm == math.inf:
         return grads, 1.0
@@ -333,7 +367,8 @@ def sgd_step(
 ) -> tuple[ParamSet, ParamSet]:
     """One momentum-SGD update, in place; returns (params, velocity).
 
-    The update's temporary lives in ``grads.scratch()``.
+    The update's temporary lives in ``grads.scratch()``, which for a
+    workspace's gradients is its layer-output arena (see Workspace).
     """
     step = np.multiply(params.flat, weight_decay, out=grads.scratch())
     step += grads.flat

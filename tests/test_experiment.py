@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -251,6 +252,14 @@ def test_run_experiment_validates_first():
         run_experiment(tiny_config(mlp=MlpSpec((4, 8, 7))))
 
 
+def test_run_experiment_refuses_a_config_its_results_cannot_hold(monkeypatch):
+    # clip_norm = +inf (no clipping) is a valid spec, but strict JSON has no infinity
+    monkeypatch.setattr(experiment, "build_dataset", lambda *_: pytest.fail("the run started"))
+    config = tiny_config(optim=OptimSpec(clip_norm=math.inf))
+    with pytest.raises(ConfigError, match=r"^optim\.clip_norm is inf, which a results file"):
+        run_experiment(config)
+
+
 def test_lr_schedule_lands_in_the_records():
     records, _ = run_experiment(tiny_config())
     assert records[0].lr == 0.01
@@ -487,6 +496,16 @@ def test_read_results_rejects_lines_that_are_not_objects(tmp_path, line):
     path = tmp_path / "run.jsonl"
     path.write_text(RECORD_LINE + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(DataError, match="line 2: not a JSON object"):
+        read_results(str(path))
+
+
+@pytest.mark.parametrize(
+    "last", ['{"summary": true}', RECORD_LINE], ids=["a second summary", "a record"]
+)
+def test_read_results_refuses_a_line_after_the_summary(tmp_path, last):
+    path = tmp_path / "run.jsonl"
+    path.write_text(f'{RECORD_LINE}\n{{"summary": true}}\n{last}\n', encoding="utf-8")
+    with pytest.raises(DataError, match="line 3: a line after the summary line"):
         read_results(str(path))
 
 

@@ -300,6 +300,33 @@ def test_forward_through_a_workspace_overwrites_its_buffers():
     assert not np.shares_memory(a, b)
 
 
+def test_the_gradient_scratch_lives_in_the_workspace_arena():
+    """The Workspace contract: ws.grads' scratch is the leading entries of
+    the layer-output arena, sized by the parameters while the 8-512-512-4 net
+    trains at batch 128 (269,316 > 128 x 1,028) and by the outputs once an
+    evaluation grows it (510 x 1,028 > 269,316), and it follows the arena."""
+    rng = np.random.default_rng(6)
+    params = init_params(MlpSpec((8, 512, 512, 4), init_seed=6))
+    ws = Workspace(params.layer_sizes)
+    assert ws._arena is None  # nothing is allocated before the first forward
+    x, y = rng.standard_normal((600, 8)), rng.integers(0, 4, size=600)
+
+    def step():
+        _, cache = forward(params, x[:128], ws)
+        grads = backward(cache, rng.standard_normal((128, 4)))
+        assert np.shares_memory(grads.scratch(), ws.buffers(128)[0][0])
+        bare = zeros_like_params(params)  # its scratch is a buffer of its own
+        bare.flat[...] = grads.flat
+        assert clip_grad_norm(grads, 1e-3)[1] == clip_grad_norm(bare, 1e-3)[1] < 1.0
+        assert grads.flat.tobytes() == bare.flat.tobytes()
+
+    step()
+    assert ws._arena.size == 269_316 > 128 * 1_028
+    evaluate(params, x, y, ws=ws)
+    assert ws.rows == 510 and ws._arena.size == 510 * 1_028 > 269_316
+    step()
+
+
 def test_a_second_backward_on_one_cache_raises():
     params = init_params(MlpSpec((3, 5, 2), init_seed=0))
     _, cache = forward(params, np.ones((4, 3)), Workspace(params.layer_sizes))
