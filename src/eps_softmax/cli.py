@@ -250,7 +250,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     reused = [_reused_result(*job) for job in jobs]
     os.makedirs(args.out_dir, exist_ok=True)
     todo = [job for job, done in zip(jobs, reused) if done is None]
-    workers = args.jobs or min(4, os.cpu_count() or 1)
+    # a pool forks all its workers at the first submit, so start no idle ones
+    workers = min(args.jobs or min(4, os.cpu_count() or 1), len(todo))
     if workers > 1:
         # imported here: no other command, and no --jobs 1 sweep, pays for it
         from concurrent.futures import ProcessPoolExecutor

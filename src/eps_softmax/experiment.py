@@ -153,11 +153,11 @@ def train_step(
     gradients clipped to ``optim.clip_norm``; returns the batch's loss sum.
     The callees are looked up in this module at call time, so a wrapper
     installed on it sees every step."""
-    logits, cache = forward(params, x, ws)
+    logits, _ = forward(params, x, ws)
     values, grad_logits = batch_loss(logits, y, spec)
     loss_sum = float(values.sum())
     grad_logits /= y.size
-    grads = backward(cache, grad_logits)
+    grads = backward(ws, grad_logits)
     clip_grad_norm(grads, optim.clip_norm)
     sgd_step(params, grads, velocity, lr, optim.momentum, optim.weight_decay)
     return loss_sum

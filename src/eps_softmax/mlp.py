@@ -14,19 +14,14 @@ gradient clip therefore run a few ufuncs over ``flat``, each in the same
 elementwise order as the per-layer update written above, so they give the same
 bits as a loop over layers.
 
-All updates happen in place. A training loop passes a Workspace to forward
-and evaluate: the workspace owns one set of layer outputs and ReLU masks,
-sized to the largest batch it has served, and the gradient set, so a step
-allocates no per-layer arrays. Smaller batches use the leading rows of the
-same buffers, and backward writes each hidden layer's backpropagated signal
-over that layer's output. The layer outputs live in one arena that also
-holds the gradient set's scratch, which the clip and the update use once
-backward has spent the outputs. Results computed through a workspace are
-views of its buffers and are overwritten by its next forward, or by a clip or
-update of its gradients; callers that need snapshots should copy. Without a
-workspace every call gets fresh buffers.
-evaluate runs the test set through the workspace in chunks, so a run's
-working memory follows the batch size rather than the test-set size.
+All updates happen in place. A Workspace owns all of a training step's
+buffers, so a step allocates no per-layer arrays: the layer outputs, the
+gradient set and its scratch, and the batch forward leaves pending for
+backward. Results computed through a workspace are views of its buffers and
+are overwritten by its next forward, or by a clip or update of its
+gradients; callers that need snapshots should copy. Without a workspace
+every call gets fresh buffers. evaluate runs the test set through the
+workspace in chunks, so a run's working memory follows the batch size.
 Identical seeds give bitwise identical parameters and trajectories in
 single-threaded use.
 
@@ -104,15 +99,15 @@ class ParamSet:
 
     ``flat`` holds the weights in layer order, then the biases, which is the
     order ``arrays()`` yields them in. Writing through a view writes ``flat``.
+    ``scratch``, a flat buffer of ``flat.size`` entries, holds the temporaries
+    of clip_grad_norm and sgd_step; a Workspace points its gradient set's at
+    its arena, and a bare set makes its own at its first clip or update.
     """
 
     flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _scratch_parts: list[np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, layer_sizes) -> ParamSet:
@@ -138,30 +133,11 @@ class ParamSet:
         yield from self.weights
         yield from self.biases
 
-    def scratch(self) -> np.ndarray:
-        """A buffer shaped like ``flat`` for in-place temporaries, made on the
-        first call and returned again after, unless ``borrow_scratch`` gave
-        one; its contents are undefined."""
-        if self._scratch is None:
-            self._scratch = np.empty_like(self.flat)
-        return self._scratch
 
-    def borrow_scratch(self, buffer: np.ndarray) -> None:
-        """Use the leading ``flat.size`` entries of ``buffer`` as ``scratch()``
-        from now on; whatever else writes ``buffer`` overwrites it."""
-        self._scratch = buffer[: self.flat.size]
-        self._scratch_parts = None
-
-    def scratch_parts(self) -> list[np.ndarray]:
-        """Flat views of ``scratch()``, one per array in ``arrays()`` order,
-        each over the range that array occupies in ``flat``; made once."""
-        if self._scratch_parts is None:
-            scratch, parts, start = self.scratch(), [], 0
-            for a in self.arrays():
-                parts.append(scratch[start : start + a.size])
-                start += a.size
-            self._scratch_parts = parts
-        return self._scratch_parts
+def _scratch(ps: ParamSet) -> np.ndarray:
+    if ps.scratch is None:
+        ps.scratch = np.empty_like(ps.flat)
+    return ps.scratch
 
 
 #: Bytes of layer outputs one evaluate chunk may hold. A matrix product can
@@ -173,27 +149,28 @@ EVAL_CHUNK_BYTES = 4 * 2**20
 
 
 class Workspace:
-    """Buffers a training loop reuses across steps.
+    """The one owner of a training step's buffers, reused across steps.
 
     It keeps one set of layer outputs and hidden-layer ReLU masks, sized to
-    the largest row count it has served, and the gradient set backward writes
-    into. A smaller batch, such as the last partial batch or an evaluation
-    chunk, gets leading-row views of the same buffers. The views are cached
-    per row count, so repeated forwards with the same rows return the same
-    arrays.
+    the largest row count it has served; the gradient set backward writes
+    into; and ``pending``, the (params, input) of the last forward, which
+    backward consumes and evaluate clears. A smaller batch, such as the last
+    partial batch or an evaluation chunk, gets leading-row views of the same
+    buffers, cached per row count.
 
     The layer outputs are views into one float64 arena of
     max(rows x sum(layer_sizes[1:]), n_params) entries, made at the first
-    forward and remade when a forward needs more rows. The gradient set takes
-    its ``scratch()`` from the arena's first n_params entries and follows the
-    arena when it is remade. So clip_grad_norm and sgd_step on ``grads``
-    overwrite the layer outputs: call them between a backward, which has spent
-    the outputs, and the next forward, as train_step does.
+    forward and remade when a forward needs more rows; each time, the
+    gradient set (made the first time) gets the arena's first n_params
+    entries as its ``scratch``. So clip_grad_norm and sgd_step on ``grads``
+    overwrite the layer outputs: call them between a backward, which has
+    spent the outputs, and the next forward, as train_step does.
     """
 
     def __init__(self, layer_sizes):
         self.layer_sizes = tuple(layer_sizes)
         self.grads: ParamSet | None = None
+        self.pending: tuple[ParamSet, np.ndarray] | None = None
         self.rows = 0
         self._arena: np.ndarray | None = None
         self._views: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
@@ -208,8 +185,9 @@ class Workspace:
             start += rows * n
         self._masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
         self._views = {}
-        if self.grads is not None:
-            self.grads.borrow_scratch(self._arena)
+        if self.grads is None:
+            self.grads = ParamSet.zeros(self.layer_sizes)
+        self.grads.scratch = self._arena[: self.grads.flat.size]
 
     def buffers(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Each layer's output (hidden activations, then logits) and each
@@ -230,18 +208,6 @@ class Workspace:
         return max(self.rows, EVAL_CHUNK_BYTES // (8 * sum(self.layer_sizes[1:])), 1)
 
 
-@dataclass
-class ForwardCache:
-    """What backward needs from one forward; backward consumes it."""
-
-    params: ParamSet
-    x: np.ndarray
-    outputs: list[np.ndarray]
-    masks: list[np.ndarray]
-    workspace: Workspace
-    consumed: bool = False
-
-
 def init_params(spec: MlpSpec) -> ParamSet:
     """He-normal weights (std sqrt(2 / fan_in)) and zero biases."""
     rng = make_rng(spec.init_seed)
@@ -256,14 +222,15 @@ def zeros_like_params(params: ParamSet) -> ParamSet:
     return ParamSet.zeros(params.layer_sizes)
 
 
-def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarray, ForwardCache]:
-    """Logits for a batch plus the cache needed by backward.
+def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarray, Workspace]:
+    """Logits for a batch, and the workspace that holds the batch for backward.
 
-    Layer outputs are written into the leading rows of ``ws``'s buffers: the
-    returned logits and the cache alias them until the next forward through
-    the same workspace, whatever its row count, and until a clip_grad_norm or
-    sgd_step on ``ws.grads``, whose scratch shares their arena. Without ``ws``
-    they are fresh arrays.
+    Layer outputs are written into the leading rows of ``ws``'s buffers, and
+    the batch becomes ``ws.pending``, replacing any earlier one. The returned
+    logits alias the buffers until the next forward through the same
+    workspace, whatever its row count, and until a clip_grad_norm or sgd_step
+    on ``ws.grads``, whose scratch shares their arena. Without ``ws`` a fresh
+    workspace is made and returned.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -275,8 +242,8 @@ def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarra
         )
     if ws is None:
         ws = Workspace(params.layer_sizes)
-    outputs, masks = ws.buffers(a.shape[0])
-    cache = ForwardCache(params, a, outputs, masks, ws)
+    outputs, _ = ws.buffers(a.shape[0])
+    ws.pending = (params, a)
     last = len(params.weights) - 1
     for i, (w, b, z) in enumerate(zip(params.weights, params.biases, outputs)):
         np.matmul(a, w.T, out=z)
@@ -284,41 +251,40 @@ def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarra
         if i < last:
             np.maximum(z, 0.0, out=z)
         a = z
-    return a, cache
+    return a, ws
 
 
-def backward(cache: ForwardCache, grad_logits: np.ndarray) -> ParamSet:
-    """Exact parameter gradients given d(loss)/d(logits) for the same batch.
+def backward(ws: Workspace, grad_logits: np.ndarray) -> ParamSet:
+    """Exact parameter gradients for ``ws``'s pending forward, given
+    d(loss)/d(logits) for the same batch.
 
     Pass the gradient of the batch-mean loss to get batch-mean parameter
-    gradients. They are written into the workspace's gradient set, which the
-    next backward through the same workspace overwrites. Backward consumes the
-    cache: each hidden layer's backpropagated signal overwrites that layer's
-    cached output, so a second backward on the same cache raises ValueError.
+    gradients. They are written into ``ws.grads``, which the next backward
+    through ``ws`` overwrites. Backward consumes the pending forward: each
+    hidden layer's backpropagated signal overwrites that layer's output. With
+    no forward pending, as after an earlier backward or an evaluate through
+    ``ws``, it raises ValueError.
     """
-    params = cache.params
+    if ws.pending is None:
+        raise ValueError("no forward pending: a backward or evaluate spent it; stale cache?")
+    params, x = ws.pending
+    outputs, masks = ws.buffers(x.shape[0])
     g = np.asarray(grad_logits, dtype=np.float64)
-    if g.shape != cache.outputs[-1].shape:
+    if g.shape != outputs[-1].shape:
         raise ValueError(
-            f"grad_logits shape {g.shape} does not match cached logits "
-            f"{cache.outputs[-1].shape}; stale cache?"
+            f"grad_logits shape {g.shape} does not match the pending logits "
+            f"{outputs[-1].shape}; stale cache?"
         )
-    if cache.consumed:
-        raise ValueError("an earlier backward consumed this cache's layer outputs; stale cache?")
-    cache.consumed = True
-    ws = cache.workspace
-    if ws.grads is None:
-        ws.grads = zeros_like_params(params)
-        ws.grads.borrow_scratch(ws._arena)  # the forward made the arena
+    ws.pending = None
     grads = ws.grads
     for i in range(len(params.weights) - 1, -1, -1):
-        inputs = cache.outputs[i - 1] if i > 0 else cache.x
+        inputs = outputs[i - 1] if i > 0 else x
         np.matmul(g.T, inputs, out=grads.weights[i])
         np.add.reduce(g, axis=0, out=grads.biases[i])
         if i > 0:
             # a hidden output is relu(z), which is positive exactly where z is;
             # nothing reads the output after its mask, so the signal overwrites it
-            mask = cache.masks[i - 1]
+            mask = masks[i - 1]
             np.greater(inputs, 0.0, out=mask)
             np.matmul(g, params.weights[i], out=inputs)
             np.multiply(inputs, mask, out=inputs)
@@ -329,8 +295,8 @@ def backward(cache: ForwardCache, grad_logits: np.ndarray) -> ParamSet:
 def clip_grad_norm(grads: ParamSet, max_norm: float = 5.0) -> tuple[ParamSet, float]:
     """Rescale all gradients in place if their global L2 norm exceeds max_norm.
 
-    The squares go to ``grads.scratch()`` and are summed per array through
-    ``grads.scratch_parts()``, weights then biases, so the norm has the same
+    The squares go to ``grads.scratch``, and each array's are summed over
+    that array's range of it, weights then biases, so the norm has the same
     bits as summing each layer's gradient on its own. Returns the grads and
     the scale factor applied (1.0 when no clipping). An infinite max_norm
     returns at once, since no norm can exceed it. For a workspace's gradients
@@ -338,10 +304,11 @@ def clip_grad_norm(grads: ParamSet, max_norm: float = 5.0) -> tuple[ParamSet, fl
     """
     if max_norm == math.inf:
         return grads, 1.0
-    np.multiply(grads.flat, grads.flat, out=grads.scratch())
-    total = 0.0
-    for squares in grads.scratch_parts():
-        total += float(np.add.reduce(squares))
+    squares = np.multiply(grads.flat, grads.flat, out=_scratch(grads))
+    total, start = 0.0, 0
+    for a in grads.arrays():
+        total += float(np.add.reduce(squares[start : start + a.size]))
+        start += a.size
     norm = math.sqrt(total)
     scale = 1.0
     if norm > max_norm:
@@ -367,10 +334,10 @@ def sgd_step(
 ) -> tuple[ParamSet, ParamSet]:
     """One momentum-SGD update, in place; returns (params, velocity).
 
-    The update's temporary lives in ``grads.scratch()``, which for a
+    The update's temporary lives in ``grads.scratch``, which for a
     workspace's gradients is its layer-output arena (see Workspace).
     """
-    step = np.multiply(params.flat, weight_decay, out=grads.scratch())
+    step = np.multiply(params.flat, weight_decay, out=_scratch(grads))
     step += grads.flat
     velocity.flat *= momentum
     velocity.flat += step
@@ -386,9 +353,9 @@ def evaluate(params: ParamSet, x, labels, max_k: int = 5, ws: Workspace | None =
     in k by construction. The rows run through ``ws`` (a fresh workspace
     without one) in chunks of ``ws.eval_rows()``, so the layer outputs held at
     once are bounded by EVAL_CHUNK_BYTES or the largest batch the workspace
-    has served. Each chunk's ranks are counted class-major, on the (K, rows)
-    transpose of its logits. Raises FloatingPointError on non-finite logits,
-    which have no ranking.
+    has served; they leave no forward pending on it. Each chunk's ranks are
+    counted class-major, on the (K, rows) transpose of its logits. Raises
+    FloatingPointError on non-finite logits, which have no ranking.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels)
@@ -405,6 +372,7 @@ def evaluate(params: ParamSet, x, labels, max_k: int = 5, ws: Workspace | None =
     chunk = ws.eval_rows()
     for start in range(0, y.size, chunk):
         logits, _ = forward(params, x[start : start + chunk], ws)
+        ws.pending = None  # no backward may follow an evaluation's forward
         if not np.isfinite(logits).all():
             raise FloatingPointError("logits are not finite; the network has diverged")
         scores = np.ascontiguousarray(logits.T)

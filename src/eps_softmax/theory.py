@@ -416,9 +416,9 @@ def gradcheck_mlp(kinds=LOSS_KINDS, seed: int = 0) -> list[CheckReport]:
     for kind in kinds:
         loss_spec = _random_spec(kind, make_rng(seed + 1))
         params = init_params(spec_net)
-        logits, cache = forward(params, x)
+        logits, ws = forward(params, x)
         _, grad_logits = batch_loss(logits, y, loss_spec)
-        analytic = backward(cache, grad_logits / y.size).flat
+        analytic = backward(ws, grad_logits / y.size).flat
 
         probe = init_params(spec_net)
         ws = Workspace(spec_net.layer_sizes)

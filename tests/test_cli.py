@@ -802,6 +802,41 @@ def test_sweep_pool_workers_use_one_blas_thread(tmp_path, capsys, monkeypatch):
     assert lib.scipy_openblas_get_num_threads64_() == own
 
 
+def test_sweep_starts_no_more_pool_workers_than_cells_to_run(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    workers = []
+
+    class InProcessPool:
+        """Records the worker count a sweep asks for and runs its cells here,
+        so the test starts no process."""
+
+        def __init__(self, max_workers, **kwargs):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    out_dir = tmp_path / "g"
+    argv = SMALL_SWEEP[:-1] + ["64", "--out-dir", str(out_dir)]
+    assert run_main(argv) == 0
+    assert workers == [8]
+    for path in sorted(out_dir.iterdir())[:3]:
+        path.unlink()
+    assert run_main(argv) == 0
+    assert workers == [8, 3]
+    assert run_main(argv) == 0  # every cell is reused: no pool at all
+    assert workers == [8, 3]
+    assert len(list(out_dir.iterdir())) == 8
+
+
 def test_importing_the_cli_does_not_import_the_process_pool():
     src = os.path.dirname(os.path.dirname(eps_softmax.__file__))
     code = "import sys, eps_softmax.cli; print('concurrent.futures' in sys.modules)"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from eps_softmax.experiment import (
     run_experiment,
 )
 from eps_softmax.losses import LossSpec
-from eps_softmax.mlp import MlpSpec, OptimSpec, ParamSet
+from eps_softmax.mlp import MlpSpec, OptimSpec, ParamSet, Workspace, init_params, zeros_like_params
 from eps_softmax.noise import NoiseSpec
 
 
@@ -258,6 +259,26 @@ def test_run_experiment_refuses_a_config_its_results_cannot_hold(monkeypatch):
     config = tiny_config(optim=OptimSpec(clip_norm=math.inf))
     with pytest.raises(ConfigError, match=r"^optim\.clip_norm is inf, which a results file"):
         run_experiment(config)
+
+
+def test_a_warm_train_step_allocates_no_parameter_sized_array():
+    """The workspace holds every buffer of a step: the layer outputs, the
+    gradients and the clip and update scratch, which shares the outputs' arena."""
+    rng = np.random.default_rng(0)
+    params = init_params(MlpSpec((128, 512, 512, 10), init_seed=0))
+    velocity = zeros_like_params(params)
+    ws = Workspace(params.layer_sizes)
+    x, y = rng.standard_normal((512, 128)), rng.integers(0, 10, size=512)
+    optim = OptimSpec(clip_norm=1e-3, batch_size=512)  # the clip fires
+    args = (params, velocity, ws, x, y, LossSpec("ce"), 0.01, optim)
+    experiment.train_step(*args)  # cold: the workspace makes its buffers
+    tracemalloc.start()
+    try:
+        experiment.train_step(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.flat.nbytes / 10
 
 
 def test_lr_schedule_lands_in_the_records():

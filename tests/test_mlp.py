@@ -74,10 +74,10 @@ def test_forward_matches_hand_computation():
     params.weights[1][:] = [[1.0, 1.0], [0.0, 2.0]]
     params.biases[1][:] = [0.1, 0.0]
     x = np.array([[2.0, 3.0]])
-    logits, cache = forward(params, x)
+    logits, ws = forward(params, x)
     # hidden = relu([2.0, -2.5]) = [2.0, 0.0]; output = [2.1, 0.0]
     assert np.allclose(logits, [[2.1, 0.0]], atol=1e-15)
-    assert cache.x.shape[0] == 1
+    assert ws.pending[0] is params and ws.pending[1].shape == (1, 2)
 
 
 def test_forward_no_relu_on_the_output_layer():
@@ -155,7 +155,7 @@ def test_clip_at_an_infinite_norm_returns_before_computing_the_norm():
     grads.flat[...] = 1e300
     out, scale = clip_grad_norm(grads, max_norm=math.inf)
     assert out is grads and scale == 1.0
-    assert grads._scratch is None  # the squares were never written
+    assert grads.scratch is None  # the squares were never written
     assert OptimSpec(clip_norm=math.inf).clip_norm == math.inf
 
 
@@ -281,19 +281,19 @@ def test_forward_through_a_workspace_overwrites_its_buffers():
     params = init_params(MlpSpec((3, 5, 2), init_seed=0))
     ws = Workspace(params.layer_sizes)
     x1, x2 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-    first, cache = forward(params, x1, ws)
+    first, pending = forward(params, x1, ws)
     kept = first.copy()
     second, _ = forward(params, x2, ws)
-    assert second is first and cache.outputs[-1] is first
+    assert pending is ws and second is first and ws.buffers(4)[0][-1] is first
     assert np.array_equal(second, forward(params, x2)[0])
     assert not np.array_equal(first, kept)
     # a smaller row count shares the leading rows
     other, _ = forward(params, x1[:3], ws)
     assert np.shares_memory(other, first)
     # backward writes into the workspace's one gradient set
-    grads = backward(cache, np.ones((4, 2)))
-    _, cache = forward(params, x1, ws)  # backward consumed the cache
-    assert backward(cache, np.ones((4, 2))) is grads is ws.grads
+    grads = backward(ws, np.ones((3, 2)))
+    forward(params, x1, ws)  # backward consumed the pending forward
+    assert backward(ws, np.ones((4, 2))) is grads is ws.grads
     # without a workspace every call gets fresh arrays
     a, _ = forward(params, x1)
     b, _ = forward(params, x1)
@@ -308,22 +308,25 @@ def test_the_gradient_scratch_lives_in_the_workspace_arena():
     rng = np.random.default_rng(6)
     params = init_params(MlpSpec((8, 512, 512, 4), init_seed=6))
     ws = Workspace(params.layer_sizes)
-    assert ws._arena is None  # nothing is allocated before the first forward
+    assert ws.grads is None  # nothing is allocated before the first forward
     x, y = rng.standard_normal((600, 8)), rng.integers(0, 4, size=600)
 
     def step():
-        _, cache = forward(params, x[:128], ws)
-        grads = backward(cache, rng.standard_normal((128, 4)))
-        assert np.shares_memory(grads.scratch(), ws.buffers(128)[0][0])
+        forward(params, x[:128], ws)
+        grads = backward(ws, rng.standard_normal((128, 4)))
+        assert grads.scratch.size == grads.flat.size
+        assert np.shares_memory(grads.scratch, ws.buffers(128)[0][0])
         bare = zeros_like_params(params)  # its scratch is a buffer of its own
         bare.flat[...] = grads.flat
         assert clip_grad_norm(grads, 1e-3)[1] == clip_grad_norm(bare, 1e-3)[1] < 1.0
         assert grads.flat.tobytes() == bare.flat.tobytes()
 
     step()
-    assert ws._arena.size == 269_316 > 128 * 1_028
+    grads = ws.grads
+    assert grads.scratch.base.size == 269_316 > 128 * 1_028  # base: the whole arena
     evaluate(params, x, y, ws=ws)
-    assert ws.rows == 510 and ws._arena.size == 510 * 1_028 > 269_316
+    assert ws.rows == 510 and grads.scratch.base.size == 510 * 1_028 > 269_316
+    assert ws.grads is grads  # a remade arena keeps the gradient set
     step()
 
 
@@ -333,6 +336,33 @@ def test_a_second_backward_on_one_cache_raises():
     backward(cache, np.ones((4, 2)))
     with pytest.raises(ValueError, match="stale cache"):
         backward(cache, np.ones((4, 2)))
+
+
+def test_a_backward_after_an_evaluate_through_the_workspace_raises():
+    rng = np.random.default_rng(7)
+    params = init_params(MlpSpec((3, 5, 2), init_seed=0))
+    ws = Workspace(params.layer_sizes)
+    xt, yt = rng.standard_normal((6, 3)), rng.integers(0, 2, size=6)
+    xa = rng.standard_normal((4, 3))
+    evaluate(params, xt, yt, ws=ws)
+    _, pending = forward(params, xa, ws)
+    evaluate(params, xt, yt, ws=ws)  # its forwards overwrite the layer outputs of xa
+    with pytest.raises(ValueError, match="stale cache"):
+        backward(pending, np.ones((4, 2)))
+
+
+def test_two_forwards_then_a_backward_give_the_gradients_of_the_second_batch():
+    rng = np.random.default_rng(8)
+    params = init_params(MlpSpec((3, 5, 5, 2), init_seed=8))
+    ws = Workspace(params.layer_sizes)
+    x1, x2 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    g = rng.standard_normal((4, 2))
+    _, pending = forward(params, x1, ws)
+    forward(params, x2, ws)
+    grads = backward(pending, g)
+    fresh = backward(forward(params, x2)[1], g)
+    assert grads.flat.tobytes() == fresh.flat.tobytes()
+    assert not np.array_equal(fresh.flat, backward(forward(params, x1)[1], g).flat)
 
 
 def test_evaluate_in_chunks_gives_the_metrics_of_one_pass():
