@@ -1,4 +1,4 @@
-"""Minimal dense numeric kernel: softmax, clamped log, seeded RNG.
+"""Minimal dense numeric kernel: softmax, input checks, seeded RNG.
 
 Everything runs in float64. All functions are pure; Generator instances are
 the only stateful objects and should stay confined to a single thread.
@@ -93,13 +93,4 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     if logits.shape[-1] < _ROW_SUM_FROM:
         return np.ascontiguousarray(softmax_cols(logits.T).T)
     return _softmax(np.array(logits, dtype=np.float64, order="C"), axis=-1)
-
-
-def log_clamped(x):
-    """ln(max(x, LOG_FLOOR)) for x >= 0. Accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=np.float64)
-    if (arr < 0.0).any():
-        raise ValueError("log_clamped requires nonnegative input")
-    out = np.log(np.maximum(arr, LOG_FLOOR))
-    return float(out) if out.ndim == 0 else out
 

@@ -1,6 +1,6 @@
-"""Dataset generation and loading: Gaussian blobs, spirals, CSV, and IDX files.
+"""Dataset generation and loading: Gaussian blobs, CSV, and IDX files.
 
-Synthetic sources are generated from a seed and are balanced across classes;
+Blobs are generated from a seed and are balanced across classes;
 file sources are read strictly (malformed input raises DataError with enough
 context to find the offending line or field). Standardization statistics are
 always computed on the training split only.
@@ -17,14 +17,14 @@ import numpy as np
 from .core import make_rng
 from .errors import ConfigError, DataError, check_fields
 
-DATA_SOURCES = ("blobs", "spirals", "csv", "idx")
+DATA_SOURCES = ("blobs", "csv", "idx")
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
     """Where the data comes from and how much of it to use.
 
-    dim is the feature dimension for synthetic sources and is inferred (leave
+    dim is the feature dimension of blobs and is inferred (leave
     it 0) for file sources. n_train / n_test select a prefix of file-backed
     splits, which keeps subset experiments deterministic.
     """
@@ -51,12 +51,10 @@ class DatasetSpec:
             raise ConfigError("need at least 2 classes")
         if self.n_train < self.n_classes or self.n_test < self.n_classes:
             raise ConfigError("n_train and n_test must be at least n_classes")
-        if self.source in ("blobs", "spirals"):
+        if self.source == "blobs":
             if self.dim < 1:
-                raise ConfigError(f"{self.source} needs dim >= 1")
-            if self.source == "spirals" and self.dim != 2:
-                raise ConfigError("spirals are two-dimensional; set dim = 2")
-            if self.source == "blobs" and self.separation <= 0:
+                raise ConfigError("blobs needs dim >= 1")
+            if self.separation <= 0:
                 raise ConfigError("separation must be positive")
         if self.source == "csv" and not (self.train_data_path and self.test_data_path):
             raise ConfigError("csv source needs train_data_path and test_data_path")
@@ -114,28 +112,6 @@ def generate_blobs(spec: DatasetSpec, seed: int) -> tuple[Dataset, Dataset]:
     rng = make_rng(seed)
     centers = _blob_centers(spec.n_classes, spec.dim, spec.separation)
     return _sample_blobs(rng, centers, spec.n_train), _sample_blobs(rng, centers, spec.n_test)
-
-
-def _sample_spirals(rng: np.random.Generator, k: int, n: int) -> Dataset:
-    labels = _balanced_labels(n, k)
-    t = np.empty(n)
-    for c in range(k):  # evenly spaced arc positions per class
-        idx = np.flatnonzero(labels == c)
-        t[idx] = (np.arange(idx.size) + 0.5) / idx.size
-    radius = 0.5 + 2.5 * t
-    theta = 2.0 * math.pi * (1.5 * t + labels / k) + 0.2 * rng.standard_normal(n)
-    features = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
-    perm = rng.permutation(n)
-    return Dataset(features[perm], labels[perm])
-
-
-def generate_spirals(spec: DatasetSpec, seed: int) -> tuple[Dataset, Dataset]:
-    """K interleaved planar spiral arms with angular jitter."""
-    rng = make_rng(seed)
-    return (
-        _sample_spirals(rng, spec.n_classes, spec.n_train),
-        _sample_spirals(rng, spec.n_classes, spec.n_test),
-    )
 
 
 def load_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +197,6 @@ def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Dataset, Dataset]:
     """Materialize the train and test splits described by spec."""
     if spec.source == "blobs":
         train, test = generate_blobs(spec, seed)
-    elif spec.source == "spirals":
-        train, test = generate_spirals(spec, seed)
     else:
         if spec.source == "csv":
             label_paths = (spec.train_data_path, spec.test_data_path)

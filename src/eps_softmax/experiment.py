@@ -47,7 +47,7 @@ class ExperimentConfig:
     """One experiment; where its results are written is not part of it.
 
     Construction checks the sections agree on the class count and, for the
-    generated sources, the input width; a mismatch raises ConfigError."""
+    blobs source, the input width; a mismatch raises ConfigError."""
 
     dataset: DatasetSpec
     mlp: MlpSpec
@@ -67,7 +67,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"noise n_classes {self.noise.n_classes} does not match n_classes {k}"
             )
-        if self.dataset.source in ("blobs", "spirals"):
+        if self.dataset.source == "blobs":
             if self.mlp.layer_sizes[0] != self.dataset.dim:
                 raise ConfigError(
                     f"mlp input size {self.mlp.layer_sizes[0]} does not match "

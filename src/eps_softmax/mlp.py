@@ -355,17 +355,22 @@ def evaluate(params: ParamSet, x, labels, max_k: int = 5, ws: Workspace | None =
     once are bounded by EVAL_CHUNK_BYTES or the largest batch the workspace
     has served; they leave no forward pending on it. Each chunk's ranks are
     counted class-major, on the (K, rows) transpose of its logits. Raises
+    ValueError on non-integer labels, IndexError on labels outside [0, K) and
     FloatingPointError on non-finite logits, which have no ranking.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels)
+    n_classes = params.layer_sizes[-1]
     if y.size == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if x.shape[:1] != y.shape:
         raise ValueError(f"features of shape {x.shape} do not match {y.size} labels")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError("labels must be integers")
+    if y.min() < 0 or y.max() >= n_classes:
+        raise IndexError(f"labels must lie in [0, {n_classes})")
     if ws is None:
         ws = Workspace(params.layer_sizes)
-    n_classes = params.layer_sizes[-1]
     classes = np.arange(n_classes)[:, None]
     # rank_counts[r]: rows whose true label has rank r
     rank_counts = np.zeros(n_classes, dtype=np.int64)

@@ -397,6 +397,20 @@ def test_config_file_with_an_output_path_is_refused(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "elsewhere.jsonl").exists()
 
 
+def test_config_file_with_the_spirals_source_is_refused(tmp_path, capsys):
+    raw = config_to_dict(default_config())
+    raw["dataset"].update(source="spirals", dim=2)
+    raw["mlp"]["layer_sizes"][0] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown data source 'spirals'" in err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(capsys):
     code = run_main(["train", "--config", "/nonexistent/config.json", "--out", "x.jsonl"])
     assert code == 1

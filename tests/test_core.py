@@ -1,4 +1,4 @@
-"""Numeric primitives: rng construction, validation, softmax, clamped log."""
+"""Numeric primitives: rng construction, validation, softmax."""
 
 import math
 
@@ -8,9 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eps_softmax.core import (
-    LOG_FLOOR,
     check_prob_vector,
-    log_clamped,
     make_rng,
     softmax_cols,
     softmax_rows,
@@ -116,31 +114,3 @@ def test_softmax_rows_returns_c_contiguous_rows(n, k):
     p = softmax_rows(logits)
     assert p.shape == (n, k)
     assert p.flags.c_contiguous
-
-
-def test_log_clamped_floor():
-    assert log_clamped(0.0) == math.log(LOG_FLOOR)
-    assert log_clamped(0.0) == pytest.approx(-18.420680743952367, abs=1e-12)
-    assert log_clamped(1.0) == 0.0
-
-
-def test_log_clamped_passthrough_above_floor():
-    x = 0.3
-    assert log_clamped(x) == math.log(x)
-
-
-def test_log_clamped_rejects_negative():
-    with pytest.raises(ValueError):
-        log_clamped(-1e-9)
-
-
-def test_log_clamped_arrays():
-    out = log_clamped(np.array([0.0, 1.0, math.e]))
-    assert out[0] == math.log(LOG_FLOOR)
-    assert out[1] == 0.0
-    assert out[2] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_log_clamped_scalar_returns_float():
-    assert isinstance(log_clamped(0.5), float)
-

@@ -10,7 +10,6 @@ from eps_softmax.data import (
     DatasetSpec,
     build_dataset,
     generate_blobs,
-    generate_spirals,
     load_csv,
     load_idx,
     standardize,
@@ -45,10 +44,9 @@ def test_spec_rejects_degenerate_sizes():
         blob_spec(separation=0.0)
 
 
-def test_spec_spirals_must_be_2d():
-    with pytest.raises(ConfigError):
-        DatasetSpec(source="spirals", n_classes=3, n_train=60, n_test=30, dim=3)
-    DatasetSpec(source="spirals", n_classes=3, n_train=60, n_test=30, dim=2)
+def test_spec_refuses_spirals_as_an_unknown_source():
+    with pytest.raises(ConfigError, match="unknown data source 'spirals'"):
+        DatasetSpec(source="spirals", n_classes=3, n_train=60, n_test=30, dim=2)
 
 
 def test_spec_file_sources_require_paths():
@@ -99,23 +97,6 @@ def test_blobs_1d_centers_lie_on_a_line():
     train, _ = generate_blobs(blob_spec(dim=1, n_train=600, separation=20.0), seed=0)
     means = [train.features[train.labels == k].mean() for k in range(3)]
     assert means[0] < means[1] < means[2]
-
-
-def test_spirals_shapes_and_determinism():
-    spec = DatasetSpec(source="spirals", n_classes=3, n_train=90, n_test=30, dim=2)
-    a_train, a_test = generate_spirals(spec, seed=1)
-    b_train, _ = generate_spirals(spec, seed=1)
-    assert a_train.features.shape == (90, 2)
-    assert a_test.features.shape == (30, 2)
-    assert np.array_equal(a_train.features, b_train.features)
-    assert np.bincount(a_train.labels).tolist() == [30, 30, 30]
-
-
-def test_build_dataset_of_a_spirals_spec_is_generate_spirals():
-    spec = DatasetSpec(source="spirals", n_classes=3, n_train=90, n_test=30, dim=2)
-    for built, generated in zip(build_dataset(spec, seed=4), generate_spirals(spec, seed=4)):
-        assert np.array_equal(built.features, generated.features)
-        assert np.array_equal(built.labels, generated.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eps_softmax import losses
-from eps_softmax.core import softmax_rows
+from eps_softmax.core import LOG_FLOOR, softmax_rows
 from eps_softmax.errors import ConfigError
 from eps_softmax.losses import LOSS_KINDS, LossSpec, batch_loss, evaluate_loss, symmetric_sums
 from eps_softmax.theory import gradcheck_losses
@@ -125,6 +125,14 @@ def test_gce_reference_values():
 def test_sce_reference_value():
     out = evaluate_loss([0.0, 0.0], 0, LossSpec("sce", alpha=1.0, beta=1.0, A=-4.0))
     assert out.value == pytest.approx(2.6931471805599454, abs=1e-14)
+
+
+@pytest.mark.parametrize("spec", [LossSpec("ce"), LossSpec("ce_eps", m=1e4)], ids=["ce", "ce_eps"])
+def test_log_floor_caps_the_loss_of_a_vanishing_label_probability(spec):
+    # p_y = e**-1000 underflows to 0, and label 1 misses the argmax, so ce_eps
+    # takes the unamplified log too: both read -log(LOG_FLOOR)
+    values, _ = batch_loss(np.array([[0.0, -1000.0]]), np.array([1]), spec)
+    assert values[0] == -math.log(LOG_FLOOR) == 18.420680743952367
 
 
 # ---------------------------------------------------------------------------

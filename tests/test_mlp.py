@@ -275,6 +275,23 @@ def test_evaluate_refuses_an_empty_or_mismatched_set(x, labels, message):
         evaluate(identity_net(4), x, labels)
 
 
+@pytest.mark.parametrize(
+    "labels, error, message",
+    [
+        # a negative label would index from the end and score as a valid class
+        ([-4, -3, -2, -1, -4, -3], IndexError, r"labels must lie in \[0, 4\)"),
+        ([0, 1, 2, 4, 0, 1], IndexError, r"labels must lie in \[0, 4\)"),
+        ([0.0, 1.0, 2.0, 3.0, 0.0, 1.0], ValueError, "labels must be integers"),
+    ],
+    ids=["negative", "too_large", "not_integers"],
+)
+def test_evaluate_refuses_labels_outside_the_classes(labels, error, message):
+    params = init_params(MlpSpec((2, 3, 4), init_seed=0))
+    x = np.random.default_rng(0).standard_normal((6, 2))
+    with pytest.raises(error, match=message):
+        evaluate(params, x, np.array(labels))
+
+
 def test_forward_through_a_workspace_overwrites_its_buffers():
     """The aliasing contract in forward's docstring."""
     rng = np.random.default_rng(0)

@@ -17,13 +17,17 @@ term; every other entry and every value is the same bytes.
 import numpy as np
 import pytest
 
-from eps_softmax.core import log_clamped, softmax_rows
+from eps_softmax.core import LOG_FLOOR, softmax_rows
 from eps_softmax.losses import LossSpec, batch_loss, evaluate_loss, symmetric_sums
 from eps_softmax.transform import amplify, argmax_mask, eps_softmax, eps_softmax_rows
 
 # ---------------------------------------------------------------------------
 # Reference: the per-family batch functions, verbatim
 # ---------------------------------------------------------------------------
+
+
+def log_clamped(x):
+    return np.log(np.maximum(x, LOG_FLOOR))
 
 
 def _target_direction(p, rows, labels):
