@@ -64,6 +64,20 @@ def check_logit_vector(logits) -> np.ndarray:
     return arr
 
 
+def check_labels(labels, n_classes: int) -> np.ndarray:
+    """Validate a 1-D integer label array against K classes; return it as
+    int64, without a copy when it is int64 already. Raises ValueError for a
+    non-integer array (booleans too) and IndexError for a label outside [0, K)."""
+    arr = np.asarray(labels)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D label array, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("labels must be integers")
+    if arr.size and (arr.min() < 0 or arr.max() >= n_classes):
+        raise IndexError(f"labels must lie in [0, {n_classes})")
+    return arr.astype(np.int64, copy=False)
+
+
 #: Class count from which the softmax sums along contiguous rows of K. Below
 #: it numpy's pairwise sum adds a row's entries one by one, the order in which
 #: a reduction over axis 0 of a (K, n) array adds its K rows.

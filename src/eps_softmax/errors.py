@@ -6,7 +6,6 @@ the specs' warnings ignored and warns once, from cli.py, for the specs a run use
 """
 
 import dataclasses
-import math
 import sys
 
 
@@ -47,13 +46,12 @@ FIELD_RULES = {
 }
 
 
-def check_fields(spec, names=None, allow_inf: str | None = None) -> None:
+def check_fields(spec, names=None) -> None:
     """Raise ConfigError naming the first field of a spec dataclass whose value
-    breaks the rule of its annotation; only the fields in ``names`` when given.
-    The float field named ``allow_inf`` may also be +inf."""
+    breaks the rule of its annotation; only the fields in ``names`` when given."""
     for f in dataclasses.fields(spec):
         value = getattr(spec, f.name)
-        if (names is None or f.name in names) and not (f.name == allow_inf and value == math.inf):
+        if names is None or f.name in names:
             fits, expected = FIELD_RULES[f.type]
             if not fits(value):
                 raise ConfigError(f"{f.name} must be {expected}, got {value!r}")

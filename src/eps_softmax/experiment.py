@@ -128,10 +128,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 def load_config_file(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            # NaN, Infinity and numbers too large for a double (1e400) stay text, which
-            # no float rule accepts: a results file, strict JSON, could not embed them
-            raw = json.load(fh, parse_constant=str,
-                            parse_float=lambda s: s if math.isinf(float(s)) else float(s))
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -177,17 +174,7 @@ def run_experiment(
 
     Training and evaluation run under ``blas_threads_for``, so a small net
     trains at one BLAS thread; the results are the same bytes at any count.
-    A config its results file could not embed raises ConfigError before the
-    run starts.
     """
-    try:
-        json.dumps(config_to_dict(config), allow_nan=False)
-    except ValueError:
-        # every other float field of a checked config is finite
-        raise ConfigError(
-            f"optim.clip_norm is {config.optim.clip_norm}, which a results file cannot "
-            "hold (strict JSON has no infinity); train_step takes it as no clipping"
-        ) from None
     train, test = build_dataset(config.dataset, config.seed)
     if config.mlp.layer_sizes[0] != train.features.shape[1]:
         raise ConfigError(

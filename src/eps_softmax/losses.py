@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LOG_FLOOR, check_logit_vector, softmax_cols
+from .core import LOG_FLOOR, check_labels, check_logit_vector, softmax_cols
 from .errors import ConfigError, check_fields
 from .transform import amplify, argmax_mask
 
@@ -217,10 +217,9 @@ def batch_loss(logits, labels, spec: LossSpec):
 def evaluate_loss(logits, y: int, spec: LossSpec) -> LossOutput:
     """Validated single-sample loss evaluation."""
     x = check_logit_vector(logits)
-    if not 0 <= y < x.size:
-        raise IndexError(f"label {y} out of range for {x.size} classes")
+    labels = check_labels([y], x.size)
     with np.errstate(over="ignore"):  # finite - finite may still overflow to -inf
-        values, grads = batch_loss(x[None, :], np.array([y]), spec)
+        values, grads = batch_loss(x[None, :], labels, spec)
     return LossOutput(float(values[0]), grads[0])
 
 

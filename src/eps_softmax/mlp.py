@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import make_rng
+from .core import check_labels, make_rng
 from .errors import ConfigError, check_fields
 
 
@@ -74,7 +74,7 @@ class OptimSpec:
     batch_size: int = 128
 
     def __post_init__(self):
-        check_fields(self, allow_inf="clip_norm")  # inf: no clipping
+        check_fields(self)
         if self.lr0 <= 0:
             raise ConfigError("lr0 must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -298,12 +298,9 @@ def clip_grad_norm(grads: ParamSet, max_norm: float = 5.0) -> tuple[ParamSet, fl
     The squares go to ``grads.scratch``, and each array's are summed over
     that array's range of it, weights then biases, so the norm has the same
     bits as summing each layer's gradient on its own. Returns the grads and
-    the scale factor applied (1.0 when no clipping). An infinite max_norm
-    returns at once, since no norm can exceed it. For a workspace's gradients
-    the scratch is its layer-output arena (see Workspace).
+    the scale factor applied (1.0 when no clipping). For a workspace's
+    gradients the scratch is its layer-output arena (see Workspace).
     """
-    if max_norm == math.inf:
-        return grads, 1.0
     squares = np.multiply(grads.flat, grads.flat, out=_scratch(grads))
     total, start = 0.0, 0
     for a in grads.arrays():
@@ -359,16 +356,12 @@ def evaluate(params: ParamSet, x, labels, max_k: int = 5, ws: Workspace | None =
     FloatingPointError on non-finite logits, which have no ranking.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(labels)
     n_classes = params.layer_sizes[-1]
+    y = check_labels(labels, n_classes)
     if y.size == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if x.shape[:1] != y.shape:
         raise ValueError(f"features of shape {x.shape} do not match {y.size} labels")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ValueError("labels must be integers")
-    if y.min() < 0 or y.max() >= n_classes:
-        raise IndexError(f"labels must lie in [0, {n_classes})")
     if ws is None:
         ws = Workspace(params.layer_sizes)
     classes = np.arange(n_classes)[:, None]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import make_rng
+from .core import check_labels, make_rng
 from .errors import ConfigError, check_fields
 
 NOISE_KINDS = ("none", "symmetric", "asymmetric_shift")
@@ -81,15 +81,8 @@ def corrupt_labels(labels, spec: NoiseSpec) -> CorruptionResult:
     Each label independently flips with probability eta; a symmetric flip picks
     uniformly among the K - 1 wrong classes, a shift flip picks (y + 1) mod K.
     """
-    arr = np.asarray(labels)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D label array, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError("labels must be integers")
-    arr = arr.astype(np.int64)
     k = spec.n_classes
-    if arr.size and (arr.min() < 0 or arr.max() >= k):
-        raise IndexError(f"labels must lie in [0, {k})")
+    arr = check_labels(labels, k)
 
     if spec.kind == "none" or spec.eta == 0.0:
         noisy = arr.copy()

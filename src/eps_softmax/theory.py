@@ -13,6 +13,7 @@ independent oracle for every analytic gradient in the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from .experiment import train_step
 from .losses import LOSS_KINDS, LossSpec, batch_loss, evaluate_loss, symmetric_sums
 from .mlp import MlpSpec, OptimSpec, Workspace, backward, forward, init_params, zeros_like_params
 from .noise import NoiseSpec, clean_dominance_margin, corrupt_labels, expected_clean_weight
-from .transform import amplify, argmax_mask, distances_to_one_hot_rows, eps_bound
+from .transform import amplify, argmax_mask, check_m, distances_to_one_hot_rows, eps_bound
 
 
 @dataclass
@@ -89,8 +90,13 @@ def one_hot_bound_grid(trials: int = 100_000, seed: int = 0) -> list[CheckReport
 def closed_form_optimum(q, m: float) -> np.ndarray:
     """Softmax probabilities minimizing the expected eps CE under label
     distribution q: the winner gives up m worth of mass, everyone else is
-    scaled up by m + 1."""
+    scaled up by m + 1. Raises ConfigError for a negative or non-finite m, and
+    ValueError when q's top-two gap is below m / (m + 1): no minimum then."""
+    m = check_m(m)
     arr = check_prob_vector(q)
+    second, top = np.partition(arr, -2)[-2:]
+    if top - second < m / (m + 1.0):
+        raise ValueError(f"q's top-two gap {float(top - second)} is below m / (m + 1) at m = {m}")
     t = int(np.argmax(arr))
     p = arr * (m + 1.0)
     p[t] = arr[t] * (1.0 + m) - m
@@ -270,10 +276,11 @@ def verify_excess_risk(
     weight and a the worst-case clean dominance margin of the noise model.
     delta is measured empirically as the spread of symmetric sums over the
     transformed outputs both models actually produce, each trained by
-    train_step at full batch without clipping or weight decay. The specs must
-    share one class count K <= 4 and have positive margins, checked before any
-    training. The task is tiny (2-D blobs, at most 200 points); the verify
-    suite's three specs at the defaults take about 1.3-1.8 s on a 2-CPU host.
+    train_step at full batch without weight decay or clipping (the clip bound
+    is the largest double). The specs must share one class count K <= 4 and
+    have positive margins, checked before any training. The task is tiny (2-D
+    blobs, at most 200 points); the verify suite's three specs at the
+    defaults take about 1.3-1.8 s on a 2-CPU host.
     """
     _require_at_least("the number of noise specs", len(noise_specs))
     class_counts = sorted({spec.n_classes for spec in noise_specs})
@@ -291,7 +298,7 @@ def verify_excess_risk(
     )
     train, _ = generate_blobs(data_spec, seed)
     loss_spec = LossSpec("ce_eps", m=m)
-    optim = OptimSpec(lr0=0.2, momentum=0.9, weight_decay=0.0, clip_norm=math.inf)
+    optim = OptimSpec(lr0=0.2, momentum=0.9, weight_decay=0.0, clip_norm=sys.float_info.max)
 
     def trained_logits(labels: np.ndarray) -> np.ndarray:
         params = init_params(MlpSpec((data_spec.dim, n_classes), init_seed=seed))

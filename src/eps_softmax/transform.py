@@ -32,7 +32,7 @@ def argmax_mask(p) -> np.ndarray:
     return np.arange(p.shape[-1]) == np.argmax(p, axis=-1)[..., None]
 
 
-def _check_m(m) -> float:
+def check_m(m) -> float:
     m = float(m)
     if not 0.0 <= m < math.inf:
         raise ConfigError(f"m must be finite and nonnegative, got {m}")
@@ -41,7 +41,7 @@ def _check_m(m) -> float:
 
 def eps_softmax(logits, m: float = 0.0) -> np.ndarray:
     """Softmax, then add m to the largest probability and divide all by m + 1."""
-    m = _check_m(m)
+    m = check_m(m)
     x = check_logit_vector(logits)
     with np.errstate(over="ignore"):  # finite - finite may still overflow to -inf
         p = softmax_rows(x[None])[0]
@@ -58,7 +58,7 @@ def eps_bound(n_classes: int, m: float) -> float:
     """Worst-case distance from the transformed output to the one-hot set."""
     if n_classes < 2:
         raise ConfigError("need at least 2 classes")
-    return math.sqrt(1.0 - 1.0 / n_classes) / (_check_m(m) + 1.0)
+    return math.sqrt(1.0 - 1.0 / n_classes) / (check_m(m) + 1.0)
 
 
 def distance_to_one_hot(p) -> float:

@@ -471,13 +471,13 @@ def test_config_file_values_of_the_wrong_type_are_config_errors(tmp_path, capsys
     "name, value",
     [
         ("optim.clip_norm", "NaN"),
-        # +inf is the library's "no clipping", but a results file cannot embed it
         ("optim.clip_norm", "Infinity"),
         ("loss.m", "NaN"),
         ("optim.lr0", "Infinity"),
         ("dataset.separation", "-Infinity"),
         pytest.param("optim.lr0", 10**400, id="optim.lr0-10**400"),
         ("--clip-norm", "nan"),
+        ("--clip-norm", "inf"),
         ("--m", "nan"),
         ("--lr0", "inf"),
         ("--weight-decay", "-inf"),

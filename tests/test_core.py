@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eps_softmax.core import (
+    check_labels,
     check_prob_vector,
     make_rng,
     softmax_cols,
@@ -59,6 +60,15 @@ def test_check_prob_vector_rejects_non_finite_entries(bad):
 
 
 # eps_softmax at its default m = 0 is the validated single-vector softmax
+
+
+def test_check_labels_returns_int64_and_copies_only_to_convert():
+    labels = np.array([0, 2, 1])
+    assert check_labels(labels, 3) is labels
+    narrow = np.array([0, 2, 1], dtype=np.int32)
+    out = check_labels(narrow, 3)
+    assert out.dtype == np.int64 and np.array_equal(out, narrow)
+    assert check_labels(np.array([], dtype=np.int64), 3).size == 0
 
 
 def test_softmax_known_values():

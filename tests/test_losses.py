@@ -105,6 +105,25 @@ def test_ce_eps_on_target_gradient_is_damped_ce():
     assert np.allclose(eps.grad_logits, ce.grad_logits * (0.5 / 1.5), atol=1e-16)
 
 
+@pytest.mark.parametrize("m", [0.5, 1e4])
+@pytest.mark.parametrize("k", [2, 4, 10])
+def test_ce_eps_logit_gradient_is_ce_on_misses_and_damped_ce_on_hits(k, m):
+    """The gradient identity behind the damping: on rows whose argmax misses
+    the label the ce_eps logit gradient is ce's, and on rows where it hits it
+    is p_y / (p_y + m) times ce's, bit for bit."""
+    rng = np.random.default_rng(k)
+    logits = rng.uniform(-4.0, 4.0, size=(20_000, k))
+    labels = rng.integers(0, k, size=20_000)
+    _, ce = batch_loss(logits, labels, LossSpec("ce"))
+    _, eps = batch_loss(logits, labels, LossSpec("ce_eps", m=m))
+    p = softmax_rows(logits)
+    hit = np.argmax(p, axis=1) == labels  # ties go to the lowest index
+    assert 0 < hit.sum() < hit.size
+    py = p[np.arange(labels.size), labels][:, None]
+    assert np.array_equal(eps[~hit], ce[~hit])
+    assert np.array_equal(eps[hit], (py / (py + m))[hit] * ce[hit])
+
+
 def test_fl_reference_values():
     assert evaluate_loss(LOGITS3, 0, LossSpec("fl", gamma=2.0)).value == pytest.approx(
         0.09908187417336804, abs=1e-14
@@ -240,6 +259,13 @@ def test_evaluate_loss_validates_inputs():
         evaluate_loss([0.0, float("nan")], 0, spec)
     with pytest.raises(IndexError):
         evaluate_loss([0.0, 1.0], 2, spec)
+
+
+@pytest.mark.parametrize("label", [1.5, 1.0, np.float64(2.0), True], ids=repr)
+def test_evaluate_loss_refuses_a_label_that_is_not_an_integer(label):
+    # True would otherwise score as class 1, and a float index fails inside numpy
+    with pytest.raises(ValueError, match="labels must be integers"):
+        evaluate_loss([0.0, 1.0, 2.0], label, LossSpec("ce"))
 
 
 def test_evaluate_loss_silences_the_overflow_of_its_max_subtraction():

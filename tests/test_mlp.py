@@ -149,14 +149,16 @@ def test_clip_rescales_to_the_threshold():
     assert np.sqrt(total) == pytest.approx(5.0)
 
 
-def test_clip_at_an_infinite_norm_returns_before_computing_the_norm():
-    params = init_params(MlpSpec((2, 2), init_seed=0))
+def test_clip_at_an_infinite_norm_keeps_finite_grads_but_no_spec_takes_it():
+    params = init_params(MlpSpec((2, 3, 2), init_seed=0))
     grads = zeros_like_params(params)
-    grads.flat[...] = 1e300
-    out, scale = clip_grad_norm(grads, max_norm=math.inf)
+    grads.flat[...] = np.random.default_rng(0).standard_normal(grads.flat.size) * 1e150
+    before = grads.flat.tobytes()
+    out, scale = clip_grad_norm(grads, max_norm=math.inf)  # no finite norm exceeds it
     assert out is grads and scale == 1.0
-    assert grads.scratch is None  # the squares were never written
-    assert OptimSpec(clip_norm=math.inf).clip_norm == math.inf
+    assert grads.flat.tobytes() == before
+    with pytest.raises(ConfigError, match="^clip_norm must be a finite number, got inf$"):
+        OptimSpec(clip_norm=math.inf)
 
 
 def test_cosine_lr_endpoints_and_midpoint():

@@ -10,6 +10,7 @@ train_step replaced, is kept below as well.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -248,7 +249,8 @@ def test_train_step_without_clip_or_decay_is_the_excess_risk_trainer(spec):
     params = init_params(MlpSpec((2, 4), init_seed=0))
     velocity = zeros_like_params(params)
     ws = Workspace(params.layer_sizes)
-    optim = OptimSpec(lr0=0.2, momentum=0.9, weight_decay=0.0, clip_norm=math.inf)
+    # the excess-risk trainer's clip bound, the largest double, which no gradient reaches
+    optim = OptimSpec(lr0=0.2, momentum=0.9, weight_decay=0.0, clip_norm=sys.float_info.max)
     for _ in range(300):
         train_step(params, velocity, ws, train.features, labels, spec, optim.lr0, optim)
     assert params.flat.tobytes() == ref_params.flat.tobytes()

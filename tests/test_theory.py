@@ -91,6 +91,22 @@ def test_closed_form_optimum_refuses_a_nan_distribution():
         closed_form_optimum([math.nan, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, -0.5])
+def test_closed_form_optimum_refuses_an_m_the_transform_refuses(m):
+    with pytest.raises(ConfigError, match="m must be finite and nonnegative"):
+        closed_form_optimum([0.9, 0.1], m)
+
+
+def test_closed_form_optimum_refuses_a_gap_below_the_threshold():
+    # below m / (m + 1) there is no interior minimum; the formula's [0.2, 0.8]
+    # would not even keep q's argmax
+    with pytest.raises(ValueError, match="top-two gap"):
+        closed_form_optimum([0.6, 0.4], 1.0)
+    # the threshold itself is allowed: gap 0.5 at m = 1, and a tie at m = 0
+    assert np.array_equal(closed_form_optimum([0.75, 0.25], 1.0), [0.5, 0.5])
+    assert np.array_equal(closed_form_optimum([0.4, 0.4, 0.2], 0.0), [0.4, 0.4, 0.2])
+
+
 def test_closed_form_optimum_is_a_distribution():
     opt = closed_form_optimum([0.9, 0.06, 0.04], m=4.0)
     assert opt.sum() == pytest.approx(1.0, abs=1e-12)
