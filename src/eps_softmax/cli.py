@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 on usage, configuration or data errors or when
 training diverges, 2 when a verification or gradient check fails. Flags override
 config-file fields; without a config file the desk-scale blob defaults below
-apply. The --seed flag drives the run, the weight init, and the noise draw
+apply. A config file is checked as it is read, so an invalid field in it (say,
+noise that drowns the clean class) is refused even if a flag would replace it.
+The --seed flag drives the run, the weight init, and the noise draw
 together so seed-averaged comparisons vary everything at once.
 """
 
@@ -11,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
-import warnings
 
 from .data import DatasetSpec
 from .errors import ConfigError, DataError, TrainingDiverged, is_int64
@@ -108,13 +110,8 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _base_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The --config file, read with its specs' warnings ignored, or the defaults.
-    build_config rebuilds every spec, so a warning fires once, for values a run uses."""
-    if not args.config:
-        return default_config()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return load_config_file(args.config)
+    """The --config file, or the defaults."""
+    return load_config_file(args.config) if args.config else default_config()
 
 
 def build_config(
@@ -135,9 +132,7 @@ def build_config(
         changes["mlp"]["layer_sizes"] = _parse_list("--layer-sizes", args.layer_sizes, int64)
     if args.seed is not None:
         changes["mlp"]["init_seed"] = changes["noise"]["seed"] = args.seed
-    specs = {name: getattr(base, name) for name in changes}
-    for name, spec in specs.items():
-        specs[name] = type(spec)(**{**vars(spec), **changes[name]})
+    specs = {name: dataclasses.replace(getattr(base, name), **changes[name]) for name in changes}
     return ExperimentConfig(**specs, seed=base.seed if args.seed is None else args.seed)
 
 
@@ -146,6 +141,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(f"--log-every must be at least 0, got {args.log_every}")
     config = build_config(args)
     # fail before training; emit_results' exclusive create stays the real guard
+    if not os.path.basename(args.out):
+        raise DataError(f"cannot write results to {args.out!r}: not a file name")
     if os.path.exists(args.out):
         raise DataError(f"refusing to overwrite existing results file: {args.out}")
     if not os.path.isdir(os.path.dirname(args.out) or "."):

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the one rule for spec fields.
 
 Every spec checks its fields against ``FIELD_RULES`` when it is built, for
-library, config-file and flag callers alike. The CLI reads a config file with
-the specs' warnings ignored and warns once, from cli.py, for the specs a run uses.
+library, config-file and flag callers alike. A value a spec cannot use raises
+``ConfigError`` there; no spec warns and goes on.
 """
 
 import dataclasses

@@ -301,15 +301,21 @@ def clip_grad_norm(grads: ParamSet, max_norm: float = 5.0) -> tuple[ParamSet, fl
     the scale factor applied (1.0 when no clipping). For a workspace's
     gradients the scratch is its layer-output arena (see Workspace).
     """
-    squares = np.multiply(grads.flat, grads.flat, out=_scratch(grads))
+    with np.errstate(over="ignore"):  # a finite gradient's squares may overflow
+        squares = np.multiply(grads.flat, grads.flat, out=_scratch(grads))
     total, start = 0.0, 0
     for a in grads.arrays():
         total += float(np.add.reduce(squares[start : start + a.size]))
         start += a.size
-    norm = math.sqrt(total)
+    norm, big = math.sqrt(total), 1.0
+    if norm == math.inf and np.isfinite(grads.flat).all():
+        # divided by its largest entry, the gradient's squares cannot overflow
+        big = float(np.abs(grads.flat).max())
+        shrunk = np.divide(grads.flat, big, out=squares)
+        norm = math.sqrt(float(shrunk @ shrunk))  # in units of big
     scale = 1.0
-    if norm > max_norm:
-        scale = max_norm / norm
+    if norm > max_norm / big:
+        scale = max_norm / big / norm
         grads.flat *= scale
     return grads, scale
 

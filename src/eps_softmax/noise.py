@@ -2,14 +2,13 @@
 
 Two stochastic kinds: symmetric noise spreads a flip budget eta uniformly over
 the wrong classes, and asymmetric shift moves it entirely onto the next class
-modulo K. Both keep the clean class dominant (symmetric needs
-eta < (K - 1) / K, shift needs eta < 1/2), which is the regime the
-noise-tolerance analysis covers.
+modulo K. The noise-tolerance analysis covers only noise that keeps each clean
+class dominant, so ``NoiseSpec`` refuses any spec whose clean dominance margin
+is not positive: symmetric needs eta < (K - 1) / K, shift needs eta < 1/2.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +38,10 @@ class NoiseSpec:
             raise ConfigError("need at least 2 classes")
         if self.kind == "none" and self.eta != 0.0:
             raise ConfigError("kind 'none' requires eta = 0")
-        if self.kind == "asymmetric_shift" and self.eta >= 0.5:
-            raise ConfigError("asymmetric_shift requires eta < 0.5 (clean class must dominate)")
-        if self.kind == "symmetric" and self.eta >= (self.n_classes - 1) / self.n_classes:
-            warnings.warn(
-                f"symmetric eta={self.eta} at K={self.n_classes} leaves the clean "
-                "class without a plurality; labels are no longer recoverable",
-                stacklevel=3,
+        if (margin := clean_dominance_margin(self)) <= 0.0:
+            raise ConfigError(
+                f"{self.kind} eta={self.eta} at K={self.n_classes} leaves the clean class "
+                f"without a strict plurality: its dominance margin {margin:.3g} is not positive"
             )
 
 
@@ -110,7 +106,8 @@ def clean_dominance_margin(spec: NoiseSpec) -> float:
     matrix T between the clean class weight and any wrong class.
 
     Positive exactly when every clean class keeps a strict plurality after
-    corruption, the premise of the excess-risk bound.
+    corruption, the premise of the excess-risk bound; ``NoiseSpec`` refuses
+    every spec whose margin is not positive.
     """
     mat = transition_matrix(spec)
     clean = np.diag(mat)

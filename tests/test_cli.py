@@ -258,7 +258,8 @@ def test_train_that_diverges_under_warnings_as_errors_prints_only_the_error_line
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_a_config_warning_under_warnings_as_errors_is_one_error_line(tmp_path, command):
-    # eta 0.9 at K = 4 leaves the clean class without a plurality
+    # eta 0.9 at K = 4 leaves the clean class without a plurality: NoiseSpec
+    # refuses it, so -W error sees the same single error line as the default
     out = tmp_path / "x"
     if command == "train":
         argv = ["train", "--noise-kind", "symmetric", "--eta", "0.9", "--out", str(out)]
@@ -272,38 +273,27 @@ def test_a_config_warning_under_warnings_as_errors_is_one_error_line(tmp_path, c
     assert not out.exists()
 
 
-def test_a_config_warning_with_default_warnings_warns_and_trains(tmp_path):
-    out = tmp_path / "x.jsonl"
-    argv = ["train", "--noise-kind", "symmetric", "--eta", "0.9", "--epochs", "1",
-            "--n-train", "100", "--n-test", "50", "--log-every", "0", "--out", str(out)]
-    done = run_module(argv)
-    assert done.returncode == 0, done.stderr
-    assert "UserWarning: symmetric eta=0.9" in done.stderr
-    assert len(read_results(str(out))[0]) == 1
-
-
 @pytest.mark.parametrize("command", ["train", "sweep"])
-def test_a_config_warning_names_the_cli_line_once(tmp_path, monkeypatch, command):
-    # default filters show a warning once per message and line, so the four
-    # eta-0.9 cells of the sweep print one
+def test_a_drowned_clean_class_is_one_error_line_by_default(tmp_path, monkeypatch, command):
     for name in ("PYTHONWARNINGS", "PYTHONDEVMODE"):
         monkeypatch.delenv(name, raising=False)
     out = tmp_path / "x"
     if command == "train":
-        argv = ["train", "--noise-kind", "symmetric", "--eta", "0.9", "--log-every", "0",
-                "--out", str(out)]
+        argv = ["train", "--noise-kind", "symmetric", "--eta", "0.9", "--out", str(out)]
     else:
-        argv = ["sweep", "--etas", "0,0.9", "--seeds", "0,1", "--jobs", "1",
-                "--out-dir", str(out)]
-    done = run_module(argv + ["--epochs", "1", "--n-train", "100", "--n-test", "50"])
-    assert done.returncode == 0, done.stderr
-    warned = [line for line in done.stderr.splitlines() if "UserWarning" in line]
-    assert len(warned) == 1, done.stderr
-    assert os.path.join("eps_softmax", "cli.py:") in warned[0]
+        argv = ["sweep", "--etas", "0,0.9", "--seeds", "0,1", "--out-dir", str(out)]
+    done = run_module(argv + ["--epochs", "1"])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: symmetric eta=0.9 at K=4 leaves the clean class without a strict "
+        "plurality: its dominance margin -0.2 is not positive\n"
+    )
+    assert not out.exists()
 
 
 def _drowned_config_file(tmp_path):
-    # symmetric eta 0.9 at K = 4 warns; the file itself is valid
+    # symmetric eta 0.9 at K = 4 leaves the clean class without a plurality
     raw = config_to_dict(default_config())
     raw["noise"].update(kind="symmetric", eta=0.9)
     path = tmp_path / "sym.json"
@@ -311,30 +301,39 @@ def _drowned_config_file(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("flags, count", [([], 1), (["--eta", "0.9"], 1), (["--eta", "0.2"], 0)])
-def test_a_config_file_warning_fires_once_for_the_eta_the_run_uses(
-    tmp_path, monkeypatch, flags, count
-):
-    for name in ("PYTHONWARNINGS", "PYTHONDEVMODE"):
-        monkeypatch.delenv(name, raising=False)
+@pytest.mark.parametrize("flags", [[], ["--eta", "0.9"], ["--eta", "0.2"]])
+def test_a_config_file_with_a_drowned_clean_class_is_refused(tmp_path, flags):
+    # whatever the flags: the file is checked as it is read, like any other invalid field
+    out = tmp_path / "x.jsonl"
     argv = ["train", "--config", _drowned_config_file(tmp_path), *flags, "--epochs", "1",
-            "--n-train", "100", "--n-test", "50", "--log-every", "0",
-            "--out", str(tmp_path / "x.jsonl")]
+            "--log-every", "0", "--out", str(out)]
     done = run_module(argv)
-    assert done.returncode == 0, done.stderr
-    warned = [line for line in done.stderr.splitlines() if "UserWarning" in line]
-    assert len(warned) == count, done.stderr
-    assert all(os.path.join("eps_softmax", "cli.py:") in line for line in warned)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("error: config section 'noise': symmetric eta=0.9 at K=4")
+    assert not out.exists()
 
 
-def test_a_sweep_does_not_check_the_noise_rate_its_cells_replace(tmp_path):
+def test_a_sweep_refuses_a_config_file_with_a_drowned_clean_class(tmp_path):
     out = tmp_path / "g"
     argv = ["sweep", "--config", _drowned_config_file(tmp_path), "--losses", "ce",
-            "--etas", "0,0.2", "--epochs", "1", "--n-train", "100", "--n-test", "50",
-            "--jobs", "1", "--out-dir", str(out)]
-    done = run_module(argv, "-W", "error")
-    assert done.returncode == 0, done.stderr
-    assert sorted(os.listdir(out)) == ["ce_eta0.2_seed0.jsonl", "ce_eta0_seed0.jsonl"]
+            "--etas", "0,0.2", "--epochs", "1", "--jobs", "1", "--out-dir", str(out)]
+    done = run_module(argv)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: config section 'noise': symmetric eta=0.9"), done.stderr
+    assert not out.exists()
+
+
+def test_train_refuses_an_out_path_naming_no_file_before_training(monkeypatch, capsys):
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(cli_mod, "run_experiment", no_run)
+    for out in ("", "results" + os.sep):
+        assert main(["train", "--epochs", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: cannot write results to {out!r}: not a file name\n"
 
 
 def test_train_progress_goes_to_stderr(tmp_path, capsys):

@@ -149,6 +149,19 @@ def test_clip_rescales_to_the_threshold():
     assert np.sqrt(total) == pytest.approx(5.0)
 
 
+def test_clip_rescales_a_finite_gradient_whose_squares_overflow():
+    params = init_params(MlpSpec((2, 3, 2), init_seed=0))
+    grads = zeros_like_params(params)
+    grads.flat[...] = 1e200  # each square overflows; the pytest filter makes a warning an error
+    grads.flat[0] = -3e199
+    _, scale = clip_grad_norm(grads, max_norm=5.0)
+    assert 0.0 < scale < 1.0
+    assert np.isfinite(grads.flat).all()
+    assert np.linalg.norm(grads.flat) == pytest.approx(5.0, rel=1e-12)
+    # the direction is kept
+    assert grads.flat[0] == pytest.approx(-0.3 * grads.flat[1], rel=1e-12)
+
+
 def test_clip_at_an_infinite_norm_keeps_finite_grads_but_no_spec_takes_it():
     params = init_params(MlpSpec((2, 3, 2), init_seed=0))
     grads = zeros_like_params(params)

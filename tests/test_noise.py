@@ -1,6 +1,7 @@
 """Label corruption: transition matrices, determinism, realized rates."""
 
-import warnings
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,16 +35,42 @@ def test_spec_rejects_bad_settings():
         NoiseSpec("asymmetric_shift", eta=0.5)
 
 
-def test_spec_warns_when_symmetric_noise_drowns_the_clean_class():
-    with pytest.warns(UserWarning):
+def test_spec_refuses_symmetric_noise_that_drowns_the_clean_class():
+    message = r"^symmetric eta=0.95 at K=10 leaves the clean class without a strict plurality"
+    with pytest.raises(ConfigError, match=message):
         NoiseSpec("symmetric", eta=0.95, n_classes=10)
 
 
-def test_the_drowned_clean_class_warning_names_the_line_that_built_the_spec():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        NoiseSpec("symmetric", eta=0.9, n_classes=4)
-    assert [w.filename for w in caught] == [__file__]
+@pytest.mark.parametrize(
+    "kind, eta, k, accepted",
+    [
+        ("asymmetric_shift", 0.5, 4, False),
+        ("asymmetric_shift", math.nextafter(0.5, 0.0), 4, True),
+        ("symmetric", 0.75, 4, False),
+        ("symmetric", 0.5, 2, False),
+        ("symmetric", math.nextafter(0.75, 0.0), 4, True),
+        ("symmetric", 2 / 3, 3, True),  # fl(2/3) rounds down: margin +5.6e-17
+        ("none", 0.0, 4, True),
+    ],
+)
+def test_spec_refuses_exactly_the_specs_without_a_positive_margin(kind, eta, k, accepted):
+    margin = clean_dominance_margin(SimpleNamespace(kind=kind, eta=eta, n_classes=k))
+    assert (margin > 0.0) is accepted
+    if accepted:
+        assert clean_dominance_margin(NoiseSpec(kind, eta=eta, n_classes=k)) == margin
+    else:
+        with pytest.raises(ConfigError, match="without a strict plurality"):
+            NoiseSpec(kind, eta=eta, n_classes=k)
+
+
+@given(st.sampled_from(NOISE_KINDS[1:]), st.floats(0.0, 1.0, exclude_max=True), st.integers(2, 12))
+def test_spec_is_refused_exactly_when_its_margin_is_not_positive(kind, eta, k):
+    margin = clean_dominance_margin(SimpleNamespace(kind=kind, eta=eta, n_classes=k))
+    if margin > 0.0:
+        NoiseSpec(kind, eta=eta, n_classes=k)
+    else:
+        with pytest.raises(ConfigError):
+            NoiseSpec(kind, eta=eta, n_classes=k)
 
 
 def test_transition_matrix_none_is_identity():

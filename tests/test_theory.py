@@ -297,12 +297,10 @@ def test_excess_risk_demo_noisy_gap_within_bound():
 
 
 def test_excess_risk_demo_rejects_degenerate_margins():
-    # eta = 0.5 on two classes leaves no clean majority; NoiseSpec already
-    # warns at construction, and the check then rejects the zero margin
-    with pytest.warns(UserWarning):
-        spec = NoiseSpec("symmetric", eta=0.5, n_classes=2)
-    with pytest.raises(ConfigError):
-        verify_excess_risk([spec], m=10.0)
+    # eta = 0.5 on two classes leaves no clean majority, so the bound's a is 0;
+    # NoiseSpec refuses it, so no such spec reaches the check
+    with pytest.raises(ConfigError, match="dominance margin 0 is not positive"):
+        NoiseSpec("symmetric", eta=0.5, n_classes=2)
 
 
 def test_excess_risk_demo_rejects_large_tasks():
@@ -340,15 +338,15 @@ def test_excess_risk_trains_the_clean_model_once_for_every_spec(monkeypatch):
 def test_excess_risk_refuses_bad_spec_lists_before_any_training(monkeypatch):
     calls = _count_train_steps(monkeypatch)
     clean = NoiseSpec("none", n_classes=4)
-    with pytest.warns(UserWarning):
-        no_margin = NoiseSpec("symmetric", eta=0.75, n_classes=4)
     for specs, match in (
         ([], "must be at least 1"),
         ([clean, NoiseSpec("none", n_classes=3)], "one class count"),
-        ([clean, no_margin], "margin"),
     ):
         with pytest.raises(ConfigError, match=match):
             verify_excess_risk(specs, steps=5)
+    # a spec with no margin cannot be built, so it never reaches the check
+    with pytest.raises(ConfigError, match="margin"):
+        NoiseSpec("symmetric", eta=0.75, n_classes=4)
     assert calls == []
 
 
