@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -289,6 +290,20 @@ def test_a_drowned_clean_class_is_one_error_line_by_default(tmp_path, monkeypatc
         "error: symmetric eta=0.9 at K=4 leaves the clean class without a strict "
         "plurality: its dominance margin -0.2 is not positive\n"
     )
+    assert not out.exists()
+
+
+def test_a_drowned_clean_class_under_default_warnings_is_refused_before_training(
+        tmp_path, monkeypatch, capsys):
+    # the old symmetric warning let this run train; the refusal comes before any run starts
+    _no_runs(monkeypatch)
+    out = tmp_path / "x.jsonl"
+    argv = ["train", "--noise-kind", "symmetric", "--eta", "0.9", "--epochs", "1",
+            "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: symmetric eta=0.9 at K=4")
     assert not out.exists()
 
 
