@@ -237,11 +237,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     jobs = []
     for kind, eta, seed in itertools.product(losses, etas, seeds):
         path = os.path.join(args.out_dir, f"{kind}_eta{eta:g}_seed{seed}.jsonl")
-        if any(path == other for _, other in jobs):
-            raise ConfigError(f"the grid lists {path} more than once")
         cell = {"loss": kind, "eta": eta, "seed": seed,
                 "noise_kind": "none" if eta == 0.0 else noisy_kind}
-        jobs.append((build_config(argparse.Namespace(**{**vars(args), **cell}), base), path))
+        config = build_config(argparse.Namespace(**{**vars(args), **cell}), base)
+        for other_config, other in jobs:
+            if path == other:
+                raise ConfigError(f"the grid lists {path} more than once")
+            # eta -0 names its own file, yet builds eta 0's config
+            if config == other_config:
+                raise ConfigError(f"the grid builds one config for {other} and {path}")
+        jobs.append((config, path))
 
     # every cell's config and every existing file are checked before any run
     reused = [_reused_result(*job) for job in jobs]

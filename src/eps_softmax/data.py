@@ -2,8 +2,8 @@
 
 Blobs are generated from a seed and are balanced across classes;
 file sources are read strictly (malformed input raises DataError with enough
-context to find the offending line or field). Standardization statistics are
-always computed on the training split only.
+context to find the offending line or field). Features are used as generated
+or read.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class DatasetSpec:
     n_test: int
     dim: int = 0
     separation: float = 10.0
-    normalize: bool = False
     train_data_path: str | None = None  # csv
     test_data_path: str | None = None
     train_images_path: str | None = None  # idx
@@ -185,48 +184,36 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
     return images, labels.astype(np.int64)
 
 
-def standardize(train_x: np.ndarray, test_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature zero-mean unit-variance using training-split statistics."""
-    mean = train_x.mean(axis=0)
-    std = train_x.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    return (train_x - mean) / std, (test_x - mean) / std
-
-
 def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Dataset, Dataset]:
     """Materialize the train and test splits described by spec."""
     if spec.source == "blobs":
-        train, test = generate_blobs(spec, seed)
+        return generate_blobs(spec, seed)
+    if spec.source == "csv":
+        label_paths = (spec.train_data_path, spec.test_data_path)
+        loaded = [load_csv(path) for path in label_paths]
     else:
-        if spec.source == "csv":
-            label_paths = (spec.train_data_path, spec.test_data_path)
-            loaded = [load_csv(path) for path in label_paths]
-        else:
-            label_paths = (spec.train_labels_path, spec.test_labels_path)
-            image_paths = (spec.train_images_path, spec.test_images_path)
-            loaded = [load_idx(*paths) for paths in zip(image_paths, label_paths)]
-        splits = []
-        for (x, y), n, name, path in zip(
-            loaded, (spec.n_train, spec.n_test), ("train", "test"), label_paths
-        ):
-            # the size check comes first: it also refuses an empty file
-            if n > y.size:
-                raise DataError(
-                    f"{path}: requested {n} {name} samples but only {y.size} available"
-                )
-            if y.max() >= spec.n_classes:
-                raise DataError(
-                    f"{path}: {name} label {int(y.max())} out of range "
-                    f"for {spec.n_classes} classes"
-                )
-            splits.append(Dataset(x[:n], y[:n]))
-        train, test = splits
-        if train.features.shape[1] != test.features.shape[1]:
+        label_paths = (spec.train_labels_path, spec.test_labels_path)
+        image_paths = (spec.train_images_path, spec.test_images_path)
+        loaded = [load_idx(*paths) for paths in zip(image_paths, label_paths)]
+    splits = []
+    for (x, y), n, name, path in zip(
+        loaded, (spec.n_train, spec.n_test), ("train", "test"), label_paths
+    ):
+        # the size check comes first: it also refuses an empty file
+        if n > y.size:
             raise DataError(
-                f"train has {train.features.shape[1]} features "
-                f"but test has {test.features.shape[1]}"
+                f"{path}: requested {n} {name} samples but only {y.size} available"
             )
-    if spec.normalize:
-        train_x, test_x = standardize(train.features, test.features)
-        train, test = Dataset(train_x, train.labels), Dataset(test_x, test.labels)
+        if y.max() >= spec.n_classes:
+            raise DataError(
+                f"{path}: {name} label {int(y.max())} out of range "
+                f"for {spec.n_classes} classes"
+            )
+        splits.append(Dataset(x[:n], y[:n]))
+    train, test = splits
+    if train.features.shape[1] != test.features.shape[1]:
+        raise DataError(
+            f"train has {train.features.shape[1]} features "
+            f"but test has {test.features.shape[1]}"
+        )
     return train, test

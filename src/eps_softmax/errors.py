@@ -27,7 +27,7 @@ def is_int64(value) -> bool:
 
 
 #: field annotation -> (test of a value, what it accepts). An integer is a valid
-#: float; only true and false are booleans; numpy integers are not integers.
+#: float; a boolean is neither; numpy integers are not integers.
 FIELD_RULES = {
     "int": (is_int64, "an integer in [-2**63, 2**63)"),
     "float": (
@@ -36,7 +36,6 @@ FIELD_RULES = {
         and abs(v) <= sys.float_info.max,
         "a finite number",
     ),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "tuple[int, ...]": (

@@ -425,6 +425,19 @@ def test_config_file_with_the_spirals_source_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_that_sets_normalize_is_refused(tmp_path, capsys):
+    raw = config_to_dict(default_config())
+    raw["dataset"]["normalize"] = False
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'normalize'" in err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(capsys):
     code = run_main(["train", "--config", "/nonexistent/config.json", "--out", "x.jsonl"])
     assert code == 1
@@ -456,7 +469,6 @@ def _set(section, field, value):
         ("optim.batch_size", _set("optim", "batch_size", 64.0)),
         ("optim.lr0", _set("optim", "lr0", "0.01")),
         ("dataset.n_train", _set("dataset", "n_train", 200.5)),
-        ("dataset.normalize", _set("dataset", "normalize", 1)),
         ("mlp.layer_sizes", _set("mlp", "layer_sizes", [8, 64.5, 64, 4])),
         ("mlp.layer_sizes", _set("mlp", "layer_sizes", [8, "64", 64, 4])),
         ("noise.n_classes", _set("noise", "n_classes", 4.0)),
@@ -688,6 +700,19 @@ def test_sweep_rejects_the_flags_its_grid_sets(tmp_path, capsys, monkeypatch, fl
     assert captured.out == ""
     grid = {"--loss": "--losses", "--eta": "--etas", "--seed": "--seeds"}[flag]
     assert f"sweep takes {grid}, not {flag}:" in captured.err
+    assert not out_dir.exists()
+
+
+def test_sweep_refuses_a_grid_that_builds_one_config_twice(tmp_path, capsys, monkeypatch):
+    # -0 names ce_eta-0_seed0.jsonl, but its config equals eta 0's
+    _no_runs(monkeypatch)
+    out_dir = tmp_path / "g"
+    argv = ["sweep", "--losses", "ce", "--etas", "0,-0", "--seeds", "0", "--jobs", "1"]
+    assert run_main(argv + ["--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, second = (out_dir / f"ce_eta{eta}_seed0.jsonl" for eta in ("0", "-0"))
+    assert captured.err == f"error: the grid builds one config for {first} and {second}\n"
     assert not out_dir.exists()
 
 

@@ -12,7 +12,6 @@ from eps_softmax.data import (
     generate_blobs,
     load_csv,
     load_idx,
-    standardize,
 )
 from eps_softmax.errors import ConfigError, DataError
 
@@ -255,26 +254,8 @@ def test_load_idx_count_mismatch(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Standardization and assembly
+# Assembly
 # ---------------------------------------------------------------------------
-
-
-def test_standardize_uses_train_statistics():
-    train = np.array([[0.0, 1.0], [2.0, 1.0]])
-    test = np.array([[1.0, 1.0]])
-    tr, te = standardize(train, test)
-    assert np.allclose(tr.mean(axis=0), 0.0)
-    assert np.allclose(tr[:, 0].std(), 1.0)
-    # constant column: divides by 1 instead of 0
-    assert np.array_equal(tr[:, 1], [0.0, 0.0])
-    assert np.array_equal(te, [[0.0, 0.0]])
-
-
-def test_build_dataset_blobs_with_normalize():
-    train, test = build_dataset(blob_spec(normalize=True, n_train=300), seed=0)
-    assert np.allclose(train.features.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(train.features.std(axis=0), 1.0, atol=1e-12)
-    assert test.features.shape == (30, 4)
 
 
 def test_build_dataset_csv_subsets_a_prefix(tmp_path):

@@ -76,6 +76,20 @@ def test_one_hot_bound_grid_takes_one_softmax_per_k_and_chunk(monkeypatch):
         assert stats["bound"] == eps_bound(k, m) and stats["trials"] == 45_000
 
 
+def test_a_nan_distance_fails_every_one_hot_bound_line(monkeypatch):
+    # one NaN row per amplify call: > and max() would drop it, and every line pass
+    def one_nan_row(*args):
+        out = transform.amplify(*args)
+        out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(theory, "amplify", one_nan_row)
+    for report in one_hot_bound_grid(trials=2000, seed=0):
+        assert not report.passed, report.name
+        assert report.stats["violations"] == 1
+        assert math.isnan(report.stats["max_observed"])
+
+
 def test_closed_form_optimum_known_value():
     opt = closed_form_optimum([0.78, 0.22], m=1.0)
     assert np.allclose(opt, [0.56, 0.44], atol=1e-15)
@@ -407,6 +421,23 @@ def test_gradcheck_losses_takes_one_call_of_each_loss_entry_point_per_case(monke
     reports = gradcheck_losses(kinds=kinds, cases=7, seed=0)
     assert all(r.passed for r in reports)
     assert calls == {"evaluate_loss": 7 * len(kinds), "batch_loss": 7 * len(kinds)}
+
+
+def test_a_nan_gradient_fails_gradcheck(monkeypatch):
+    # a NaN in one case of five: max() would keep the finite worst and pass
+    calls = []
+
+    def nan_on_second_case(logits, y, spec):
+        out = losses.evaluate_loss(logits, y, spec)
+        calls.append(None)
+        if len(calls) % 5 == 2:
+            out.grad_logits[...] = np.nan
+        return out
+
+    monkeypatch.setattr(theory, "evaluate_loss", nan_on_second_case)
+    for report in gradcheck_losses(kinds=("ce", "ce_eps_mae"), cases=5, seed=0):
+        assert not report.passed, report.name
+        assert math.isnan(report.stats["max_rel_err"])
 
 
 def test_gradcheck_losses_smoke():
