@@ -1,9 +1,8 @@
-"""Dataset generation and loading: Gaussian blobs, CSV, and IDX files.
+"""Dataset generation and loading: Gaussian blobs and IDX files.
 
-Blobs are generated from a seed and are balanced across classes;
-file sources are read strictly (malformed input raises DataError with enough
-context to find the offending line or field). Features are used as generated
-or read.
+Blobs are generated from a seed and are balanced across classes; IDX files
+are read strictly (malformed input raises DataError naming the file).
+Features are used as generated or read.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from .core import make_rng
 from .errors import ConfigError, DataError, check_fields
 
-DATA_SOURCES = ("blobs", "csv", "idx")
+DATA_SOURCES = ("blobs", "idx")
 
 
 @dataclass(frozen=True)
@@ -25,8 +24,8 @@ class DatasetSpec:
     """Where the data comes from and how much of it to use.
 
     dim is the feature dimension of blobs and is inferred (leave
-    it 0) for file sources. n_train / n_test select a prefix of file-backed
-    splits, which keeps subset experiments deterministic.
+    it 0) for idx. n_train / n_test select a prefix of the IDX splits, which
+    keeps subset experiments deterministic.
     """
 
     source: str
@@ -35,8 +34,6 @@ class DatasetSpec:
     n_test: int
     dim: int = 0
     separation: float = 10.0
-    train_data_path: str | None = None  # csv
-    test_data_path: str | None = None
     train_images_path: str | None = None  # idx
     train_labels_path: str | None = None
     test_images_path: str | None = None
@@ -55,8 +52,6 @@ class DatasetSpec:
                 raise ConfigError("blobs needs dim >= 1")
             if self.separation <= 0:
                 raise ConfigError("separation must be positive")
-        if self.source == "csv" and not (self.train_data_path and self.test_data_path):
-            raise ConfigError("csv source needs train_data_path and test_data_path")
         if self.source == "idx" and not (
             self.train_images_path
             and self.train_labels_path
@@ -113,43 +108,6 @@ def generate_blobs(spec: DatasetSpec, seed: int) -> tuple[Dataset, Dataset]:
     return _sample_blobs(rng, centers, spec.n_train), _sample_blobs(rng, centers, spec.n_test)
 
 
-def load_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse UTF-8 rows of comma-separated finite reals whose last column is a
-    nonnegative integer label."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    features, labels = [], []
-    width = None
-    for lineno, line in enumerate(lines, 1):
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise DataError(f"{path}: line {lineno}: expected at least 2 comma-separated fields")
-        try:
-            row = [float(s) for s in parts]
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: non-numeric field") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DataError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-            )
-        if not all(math.isfinite(v) for v in row[:-1]):
-            raise DataError(f"{path}: line {lineno}: features must be finite")
-        label = row[-1]
-        # labels are stored as int64, so 2**63 and above are refused here too
-        if not (math.isfinite(label) and label == int(label)) or not 0 <= label < 2**63:
-            raise DataError(f"{path}: line {lineno}: label must be a nonnegative integer")
-        features.append(row[:-1])
-        labels.append(int(label))
-    return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
-
-
 def _read_idx(path: str, magic: int, n_dims: int) -> tuple[list[int], np.ndarray]:
     """The dimensions and the uint8 payload of one big-endian IDX file, whose
     length must be exactly its header plus the product of its dimensions."""
@@ -188,13 +146,9 @@ def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Dataset, Dataset]:
     """Materialize the train and test splits described by spec."""
     if spec.source == "blobs":
         return generate_blobs(spec, seed)
-    if spec.source == "csv":
-        label_paths = (spec.train_data_path, spec.test_data_path)
-        loaded = [load_csv(path) for path in label_paths]
-    else:
-        label_paths = (spec.train_labels_path, spec.test_labels_path)
-        image_paths = (spec.train_images_path, spec.test_images_path)
-        loaded = [load_idx(*paths) for paths in zip(image_paths, label_paths)]
+    label_paths = (spec.train_labels_path, spec.test_labels_path)
+    image_paths = (spec.train_images_path, spec.test_images_path)
+    loaded = [load_idx(*paths) for paths in zip(image_paths, label_paths)]
     splits = []
     for (x, y), n, name, path in zip(
         loaded, (spec.n_train, spec.n_test), ("train", "test"), label_paths

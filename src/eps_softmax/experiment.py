@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -96,7 +96,8 @@ _SECTIONS = (
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from nested dicts whose keys mirror the dataclass fields.
-    Each spec checks its own values; a ConfigError from a section names it."""
+    A section's keys must be its spec's fields, the required ones included;
+    each spec checks its own values, and a ConfigError from a section names it."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     parts = {}
@@ -106,13 +107,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"config is missing the {name!r} section")
         if not isinstance(section, dict):
             raise ConfigError(f"config section {name!r} must be an object")
+        unknown = sorted(set(section) - {f.name for f in fields(cls)}, key=str)
+        if unknown:
+            raise ConfigError(f"unknown config keys in section {name!r}: {unknown}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in section]
+        if missing:
+            raise ConfigError(f"missing config keys in section {name!r}: {missing}")
         try:
             parts[name] = cls(**section)
-        except (TypeError, ConfigError) as exc:
+        except ConfigError as exc:
             raise ConfigError(f"config section {name!r}: {exc}") from None
     extras = set(raw) - {name for name, _ in _SECTIONS} - {"seed"}
     if extras:
-        raise ConfigError(f"unknown config keys: {sorted(extras)}")
+        raise ConfigError(f"unknown config keys: {sorted(extras, key=str)}")
     return ExperimentConfig(seed=raw.get("seed", 0), **parts)
 
 

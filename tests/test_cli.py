@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import struct
 import subprocess
@@ -553,37 +554,32 @@ def _idx_split(tmp_path, split, count, side):
     return {f"{split}_images_path": str(images), f"{split}_labels_path": str(labels)}
 
 
-def _csv_splits(tmp_path, second_line):
-    path = tmp_path / "data.csv"
-    path.write_bytes(b"0.5,0.5,0.5,0.5,0\n" + second_line + b"0.5,0.5,0.5,0.5,2\n" * 6)
-    return {"train_data_path": str(path), "test_data_path": str(path)}
+def _idx_config(tmp_path, paths, count, layer_sizes):
+    """Write the default config, reading count rows of each split from the IDX
+    files at paths, and return the config file's path."""
+    raw = config_to_dict(default_config())
+    raw["dataset"] = {"source": "idx", "n_classes": 4, "n_train": count, "n_test": count, **paths}
+    raw["mlp"]["layer_sizes"] = layer_sizes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    return str(config)
 
 
-# each writes files of one fault and returns (source, paths); every split
-# holds 8 rows of 4 features (2x2 images) unless the fault says otherwise
+# each writes files of one fault and returns their paths; every split holds
+# 8 rows of 4 features (2x2 images) unless the fault says otherwise
 FAULTY_DATA_FILES = {
-    "idx feature width mismatch": lambda d: (
-        "idx", {**_idx_split(d, "train", 8, 2), **_idx_split(d, "test", 8, 3)}
-    ),
-    "empty idx file": lambda d: (
-        "idx", {**_idx_split(d, "train", 0, 2), **_idx_split(d, "test", 8, 2)}
-    ),
-    "nan csv feature": lambda d: ("csv", _csv_splits(d, b"0.5,nan,0.5,0.5,1\n")),
-    "csv not utf-8": lambda d: ("csv", _csv_splits(d, b"0.5,0.5,0.5,0.5,1 \xf6\n")),
-    "csv label beyond int64": lambda d: ("csv", _csv_splits(d, b"0.5,0.5,0.5,0.5,1e20\n")),
+    "idx feature width mismatch": lambda d: {
+        **_idx_split(d, "train", 8, 2), **_idx_split(d, "test", 8, 3)
+    },
+    "empty idx file": lambda d: {**_idx_split(d, "train", 0, 2), **_idx_split(d, "test", 8, 2)},
 }
 
 
 @pytest.mark.parametrize("fault", FAULTY_DATA_FILES)
 def test_faulty_data_files_are_data_errors_before_training(tmp_path, capsys, fault):
-    source, paths = FAULTY_DATA_FILES[fault](tmp_path)
-    raw = config_to_dict(default_config())
-    raw["dataset"] = {"source": source, "n_classes": 4, "n_train": 8, "n_test": 8, **paths}
-    raw["mlp"]["layer_sizes"] = [4, 8, 4]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(raw), encoding="utf-8")
+    config = _idx_config(tmp_path, FAULTY_DATA_FILES[fault](tmp_path), 8, [4, 8, 4])
     out = tmp_path / "run.jsonl"
-    argv = ["train", "--config", str(config), "--out", str(out), "--epochs", "1"]
+    argv = ["train", "--config", config, "--out", str(out), "--epochs", "1"]
     assert run_main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -596,18 +592,49 @@ def test_faulty_data_files_are_data_errors_before_training(tmp_path, capsys, fau
 def test_mlp_input_size_that_does_not_match_the_loaded_features_is_a_config_error(
     tmp_path, capsys
 ):
-    raw = config_to_dict(default_config())
-    paths = _csv_splits(tmp_path, b"0.5,0.5,0.5,0.5,1\n")  # 4 features per row
-    raw["dataset"] = {"source": "csv", "n_classes": 4, "n_train": 8, "n_test": 8, **paths}
-    raw["mlp"]["layer_sizes"] = [5, 8, 4]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(raw), encoding="utf-8")
+    paths = {**_idx_split(tmp_path, "train", 8, 2), **_idx_split(tmp_path, "test", 8, 2)}
+    config = _idx_config(tmp_path, paths, 8, [5, 8, 4])  # 4 features per row
     out = tmp_path / "run.jsonl"
-    assert run_main(["train", "--config", str(config), "--out", str(out), "--epochs", "1"]) == 1
+    assert run_main(["train", "--config", config, "--out", str(out), "--epochs", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: mlp input size 5 does not match loaded feature dim 4\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_set("dataset", "source", "csv"), "unknown data source 'csv'"),
+        (_set("dataset", "train_data_path", "train.csv"),
+         "unknown config keys in section 'dataset': ['train_data_path']"),
+    ],
+    ids=["source", "path"],
+)
+def test_config_file_for_the_deleted_csv_source_is_refused(tmp_path, capsys, edit, named):
+    raw = config_to_dict(default_config())
+    edit(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
+
+
+def test_train_on_idx_files_end_to_end(tmp_path, capsys):
+    paths = {**_idx_split(tmp_path, "train", 16, 2), **_idx_split(tmp_path, "test", 16, 2)}
+    config = _idx_config(tmp_path, paths, 16, [4, 8, 4])
+    out = tmp_path / "run.jsonl"
+    argv = ["train", "--config", config, "--out", str(out), "--epochs", "2", "--log-every", "0"]
+    assert run_main(argv) == 0
+    assert capsys.readouterr().err == ""
+    records, summary = read_results(str(out))
+    assert len(records) == 2
+    assert {k: summary["config"]["dataset"][k] for k in paths} == paths
+    assert math.isfinite(summary["last_test_top1"])
 
 
 def test_integers_in_float_fields_of_a_config_file_are_valid(tmp_path):

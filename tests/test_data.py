@@ -1,4 +1,4 @@
-"""Synthetic generators and the CSV / IDX file loaders."""
+"""Synthetic generators and the IDX file loader."""
 
 import struct
 
@@ -10,7 +10,6 @@ from eps_softmax.data import (
     DatasetSpec,
     build_dataset,
     generate_blobs,
-    load_csv,
     load_idx,
 )
 from eps_softmax.errors import ConfigError, DataError
@@ -49,8 +48,6 @@ def test_spec_refuses_spirals_as_an_unknown_source():
 
 
 def test_spec_file_sources_require_paths():
-    with pytest.raises(ConfigError):
-        DatasetSpec(source="csv", n_classes=3, n_train=60, n_test=30)
     with pytest.raises(ConfigError):
         DatasetSpec(source="idx", n_classes=3, n_train=60, n_test=30)
 
@@ -96,93 +93,6 @@ def test_blobs_1d_centers_lie_on_a_line():
     train, _ = generate_blobs(blob_spec(dim=1, n_train=600, separation=20.0), seed=0)
     means = [train.features[train.labels == k].mean() for k in range(3)]
     assert means[0] < means[1] < means[2]
-
-
-# ---------------------------------------------------------------------------
-# CSV loader
-# ---------------------------------------------------------------------------
-
-
-def write_csv(path, text):
-    path.write_text(text, encoding="utf-8")
-    return str(path)
-
-
-def test_load_csv_round_trip(tmp_path):
-    p = write_csv(tmp_path / "d.csv", "0.5,1.5,0\n-1.0,2.0,1\n")
-    x, y = load_csv(p)
-    assert np.array_equal(x, [[0.5, 1.5], [-1.0, 2.0]])
-    assert np.array_equal(y, [0, 1])
-    assert y.dtype == np.int64
-
-
-def test_load_csv_empty_file(tmp_path):
-    p = write_csv(tmp_path / "d.csv", "")
-    with pytest.raises(DataError, match="empty"):
-        load_csv(p)
-
-
-def test_load_csv_reports_the_offending_line(tmp_path):
-    p = write_csv(tmp_path / "d.csv", "1.0,0\n1.0,oops\n")
-    with pytest.raises(DataError, match="line 2"):
-        load_csv(p)
-
-
-def test_load_csv_rejects_ragged_rows(tmp_path):
-    p = write_csv(tmp_path / "d.csv", "1.0,2.0,0\n1.0,1\n")
-    with pytest.raises(DataError, match="line 2"):
-        load_csv(p)
-
-
-def test_load_csv_rejects_single_field_rows(tmp_path):
-    p = write_csv(tmp_path / "d.csv", "42\n")
-    with pytest.raises(DataError, match="at least 2"):
-        load_csv(p)
-
-
-def test_load_csv_rejects_bad_labels(tmp_path):
-    with pytest.raises(DataError, match="nonnegative integer"):
-        load_csv(write_csv(tmp_path / "a.csv", "1.0,0.5\n"))
-    with pytest.raises(DataError, match="nonnegative integer"):
-        load_csv(write_csv(tmp_path / "b.csv", "1.0,-1\n"))
-
-
-def test_load_csv_refuses_labels_int64_cannot_hold(tmp_path):
-    for name, label in (("a", "1e20"), ("b", str(2**63))):
-        p = write_csv(tmp_path / f"{name}.csv", f"1.0,0\n2.0,{label}\n")
-        with pytest.raises(DataError, match="line 2: label must be a nonnegative integer"):
-            load_csv(p)
-    # the largest float below 2**63 still fits
-    _, y = load_csv(write_csv(tmp_path / "c.csv", "1.0,0\n2.0,9223372036854774784\n"))
-    assert y[1] == 9223372036854774784
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_load_csv_rejects_non_finite_features(tmp_path, value):
-    p = write_csv(tmp_path / "d.csv", f"1.0,2.0,0\n1.0,{value},1\n")
-    with pytest.raises(DataError, match="line 2"):
-        load_csv(p)
-
-
-def test_load_csv_that_is_not_utf8_names_the_file(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_bytes(b"1.0,0\n\xf6,1\n")  # latin-1, not UTF-8
-    with pytest.raises(DataError, match="d.csv: not UTF-8"):
-        load_csv(str(p))
-
-
-def test_load_csv_checks_the_label_range(tmp_path):
-    p = write_csv(tmp_path / "d.csv", "1.0,0\n2.0,5\n" + "3.0,1\n" * 4)
-
-    def spec(k):
-        return DatasetSpec(
-            source="csv", n_classes=k, n_train=6, n_test=6, train_data_path=p, test_data_path=p
-        )
-
-    with pytest.raises(DataError, match="out of range"):
-        build_dataset(spec(3), seed=0)
-    train, _ = build_dataset(spec(6), seed=0)
-    assert train.labels.max() == 5
 
 
 # ---------------------------------------------------------------------------
@@ -258,35 +168,24 @@ def test_load_idx_count_mismatch(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_build_dataset_csv_subsets_a_prefix(tmp_path):
-    text = "".join(f"{i}.0,{i % 2}\n" for i in range(10))
-    tp = write_csv(tmp_path / "train.csv", text)
-    ep = write_csv(tmp_path / "test.csv", text)
+def test_build_dataset_idx_subsets_a_prefix(tmp_path):
+    # image i is four pixels of value i, so a row's first feature names it
+    pixels = [i for i in range(10) for _ in range(4)]
+    ip, lp = write_idx_pair(tmp_path, pixels, [i % 2 for i in range(10)])
     spec = DatasetSpec(
-        source="csv",
+        source="idx",
         n_classes=2,
         n_train=4,
         n_test=2,
-        train_data_path=tp,
-        test_data_path=ep,
+        train_images_path=ip,
+        train_labels_path=lp,
+        test_images_path=ip,
+        test_labels_path=lp,
     )
     train, test = build_dataset(spec, seed=0)
-    assert np.array_equal(train.features[:, 0], [0.0, 1.0, 2.0, 3.0])
-    assert len(test) == 2
-
-
-def test_build_dataset_csv_rejects_oversubscription(tmp_path):
-    tp = write_csv(tmp_path / "train.csv", "1.0,0\n2.0,1\n3.0,0\n")
-    spec = DatasetSpec(
-        source="csv",
-        n_classes=2,
-        n_train=5,
-        n_test=2,
-        train_data_path=tp,
-        test_data_path=tp,
-    )
-    with pytest.raises(DataError, match="only 3 available"):
-        build_dataset(spec, seed=0)
+    assert np.array_equal(train.features[:, 0], np.arange(4) / 255.0)
+    assert np.array_equal(train.labels, [0, 1, 0, 1])
+    assert np.array_equal(test.features[:, 0], np.arange(2) / 255.0)
 
 
 def test_build_dataset_idx(tmp_path):

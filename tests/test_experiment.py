@@ -89,6 +89,29 @@ def test_config_from_dict_rejects_unknown_fields_inside_a_section():
         config_from_dict(raw)
 
 
+def test_config_from_dict_names_a_sections_unknown_and_missing_keys_in_config_words():
+    raw = config_to_dict(tiny_config())
+    raw["optim"]["lr"] = 0.1
+    with pytest.raises(ConfigError) as unknown:
+        config_from_dict(raw)
+    raw = config_to_dict(tiny_config())
+    del raw["dataset"]["source"]
+    with pytest.raises(ConfigError) as missing:
+        config_from_dict(raw)
+    assert str(unknown.value) == "unknown config keys in section 'optim': ['lr']"
+    assert str(missing.value) == "missing config keys in section 'dataset': ['source']"
+    assert "__init__" not in str(unknown.value) + str(missing.value)
+    # a library caller's dict may mix keys that are not strings with ones that are
+    raw = config_to_dict(tiny_config())
+    raw["optim"].update({1: 2, "lr": 0.1})
+    raw.update({2: 3, "x": 4})
+    with pytest.raises(ConfigError, match=r"in section 'optim': \[1, 'lr'\]"):
+        config_from_dict(raw)
+    del raw["optim"][1], raw["optim"]["lr"]
+    with pytest.raises(ConfigError, match=r"unknown config keys: \[2, 'x'\]"):
+        config_from_dict(raw)
+
+
 def test_config_dict_holds_the_experiment_only():
     # where a run's results go is the caller's choice, not part of its config;
     # results embed these keys in this order

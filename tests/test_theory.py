@@ -449,3 +449,82 @@ def test_gradcheck_losses_smoke():
 def test_gradcheck_mlp_smoke():
     reports = gradcheck_mlp(kinds=("ce", "fl_eps"), seed=0)
     assert all(r.passed for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# Mutation table: each fault below fails exactly the named lines of a small
+# battery of every verify and gradcheck check but calibration and cancellation
+# (which test_calibration_reads_the_loss_table and
+# test_symmetric_term_cancellation_reads_the_loss_table pin)
+# ---------------------------------------------------------------------------
+
+MUTATION_NOISE = [
+    NoiseSpec("symmetric", eta=0.4, n_classes=4, seed=0),
+    NoiseSpec("asymmetric_shift", eta=0.3, n_classes=4, seed=0),
+    NoiseSpec("none", n_classes=4, seed=0),
+]
+EPS_KINDS = ("ce_eps", "fl_eps", "ce_eps_mae", "fl_eps_mae")
+NOISY_EXCESS_RISK = {"excess_risk_symmetric_eta0.4", "excess_risk_asymmetric_shift_eta0.3"}
+
+
+def failed_lines() -> set:
+    reports = (
+        one_hot_bound_grid(trials=2000, seed=0)
+        + [delta_sweep(trials=200, seed=0)]
+        + verify_excess_risk(MUTATION_NOISE, n_points=80, steps=600)
+        + gradcheck_losses(cases=40, seed=0)
+        + gradcheck_mlp(seed=0)
+    )
+    return {r.name for r in reports if not r.passed}
+
+
+def bound_lines(cells) -> set:
+    return {f"one_hot_bound_K{k}_m{m:g}" for k, m in cells}
+
+
+def gradcheck_lines(kinds) -> set:
+    return {f"gradcheck_{part}_{kind}" for part in ("loss", "mlp") for kind in kinds}
+
+
+def _replace_amplify(monkeypatch, mutant):
+    for module in (theory, losses):
+        monkeypatch.setattr(module, "amplify", mutant)
+
+
+def test_the_mutation_battery_passes_unmutated():
+    assert failed_lines() == set()
+
+
+def test_an_amplify_that_ignores_m_fails_the_bound_delta_and_eps_lines(monkeypatch):
+    _replace_amplify(monkeypatch, lambda p, is_top, m: p + 0.0 * is_top)
+    positive_m = bound_lines((k, m) for k in BOUND_GRID_KS for m in BOUND_GRID_MS if m > 0)
+    assert failed_lines() == (
+        positive_m | {"delta_shrinks_K10", "excess_risk_none_eta0"} | NOISY_EXCESS_RISK
+        | gradcheck_lines(EPS_KINDS)
+    )
+
+
+def test_an_amplify_that_divides_by_m_fails_the_bound_risk_and_focal_lines(monkeypatch):
+    # by m instead of m + 1, and by 1 at m = 0, where m + 1 is 1 too
+    _replace_amplify(monkeypatch, lambda p, is_top, m: (p + m * is_top) / (m or 1.0))
+    cells = [(k, m) for k in (2, 10) for m in (1.0, 10.0, 100.0)] + [(100, 1.0)]
+    with np.errstate(invalid="ignore"):  # a hit's f > 1, so (1 - f) ** gamma is NaN
+        failed = failed_lines()
+    assert failed == (
+        bound_lines(cells) | {"excess_risk_none_eta0"} | NOISY_EXCESS_RISK
+        | gradcheck_lines(("fl_eps", "fl_eps_mae"))
+    )
+
+
+def test_a_raised_log_floor_fails_the_noisy_excess_risk_lines(monkeypatch):
+    # their bound rests on the floor: d measures the least confident prediction
+    monkeypatch.setattr(losses, "LOG_FLOOR", 1e-4)
+    assert failed_lines() == NOISY_EXCESS_RISK
+
+
+def test_dropping_the_damping_on_hit_rows_fails_every_eps_gradcheck_line(monkeypatch):
+    original = losses._amplified_view
+    monkeypatch.setattr(
+        losses, "_amplified_view", lambda py, hit, m: original(py, hit, m)._replace(damp=1.0)
+    )
+    assert failed_lines() == gradcheck_lines(EPS_KINDS)
