@@ -23,9 +23,10 @@ DATA_SOURCES = ("blobs", "idx")
 class DatasetSpec:
     """Where the data comes from and how much of it to use.
 
-    dim is the feature dimension of blobs and is inferred (leave
-    it 0) for idx. n_train / n_test select a prefix of the IDX splits, which
-    keeps subset experiments deterministic.
+    dim (the feature dimension) and separation shape blobs only; idx reads its
+    dimension from its files and refuses either field off its default.
+    n_train / n_test select a prefix of the IDX splits, which keeps subset
+    experiments deterministic.
     """
 
     source: str
@@ -52,6 +53,11 @@ class DatasetSpec:
                 raise ConfigError("blobs needs dim >= 1")
             if self.separation <= 0:
                 raise ConfigError("separation must be positive")
+        elif (self.dim, self.separation) != (0, 10.0):
+            raise ConfigError(
+                "dim and separation are blobs-only fields; idx leaves them at 0 and 10.0, "
+                f"got {self.dim} and {self.separation}"
+            )
         if self.source == "idx" and not (
             self.train_images_path
             and self.train_labels_path

@@ -81,7 +81,6 @@ class EpochRecord:
     lr: float
     train_loss: float
     test_top1: float
-    test_topk_errors: list[float]
     wall_time_ms: float = 0.0
 
 
@@ -96,8 +95,9 @@ _SECTIONS = (
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from nested dicts whose keys mirror the dataclass fields.
-    A section's keys must be its spec's fields, the required ones included;
-    each spec checks its own values, and a ConfigError from a section names it."""
+    A section's keys must be its spec's fields, the required ones included,
+    and the top-level ``seed`` is required too; each spec checks its own
+    values, and a ConfigError from a section names it."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     parts = {}
@@ -120,7 +120,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     extras = set(raw) - {name for name, _ in _SECTIONS} - {"seed"}
     if extras:
         raise ConfigError(f"unknown config keys: {sorted(extras, key=str)}")
-    return ExperimentConfig(seed=raw.get("seed", 0), **parts)
+    if "seed" not in raw:
+        raise ConfigError("missing config keys: ['seed']")
+    return ExperimentConfig(seed=raw["seed"], **parts)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -229,7 +231,7 @@ def run_experiment(
                 loss_total += batch_sum
                 step += 1
             try:
-                metrics = evaluate(params, test.features, test.labels, ws=ws)
+                test_top1 = evaluate(params, test.features, test.labels, ws=ws)
             except FloatingPointError as exc:
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}, after step {step - 1}: {exc}"
@@ -238,8 +240,7 @@ def run_experiment(
                 epoch=epoch,
                 lr=lr,
                 train_loss=loss_total / n_train,
-                test_top1=metrics["top1_accuracy"],
-                test_topk_errors=metrics["topk_errors"],
+                test_top1=test_top1,
                 wall_time_ms=(time.perf_counter() - started) * 1000.0,
             )
             records.append(record)
@@ -292,7 +293,8 @@ def emit_results(records: list[EpochRecord], summary: dict, path: str) -> None:
 
 def read_results(path: str) -> tuple[list[EpochRecord], dict]:
     """Parse a results file back into records and the summary object, which
-    must be its last line."""
+    must be its last line. The top-k errors that older files hold in each
+    record are dropped."""
     records: list[EpochRecord] = []
     summary = None
     try:
@@ -314,6 +316,7 @@ def read_results(path: str) -> tuple[list[EpochRecord], dict]:
         if obj.get("summary"):
             summary = obj
         else:
+            obj.pop("test_topk_errors", None)
             try:
                 records.append(EpochRecord(**obj))
             except TypeError:

@@ -349,46 +349,34 @@ def sgd_step(
     return params, velocity
 
 
-def evaluate(params: ParamSet, x, labels, max_k: int = 5, ws: Workspace | None = None) -> dict:
-    """Top-1 accuracy and top-k error rates for k = 1..min(max_k, K).
+def evaluate(params: ParamSet, x, labels, ws: Workspace | None = None) -> float:
+    """Top-1 accuracy: the share of rows whose highest logit is their label's.
 
-    Ranking ties go to the lower class index, and top-k error is nonincreasing
-    in k by construction. The rows run through ``ws`` (a fresh workspace
-    without one) in chunks of ``ws.eval_rows()``, so the layer outputs held at
-    once are bounded by EVAL_CHUNK_BYTES or the largest batch the workspace
-    has served; they leave no forward pending on it. Each chunk's ranks are
-    counted class-major, on the (K, rows) transpose of its logits. Raises
-    ValueError on non-integer labels, IndexError on labels outside [0, K) and
-    FloatingPointError on non-finite logits, which have no ranking.
+    Ties go to the lower class index, as np.argmax breaks them. The rows run
+    through ``ws`` (a fresh workspace without one) in chunks of
+    ``ws.eval_rows()``, so the layer outputs held at once are bounded by
+    EVAL_CHUNK_BYTES or the largest batch the workspace has served; they leave
+    no forward pending on it. The misses are summed over chunks as integers.
+    Raises ValueError on non-integer labels, IndexError on labels outside
+    [0, K) and FloatingPointError on non-finite logits, which have no argmax.
     """
     x = np.asarray(x, dtype=np.float64)
-    n_classes = params.layer_sizes[-1]
-    y = check_labels(labels, n_classes)
+    y = check_labels(labels, params.layer_sizes[-1])
     if y.size == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if x.shape[:1] != y.shape:
         raise ValueError(f"features of shape {x.shape} do not match {y.size} labels")
     if ws is None:
         ws = Workspace(params.layer_sizes)
-    classes = np.arange(n_classes)[:, None]
-    # rank_counts[r]: rows whose true label has rank r
-    rank_counts = np.zeros(n_classes, dtype=np.int64)
+    misses = 0
     chunk = ws.eval_rows()
     for start in range(0, y.size, chunk):
         logits, _ = forward(params, x[start : start + chunk], ws)
         ws.pending = None  # no backward may follow an evaluation's forward
         if not np.isfinite(logits).all():
             raise FloatingPointError("logits are not finite; the network has diverged")
-        scores = np.ascontiguousarray(logits.T)
-        yc = y[start : start + chunk]
-        true = scores[yc, np.arange(yc.size)]
-        # rank of the true label: classes scoring above it, plus equal ones at a lower index
-        above = np.where(classes < yc, scores >= true, scores > true)
-        rank = np.add.reduce(above, axis=0, dtype=np.intp)
-        rank_counts += np.bincount(rank, minlength=n_classes)
-    misses = y.size - np.cumsum(rank_counts)  # misses[k - 1]: rows outside the top k
-    topk_errors = [int(misses[k - 1]) / y.size for k in range(1, min(max_k, n_classes) + 1)]
-    return {"top1_accuracy": 1.0 - topk_errors[0], "topk_errors": topk_errors}
+        misses += int(np.count_nonzero(logits.argmax(axis=1) != y[start : start + chunk]))
+    return 1.0 - misses / y.size
 
 
 #: Multiply-adds (rows x fan_in x fan_out) in a run's largest per-step matrix

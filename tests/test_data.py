@@ -52,6 +52,18 @@ def test_spec_file_sources_require_paths():
         DatasetSpec(source="idx", n_classes=3, n_train=60, n_test=30)
 
 
+@pytest.mark.parametrize(
+    "fields, got", [({"dim": 7}, "7 and 10.0"), ({"separation": -3.0}, "0 and -3.0")]
+)
+def test_spec_refuses_blobs_only_fields_for_idx(fields, got):
+    paths = {f"{s}_{k}_path": "f" for s in ("train", "test") for k in ("images", "labels")}
+    base = {"source": "idx", "n_classes": 3, "n_train": 60, "n_test": 30, **paths}
+    with pytest.raises(ConfigError, match=f"^dim and separation are blobs-only .* got {got}$"):
+        DatasetSpec(**base, **fields)
+    # the defaults, which config_to_dict writes for idx, are accepted
+    assert DatasetSpec(**base, dim=0, separation=10.0) == DatasetSpec(**base)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic sources
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eps_softmax import mlp
 from eps_softmax.errors import ConfigError
 from eps_softmax.mlp import (
     MlpSpec,
@@ -215,24 +216,20 @@ def test_sgd_step_updates_in_place():
     assert params.weights[0] is before
 
 
-def test_evaluate_top1_and_topk():
+def test_evaluate_counts_argmax_misses():
     params = init_params(MlpSpec((2, 3), init_seed=0))
     params.weights[0][:] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
     x = np.array([[5.0, 0.0], [0.0, 5.0], [0.0, 5.0]])
-    labels = np.array([0, 1, 0])
-    metrics = evaluate(params, x, labels, max_k=3)
-    assert metrics["top1_accuracy"] == pytest.approx(2.0 / 3.0)
-    # sample 3 has score order (1, 0, 2): its label 0 enters at k=2
-    assert metrics["topk_errors"][0] == pytest.approx(1.0 / 3.0)
-    assert metrics["topk_errors"][1] == 0.0
-    assert metrics["topk_errors"][2] == 0.0
+    # sample 3 has score order (1, 0, 2): its label 0 is a miss
+    accuracy = evaluate(params, x, np.array([0, 1, 0]))
+    assert type(accuracy) is float and accuracy == 1.0 - 1 / 3
 
 
 def test_evaluate_breaks_score_ties_toward_the_lowest_index():
     params = init_params(MlpSpec((1, 2), init_seed=0))
     params.weights[0][:] = [[0.0], [0.0]]  # both logits identical
-    metrics = evaluate(params, [[1.0]], np.array([0]), max_k=2)
-    assert metrics["top1_accuracy"] == 1.0
+    assert evaluate(params, [[1.0]], np.array([0])) == 1.0
+    assert evaluate(params, [[1.0]], np.array([1])) == 0.0
 
 
 def test_param_sets_are_views_of_one_flat_buffer():
@@ -254,19 +251,21 @@ def identity_net(k):
 
 
 @pytest.mark.parametrize("k", [2, 4, 10])
-@pytest.mark.parametrize("max_k", [1, 5, 20])
-def test_evaluate_rank_count_matches_a_stable_argsort(k, max_k):
-    rng = np.random.default_rng(100 * k + max_k)
+@pytest.mark.parametrize("chunk", [1, 5, 20])
+def test_evaluate_rank_count_matches_a_stable_argsort(k, chunk, monkeypatch):
+    """The rows whose label ranks first in a stable argsort are the hits, at
+    any chunk size (400 rows: 400, 80 or 20 chunks)."""
+    rng = np.random.default_rng(100 * k + chunk)
     # three logit levels (with signed zeros) force ties in almost every row
     logits = rng.choice([-1.0, -0.0, 0.0, 2.5], size=(400, k))
     logits[:50] = 1.0  # rows where every class ties
     labels = rng.integers(0, k, size=400)
-    metrics = evaluate(identity_net(k), logits, labels, max_k=max_k)
+    monkeypatch.setattr(mlp, "EVAL_CHUNK_BYTES", 8 * k * chunk)
+    ws = Workspace((k, k))
+    assert ws.eval_rows() == chunk
     order = np.argsort(-logits, axis=1, kind="stable")
     rank = np.argmax(order == labels[:, None], axis=1)
-    expected = [float((rank >= j).mean()) for j in range(1, min(max_k, k) + 1)]
-    assert metrics["topk_errors"] == expected
-    assert metrics["top1_accuracy"] == 1.0 - expected[0]
+    assert evaluate(identity_net(k), logits, labels, ws=ws) == 1.0 - float((rank >= 1).mean())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -406,12 +405,12 @@ def test_evaluate_in_chunks_gives_the_metrics_of_one_pass():
     one_pass = Workspace(params.layer_sizes)
     forward(params, x, one_pass)  # buffers for every row: no chunking
     assert one_pass.eval_rows() == n
-    metrics = evaluate(params, x, y, ws=Workspace(params.layer_sizes))
-    assert metrics == evaluate(params, x, y, ws=one_pass)
+    accuracy = evaluate(params, x, y, ws=Workspace(params.layer_sizes))
+    assert accuracy == evaluate(params, x, y, ws=one_pass)
     logits = forward(params, x)[0]
     rank = np.argmax(np.argsort(-logits, axis=1, kind="stable") == y[:, None], axis=1)
-    assert metrics["topk_errors"] == [float((rank >= k).mean()) for k in range(1, 6)]
-    assert 0.0 < metrics["top1_accuracy"] < 1.0
+    assert accuracy == 1.0 - float((rank >= 1).mean())
+    assert 0.0 < accuracy < 1.0
 
 
 def test_evaluate_holds_one_chunk_of_layer_outputs_not_the_test_set():

@@ -455,7 +455,8 @@ def test_gradcheck_mlp_smoke():
 # Mutation table: each fault below fails exactly the named lines of a small
 # battery of every verify and gradcheck check but calibration and cancellation
 # (which test_calibration_reads_the_loss_table and
-# test_symmetric_term_cancellation_reads_the_loss_table pin)
+# test_symmetric_term_cancellation_reads_the_loss_table pin); the plain-view
+# fault runs it with the two cancellation lines added
 # ---------------------------------------------------------------------------
 
 MUTATION_NOISE = [
@@ -520,6 +521,18 @@ def test_a_raised_log_floor_fails_the_noisy_excess_risk_lines(monkeypatch):
     # their bound rests on the floor: d measures the least confident prediction
     monkeypatch.setattr(losses, "LOG_FLOOR", 1e-4)
     assert failed_lines() == NOISY_EXCESS_RISK
+
+
+def test_a_fit_term_on_the_plain_view_fails_only_the_cancellation_lines(monkeypatch):
+    # ce_eps_mae's CE term on p_y: the pair differences of its symmetric sums
+    # then move with p, so they no longer equal ce_eps's
+    rows = (("alpha", False, losses._log_term), ("beta", False, losses._mae_term))
+    monkeypatch.setitem(losses._TABLE, "ce_eps_mae", rows)
+    cancellation = [
+        verify_symmetric_term_cancellation(n_classes=k, trials=500, seed=0) for k in (2, 10)
+    ]
+    failed = failed_lines() | {r.name for r in cancellation if not r.passed}
+    assert failed == {"symmetric_term_cancellation_K2", "symmetric_term_cancellation_K10"}
 
 
 def test_dropping_the_damping_on_hit_rows_fails_every_eps_gradcheck_line(monkeypatch):
