@@ -2,10 +2,10 @@
 
 The core idea: add a constant m to the winning softmax probability and
 renormalize. The output then sits within sqrt(1 - 1/K) / (m + 1) of a one-hot
-vector, so cross entropy evaluated on it behaves like a bounded, nearly
-symmetric loss, while its gradient still pulls mispredicted samples exactly
-like plain CE. Pairing it with MAE gives a loss family that trains through
-heavy label noise without giving up clean accuracy.
+vector. On rows whose argmax misses the label, the logit gradient of cross
+entropy on it is plain CE's; on rows whose argmax hits the label, it is CE's
+scaled by p_y / (p_y + m). Pairing it with MAE gives the amplified + MAE
+losses.
 
 The names below are the library surface; the modules (transform, losses,
 noise, mlp, theory, experiment, cli) hold the rest.

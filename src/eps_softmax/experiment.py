@@ -84,6 +84,9 @@ class EpochRecord:
     wall_time_ms: float = 0.0
 
 
+#: the members of a record line; the wall time is measured but never written
+_RECORD_MEMBERS = {f.name for f in fields(EpochRecord)} - {"wall_time_ms"}
+
 _SECTIONS = (
     ("dataset", DatasetSpec),
     ("mlp", MlpSpec),
@@ -293,8 +296,8 @@ def emit_results(records: list[EpochRecord], summary: dict, path: str) -> None:
 
 def read_results(path: str) -> tuple[list[EpochRecord], dict]:
     """Parse a results file back into records and the summary object, which
-    must be its last line. The top-k errors that older files hold in each
-    record are dropped."""
+    must be its last line. Each record member must fit its annotation; the
+    top-k errors that older files hold in each record are dropped."""
     records: list[EpochRecord] = []
     summary = None
     try:
@@ -317,12 +320,17 @@ def read_results(path: str) -> tuple[list[EpochRecord], dict]:
             summary = obj
         else:
             obj.pop("test_topk_errors", None)
-            try:
-                records.append(EpochRecord(**obj))
-            except TypeError:
+            if set(obj) != _RECORD_MEMBERS:
                 raise DataError(
-                    f"{path}: line {lineno}: not a valid epoch record"
-                ) from None
+                    f"{path}: line {lineno}: not a valid epoch record: its members are "
+                    f"{sorted(obj)}, not {sorted(_RECORD_MEMBERS)}"
+                )
+            record = EpochRecord(**obj)
+            try:
+                check_fields(record)
+            except ConfigError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
+            records.append(record)
     if summary is None:
         raise DataError(f"{path}: missing summary line")
     return records, summary

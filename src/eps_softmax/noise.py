@@ -54,19 +54,14 @@ class CorruptionResult:
 
 def transition_matrix(spec: NoiseSpec) -> np.ndarray:
     """Row-stochastic K x K matrix; entry (i, j) is P(noisy = j | clean = i)."""
-    k = spec.n_classes
-    if spec.kind == "none" or spec.eta == 0.0:
-        return np.eye(k)
+    k, eta = spec.n_classes, spec.eta
     if spec.kind == "symmetric":
-        mat = np.full((k, k), spec.eta / (k - 1))
-        np.fill_diagonal(mat, 1.0 - spec.eta)
-        return mat
-    # asymmetric_shift; for eta < 1/2, fl(1 - eta) is within 2^-54 of 1 - eta,
-    # so each row's two entries sum to exactly 1.0
-    mat = np.zeros((k, k))
-    for i in range(k):
-        mat[i, i] = 1.0 - spec.eta
-        mat[i, (i + 1) % k] = spec.eta
+        mat = np.full((k, k), eta / (k - 1))
+    else:  # the shift, or none at eta 0
+        mat = np.roll(np.eye(k), 1, axis=1) * eta
+    # for the shift at eta < 1/2, fl(1 - eta) is within 2^-54 of 1 - eta, so
+    # each row's two entries sum to exactly 1.0
+    np.fill_diagonal(mat, 1.0 - eta)
     return mat
 
 
@@ -96,21 +91,18 @@ def corrupt_labels(labels, spec: NoiseSpec) -> CorruptionResult:
 
 
 def expected_clean_weight(spec: NoiseSpec) -> float:
-    """Average probability that a label survives corruption: the mean of the
-    transition matrix's diagonal, for balanced classes."""
-    return float(np.diag(transition_matrix(spec)).mean())
+    """c: the probability that a label survives corruption, T's diagonal entry,
+    which every class shares."""
+    return float(1.0 - spec.eta)
 
 
 def clean_dominance_margin(spec: NoiseSpec) -> float:
-    """Worst-case margin min_i (T_ii - max_{j != i} T_ij) of the transition
-    matrix T between the clean class weight and any wrong class.
+    """a = min_i (T_ii - max_{j != i} T_ij): the clean weight less the largest
+    wrong-class weight of ``transition_matrix``, the same for every row.
 
     Positive exactly when every clean class keeps a strict plurality after
     corruption, the premise of the excess-risk bound; ``NoiseSpec`` refuses
-    every spec whose margin is not positive.
+    every spec whose margin is not positive. No K x K matrix is built.
     """
-    mat = transition_matrix(spec)
-    clean = np.diag(mat)
-    # entries are nonnegative, so zeroing the diagonal leaves each row's
-    # largest wrong-class weight as its maximum
-    return float((clean - (mat - np.diag(clean)).max(axis=1)).min())
+    wrong = spec.eta / (spec.n_classes - 1) if spec.kind == "symmetric" else spec.eta
+    return float((1.0 - spec.eta) - wrong)

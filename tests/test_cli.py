@@ -200,6 +200,17 @@ def test_train_writes_results_and_prints_summary(tmp_path, capsys):
     assert printed["last_test_top1"] == summary["last_test_top1"]
 
 
+def test_train_refuses_a_huge_class_count_in_one_error_line(tmp_path, capsys):
+    # a dense K x K transition matrix at K = 10**9 would need 6.94 EiB
+    out = tmp_path / "run.jsonl"
+    big = "1000000000"
+    code = run_main(["train", "--n-classes", big, "--n-train", big, "--n-test", big, "--out", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_train_without_output_path_fails(capsys):
     code = run_main(["train", "--epochs", "1"])
     assert code == 1
@@ -1050,6 +1061,25 @@ def test_sweep_refuses_a_reused_file_without_last_test_top1(tmp_path, capsys, mo
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(target) in lines[0]
+
+
+def test_sweep_refuses_a_reused_file_whose_record_value_is_not_a_number(tmp_path, capsys, monkeypatch):
+    argv = ["sweep", "--losses", "ce", "--etas", "0", "--seeds", "0", "--epochs", "1",
+            "--n-train", "100", "--n-test", "50", "--jobs", "1", "--out-dir", str(tmp_path / "g")]
+    assert run_main(argv) == 0
+    capsys.readouterr()
+    target = tmp_path / "g" / "ce_eta0_seed0.jsonl"
+    record, summary = target.read_text(encoding="utf-8").splitlines()
+    record = json.dumps({**json.loads(record), "test_top1": "garbage"})
+    target.write_text(f"{record}\n{summary}\n", encoding="utf-8")
+    before = target.read_bytes()
+    _no_runs(monkeypatch)
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {target}: line 1: test_top1 must be")
+    assert target.read_bytes() == before
 
 
 def test_verify_exit_code_and_output(capsys):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -523,6 +525,30 @@ def test_read_results_reads_a_record_line_that_holds_topk_errors(tmp_path):
     assert read_results(str(path)) == ([EpochRecord(0, 0.01, 1.0, 0.5)], {"summary": True})
     path.write_text(RECORD_LINE[:-1] + ', "test_top5": 1.0}\n', encoding="utf-8")
     with pytest.raises(DataError, match="not a valid epoch record"):
+        read_results(str(path))
+
+
+def test_read_results_refuses_a_record_line_that_emit_results_never_writes(tmp_path):
+    path = tmp_path / "run.jsonl"
+    line = '{"epoch": "x", "lr": null, "train_loss": [1], "test_top1": "0.5", "wall_time_ms": 7}'
+    path.write_text(line + '\n{"summary": true}\n', encoding="utf-8")
+    with pytest.raises(DataError, match=r"run.jsonl: line 1: not a valid epoch record.*'wall_time_ms'"):
+        read_results(str(path))
+    path.write_text(line.replace(', "wall_time_ms": 7', "") + '\n{"summary": true}\n', encoding="utf-8")
+    with pytest.raises(DataError, match=r"run.jsonl: line 1: epoch must be an integer"):
+        read_results(str(path))
+
+
+@pytest.mark.parametrize(
+    "member, value",
+    [("epoch", "x"), ("epoch", 1.0), ("epoch", True), ("lr", None), ("train_loss", [1]),
+     ("test_top1", "0.5"), ("test_top1", math.nan)],
+)
+def test_read_results_checks_each_record_member_against_its_annotation(tmp_path, member, value):
+    path = tmp_path / "run.jsonl"
+    record = json.dumps({**json.loads(RECORD_LINE), member: value})
+    path.write_text(f'{RECORD_LINE}\n{record}\n{{"summary": true}}\n', encoding="utf-8")
+    with pytest.raises(DataError, match=rf"run.jsonl: line 2: {member} must be .*, got {re.escape(repr(value))}$"):
         read_results(str(path))
 
 

@@ -1,6 +1,7 @@
 """Label corruption: transition matrices, determinism, realized rates."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eps_softmax import noise
 from eps_softmax.errors import ConfigError
 from eps_softmax.noise import (
     NOISE_KINDS,
@@ -187,14 +187,34 @@ def test_expected_clean_weight():
     assert expected_clean_weight(NoiseSpec("none", n_classes=4)) == 1.0
 
 
-def test_noise_constants_are_read_off_the_transition_matrix(monkeypatch):
-    # class-pair flips (Patrini et al., CVPR 2017): each row keeps a different
-    # share, so c and a come from the matrix, not from eta
-    mat = np.array([[0.9, 0.1, 0.0], [0.0, 0.6, 0.4], [0.3, 0.0, 0.7]])
-    monkeypatch.setattr(noise, "transition_matrix", lambda spec: mat)
-    spec = NoiseSpec("none", n_classes=3)
-    assert expected_clean_weight(spec) == pytest.approx((0.9 + 0.6 + 0.7) / 3)
-    assert clean_dominance_margin(spec) == pytest.approx(0.6 - 0.4)
+def test_noise_constants_are_closed_forms_of_the_transition_matrix():
+    # c and a are computed from eta and K alone; T is the reference they must
+    # match, across the refusal boundaries (K - 1)/K and 1/2 too
+    for kind in NOISE_KINDS:
+        for k in [*range(2, 13), 100]:
+            edges = [(k - 1) / k, 0.5, 2 / 3]
+            etas = [*np.linspace(0.0, 0.99, 199), *edges, *(math.nextafter(e, 0.0) for e in edges)]
+            for eta in [0.0] if kind == "none" else etas:
+                spec = SimpleNamespace(kind=kind, eta=float(eta), n_classes=k)
+                mat = transition_matrix(spec)
+                wrong = np.where(np.eye(k, dtype=bool), -np.inf, mat).max(axis=1)
+                reading = float((np.diag(mat) - wrong).min())
+                assert clean_dominance_margin(spec).hex() == reading.hex(), (kind, k, eta)
+                c = expected_clean_weight(spec)
+                assert c == 1.0 - eta
+                # the diagonal mean rounds a K-term sum, within K ulps of c
+                assert abs(c - np.diag(mat).mean()) <= k * math.ulp(c), (kind, k, eta)
+
+
+@pytest.mark.parametrize("kind, eta", [("none", 0.0), ("symmetric", 0.6), ("asymmetric_shift", 0.3)])
+def test_building_a_spec_allocates_no_k_by_k_matrix(kind, eta):
+    tracemalloc.start()
+    try:
+        NoiseSpec(kind, eta=eta, n_classes=2000)  # a K x K float64 T would be 30.5 MiB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_clean_dominance_margin():
