@@ -163,22 +163,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
         json.dumps(
             {
                 "out": args.out,
-                "last_test_top1": summary["last_test_top1"],
-                "best_test_top1": summary["best_test_top1"],
-                "realized_noise_rate": summary["realized_noise_rate"],
+                "last_test_top1": summary.last_test_top1,
+                "best_test_top1": summary.best_test_top1,
+                "realized_noise_rate": summary.realized_noise_rate,
             }
         )
     )
     return 0
 
 
-def _result_line(config: ExperimentConfig, path: str, summary: dict) -> dict:
+def _result_line(config: ExperimentConfig, path: str, last_test_top1: float) -> dict:
     return {
         "out": path,
         "loss": config.loss.kind,
         "eta": config.noise.eta,
         "seed": config.seed,
-        "last_test_top1": summary["last_test_top1"],
+        "last_test_top1": last_test_top1,
     }
 
 
@@ -186,25 +186,23 @@ def _run_one(job: tuple[ExperimentConfig, str]) -> dict:
     config, path = job
     records, summary = run_experiment(config)
     emit_results(records, summary, path)
-    return _result_line(config, path, summary)
+    return _result_line(config, path, summary.last_test_top1)
 
 
 def _reused_result(config: ExperimentConfig, path: str) -> dict | None:
     """The result line of an existing results file made by this job's config.
 
-    None when there is no file. A file that does not parse, embeds another
-    config or has no last_test_top1 raises DataError naming it.
+    None when there is no file. A file that ``read_results`` refuses, or that
+    embeds another config, raises DataError naming it.
     """
     if not os.path.exists(path):
         return None
     _, summary = read_results(path)
-    if summary.get("config") != config_to_dict(config):
+    if summary.config != config_to_dict(config):
         raise DataError(
             f"{path} holds results of another config; remove it or choose another --out-dir"
         )
-    if not isinstance(summary.get("last_test_top1"), float):
-        raise DataError(f"{path}: summary has no last_test_top1 number")
-    return _result_line(config, path, summary)
+    return _result_line(config, path, summary.last_test_top1)
 
 
 def _print_table(results: list[dict], losses: list[str], etas: list[float]) -> None:
@@ -240,12 +238,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cell = {"loss": kind, "eta": eta, "seed": seed,
                 "noise_kind": "none" if eta == 0.0 else noisy_kind}
         config = build_config(argparse.Namespace(**{**vars(args), **cell}), base)
-        for other_config, other in jobs:
-            if path == other:
-                raise ConfigError(f"the grid lists {path} more than once")
-            # eta -0 names its own file, yet builds eta 0's config
-            if config == other_config:
-                raise ConfigError(f"the grid builds one config for {other} and {path}")
+        if any(path == other for _, other in jobs):
+            raise ConfigError(f"the grid lists {path} more than once")
         jobs.append((config, path))
 
     # every cell's config and every existing file are checked before any run

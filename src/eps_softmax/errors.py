@@ -38,6 +38,7 @@ FIELD_RULES = {
     ),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
     "tuple[int, ...]": (
         lambda v: isinstance(v, (list, tuple)) and all(map(is_int64, v)),
         "a list of integers in [-2**63, 2**63)",

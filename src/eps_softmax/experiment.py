@@ -1,10 +1,10 @@
 """Experiment harness: config plumbing, the training loop, and result files.
 
-Results are line-delimited JSON: one object per epoch record followed by a
-single summary object tagged "summary": true. Only deterministic fields are
-written, so rerunning the same config produces byte-identical files; wall
-times are measured and kept on the in-memory records (and surfaced through
-the progress callback) but never serialized.
+Results are line-delimited JSON: an ``EpochRecord`` per epoch, then one
+``RunSummary`` tagged "summary": true; ``read_results`` checks every member.
+Only deterministic fields are written, so rerunning the same config produces
+byte-identical files; wall times are measured and kept on the in-memory
+records (and surfaced through the progress callback) but never serialized.
 """
 
 from __future__ import annotations
@@ -84,8 +84,21 @@ class EpochRecord:
     wall_time_ms: float = 0.0
 
 
-#: the members of a record line; the wall time is measured but never written
-_RECORD_MEMBERS = {f.name for f in fields(EpochRecord)} - {"wall_time_ms"}
+@dataclass
+class RunSummary:
+    """A run's last results line; flipped_indices are where noise changed a training label."""
+
+    config: dict
+    n_train: int
+    n_test: int
+    realized_noise_rate: float
+    n_flipped: int
+    flipped_indices: tuple[int, ...]
+    last_test_top1: float
+    best_test_top1: float
+    best_epoch: int
+    final_train_loss: float
+
 
 _SECTIONS = (
     ("dataset", DatasetSpec),
@@ -175,7 +188,7 @@ def train_step(
 def run_experiment(
     config: ExperimentConfig,
     on_epoch: Callable[[EpochRecord], None] | None = None,
-) -> tuple[list[EpochRecord], dict]:
+) -> tuple[list[EpochRecord], RunSummary]:
     """Train per config and return (epoch records, summary).
 
     Only training labels are corrupted; the test split stays clean. The batch
@@ -193,8 +206,7 @@ def run_experiment(
             f"mlp input size {config.mlp.layer_sizes[0]} does not match "
             f"loaded feature dim {train.features.shape[1]}"
         )
-    corruption = corrupt_labels(train.labels, config.noise)
-    noisy = Dataset(train.features, corruption.noisy_labels)
+    noisy = Dataset(train.features, corrupt_labels(train.labels, config.noise))
 
     params = init_params(config.mlp)
     velocity = zeros_like_params(params)
@@ -251,23 +263,17 @@ def run_experiment(
                 on_epoch(record)
 
     best = max(records, key=lambda r: r.test_top1)
-    summary = {
-        "summary": True,
-        "config": config_to_dict(config),
-        "n_train": n_train,
-        "n_test": len(test),
-        "realized_noise_rate": corruption.realized_rate,
-        "n_flipped": int(corruption.flip_mask.sum()),
-        "flipped_indices": [int(i) for i in np.flatnonzero(corruption.flip_mask)],
-        "last_test_top1": records[-1].test_top1,
-        "best_test_top1": best.test_top1,
-        "best_epoch": best.epoch,
-        "final_train_loss": records[-1].train_loss,
-    }
-    return records, summary
+    flipped = np.flatnonzero(noisy.labels != train.labels).tolist()
+    return records, RunSummary(
+        config=config_to_dict(config), n_train=n_train, n_test=len(test),
+        realized_noise_rate=len(flipped) / n_train, n_flipped=len(flipped),
+        flipped_indices=flipped, last_test_top1=records[-1].test_top1,
+        best_test_top1=best.test_top1, best_epoch=best.epoch,
+        final_train_loss=records[-1].train_loss,
+    )
 
 
-def emit_results(records: list[EpochRecord], summary: dict, path: str) -> None:
+def emit_results(records: list[EpochRecord], summary: RunSummary, path: str) -> None:
     """Write line-delimited JSON at full float precision; never overwrites.
 
     Values that strict JSON cannot hold (NaN, infinities) raise DataError
@@ -280,7 +286,7 @@ def emit_results(records: list[EpochRecord], summary: dict, path: str) -> None:
             # the one nondeterministic field would break byte-identical reruns
             del row["wall_time_ms"]
             lines.append(json.dumps(row, allow_nan=False))
-        lines.append(json.dumps(summary, allow_nan=False))
+        lines.append(json.dumps({"summary": True, **vars(summary)}, allow_nan=False))
     except ValueError as exc:
         raise DataError(f"refusing to write {path}: {exc}") from None
     try:
@@ -294,12 +300,12 @@ def emit_results(records: list[EpochRecord], summary: dict, path: str) -> None:
             fh.write(line + "\n")
 
 
-def read_results(path: str) -> tuple[list[EpochRecord], dict]:
-    """Parse a results file back into records and the summary object, which
-    must be its last line. Each record member must fit its annotation; the
+def read_results(path: str) -> tuple[list[EpochRecord], RunSummary]:
+    """Parse a results file back into records and the summary, which must be
+    its last line and the one line whose "summary" is true. Each line must hold
+    exactly its dataclass's written members, each fitting its annotation; the
     top-k errors that older files hold in each record are dropped."""
-    records: list[EpochRecord] = []
-    summary = None
+    items: list = []  # the records, then the summary
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -308,7 +314,7 @@ def read_results(path: str) -> tuple[list[EpochRecord], dict]:
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             raise DataError(f"{path}: line {lineno}: blank line in results file")
-        if summary is not None:
+        if items and isinstance(items[-1], RunSummary):
             raise DataError(f"{path}: line {lineno}: a line after the summary line")
         try:
             obj = json.loads(line)
@@ -316,21 +322,24 @@ def read_results(path: str) -> tuple[list[EpochRecord], dict]:
             raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise DataError(f"{path}: line {lineno}: not a JSON object")
-        if obj.get("summary"):
-            summary = obj
+        if obj.get("summary") is True:
+            cls, what = RunSummary, "summary"
+            del obj["summary"]
         else:
+            cls, what = EpochRecord, "epoch record"
             obj.pop("test_topk_errors", None)
-            if set(obj) != _RECORD_MEMBERS:
-                raise DataError(
-                    f"{path}: line {lineno}: not a valid epoch record: its members are "
-                    f"{sorted(obj)}, not {sorted(_RECORD_MEMBERS)}"
-                )
-            record = EpochRecord(**obj)
-            try:
-                check_fields(record)
-            except ConfigError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            records.append(record)
-    if summary is None:
+        members = {f.name for f in fields(cls)} - {"wall_time_ms"}
+        if set(obj) != members:
+            raise DataError(
+                f"{path}: line {lineno}: not a valid {what}: its members are "
+                f"{sorted(obj)}, not {sorted(members)}"
+            )
+        item = cls(**obj)
+        try:
+            check_fields(item)
+        except ConfigError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        items.append(item)
+    if not items or not isinstance(items[-1], RunSummary):
         raise DataError(f"{path}: missing summary line")
-    return records, summary
+    return items[:-1], items[-1]

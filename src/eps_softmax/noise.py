@@ -5,6 +5,7 @@ the wrong classes, and asymmetric shift moves it entirely onto the next class
 modulo K. The noise-tolerance analysis covers only noise that keeps each clean
 class dominant, so ``NoiseSpec`` refuses any spec whose clean dominance margin
 is not positive: symmetric needs eta < (K - 1) / K, shift needs eta < 1/2.
+``corrupt_labels`` returns the noisy labels, which differ where a label flipped.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class NoiseSpec:
         check_fields(self)
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.eta < 1.0:
-            raise ConfigError("eta must lie in [0, 1)")
+        if not 0.0 <= self.eta < 1.0 or np.signbit(self.eta):
+            raise ConfigError(f"eta must lie in [0, 1) and not be -0.0, got {self.eta!r}")
         if self.n_classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.kind == "none" and self.eta != 0.0:
@@ -43,13 +44,6 @@ class NoiseSpec:
                 f"{self.kind} eta={self.eta} at K={self.n_classes} leaves the clean class "
                 f"without a strict plurality: its dominance margin {margin:.3g} is not positive"
             )
-
-
-@dataclass
-class CorruptionResult:
-    noisy_labels: np.ndarray
-    flip_mask: np.ndarray
-    realized_rate: float
 
 
 def transition_matrix(spec: NoiseSpec) -> np.ndarray:
@@ -65,10 +59,10 @@ def transition_matrix(spec: NoiseSpec) -> np.ndarray:
     return mat
 
 
-def corrupt_labels(labels, spec: NoiseSpec) -> CorruptionResult:
-    """Corrupt an integer label array according to spec.
+def corrupt_labels(labels, spec: NoiseSpec) -> np.ndarray:
+    """The noisy copy of an integer label array, corrupted according to spec.
 
-    Deterministic: the same labels and spec always produce the same result.
+    Deterministic: the same labels and spec always produce the same copy.
     Each label independently flips with probability eta; a symmetric flip picks
     uniformly among the K - 1 wrong classes, a shift flip picks (y + 1) mod K.
     """
@@ -76,18 +70,15 @@ def corrupt_labels(labels, spec: NoiseSpec) -> CorruptionResult:
     arr = check_labels(labels, k)
 
     if spec.kind == "none" or spec.eta == 0.0:
-        noisy = arr.copy()
+        return arr.copy()
+    rng = make_rng(spec.seed)
+    flip = rng.random(arr.size) < spec.eta
+    if spec.kind == "symmetric":
+        offsets = rng.integers(0, k - 1, size=arr.size)
+        targets = offsets + (offsets >= arr)  # skip the clean class
     else:
-        rng = make_rng(spec.seed)
-        flip = rng.random(arr.size) < spec.eta
-        if spec.kind == "symmetric":
-            offsets = rng.integers(0, k - 1, size=arr.size)
-            targets = offsets + (offsets >= arr)  # skip the clean class
-        else:
-            targets = (arr + 1) % k
-        noisy = np.where(flip, targets, arr)
-    mask = noisy != arr
-    return CorruptionResult(noisy, mask, float(mask.mean()) if arr.size else 0.0)
+        targets = (arr + 1) % k
+    return np.where(flip, targets, arr)
 
 
 def expected_clean_weight(spec: NoiseSpec) -> float:

@@ -118,12 +118,13 @@ def _calibration_optima(q_rows: np.ndarray, m: float) -> tuple[np.ndarray, int, 
 
     The expected gradient is the q-weighted sum, over the K labels, of the
     loss table's ce_eps logit gradients, taken in one batch_loss call over the
-    K stacked copies of each row. Each step divides it by p, so a class moves
-    in proportion to its log-probability error rather than to its tiny
-    probability. Returns (optima, steps, residual), the residual being the
-    largest row gradient norm at the returned optima. The minimum is interior
-    only when q's top-two gap exceeds m / (m + 1); below that the solve does
-    not converge.
+    K stacked copies of each row. Each step divides it by p, and the winner's
+    entry, whose own-label gradient amplification scales by p / (p + m), by
+    p * p / (p + m), so every class moves by its log-probability error at any
+    m; a step is clipped to 1 nat. Returns (optima, steps, residual), the
+    residual being the largest row gradient norm at the returned optima. The
+    minimum is interior only when q's top-two gap exceeds m / (m + 1); below
+    that the solve does not converge.
     """
     n, k = q_rows.shape
     spec = LossSpec("ce_eps", m=m)
@@ -136,7 +137,7 @@ def _calibration_optima(q_rows: np.ndarray, m: float) -> tuple[np.ndarray, int, 
         residual = float(np.linalg.norm(grad, axis=1).max())
         if residual <= CALIBRATION_TOL or steps == CALIBRATION_MAX_STEPS:
             return p, steps, residual
-        h -= grad / p
+        h -= np.clip(grad / np.where(argmax_mask(p), p * p / (p + m), p), -1.0, 1.0)
 
 
 def sample_gapped_distribution(n_classes: int, m: float, rng: np.random.Generator) -> np.ndarray:
@@ -164,7 +165,7 @@ def check_rank_preserving(f, q) -> bool:
 
 
 def verify_calibration(
-    n_classes: int = 4, ms=(1.0, 10.0), n_distributions: int = 100, seed: int = 0
+    n_classes: int = 4, ms=(1.0, 10.0, 100.0, 1e4), n_distributions: int = 100, seed: int = 0
 ) -> list[CheckReport]:
     """Numeric optimum vs closed form, plus rank preservation and solver
     convergence, per m."""
@@ -311,7 +312,7 @@ def verify_excess_risk(
     eps = eps_bound(n_classes, m)
     reports = []
     for noise_spec in noise_specs:
-        logits_noisy = trained_logits(corrupt_labels(train.labels, noise_spec).noisy_labels)
+        logits_noisy = trained_logits(corrupt_labels(train.labels, noise_spec))
         both = np.vstack([logits_clean, logits_noisy])
         p = softmax_rows(both)
         sums = symmetric_sums(p, loss_spec)

@@ -197,7 +197,7 @@ def test_train_writes_results_and_prints_summary(tmp_path, capsys):
     assert printed["out"] == out
     records, summary = read_results(out)
     assert len(records) == 2
-    assert printed["last_test_top1"] == summary["last_test_top1"]
+    assert printed["last_test_top1"] == summary.last_test_top1
 
 
 def test_train_refuses_a_huge_class_count_in_one_error_line(tmp_path, capsys):
@@ -208,6 +208,17 @@ def test_train_refuses_a_huge_class_count_in_one_error_line(tmp_path, capsys):
     assert code == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_train_refuses_a_negative_zero_eta_in_one_error_line(tmp_path, capsys):
+    # -0 would train eta 0's run yet write "eta": -0.0 into its results
+    out = tmp_path / "run.jsonl"
+    argv = ["train", "--eta", "-0", "--epochs", "1", "--out", str(out)]
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eta must lie in [0, 1) and not be -0.0, got -0.0\n"
     assert not out.exists()
 
 
@@ -655,8 +666,8 @@ def test_train_on_idx_files_end_to_end(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     records, summary = read_results(str(out))
     assert len(records) == 2
-    assert {k: summary["config"]["dataset"][k] for k in paths} == paths
-    assert math.isfinite(summary["last_test_top1"])
+    assert {k: summary.config["dataset"][k] for k in paths} == paths
+    assert math.isfinite(summary.last_test_top1)
 
 
 @pytest.mark.parametrize("flag, value", [("--dim", "7"), ("--separation", "3.0")])
@@ -691,9 +702,8 @@ def test_sweep_writes_a_grid(tmp_path, capsys):
     lines = [json.loads(s) for s in capsys.readouterr().out.strip().splitlines()]
     assert len(lines) == 2
     for expected in ("ce_eta0_seed0.jsonl", "ce_eta0.4_seed0.jsonl"):
-        records, summary = read_results(str(tmp_path / "grid" / expected))
+        records, _ = read_results(str(tmp_path / "grid" / expected))
         assert len(records) == 2
-        assert summary["summary"] is True
 
 
 def test_sweep_eta_zero_uses_no_noise(tmp_path, capsys):
@@ -704,8 +714,8 @@ def test_sweep_eta_zero_uses_no_noise(tmp_path, capsys):
     )
     assert code == 0
     _, summary = read_results(str(tmp_path / "grid" / "ce_eta0_seed0.jsonl"))
-    assert summary["config"]["noise"]["kind"] == "none"
-    assert summary["realized_noise_rate"] == 0.0
+    assert summary.config["noise"]["kind"] == "none"
+    assert summary.realized_noise_rate == 0.0
 
 
 def test_sweep_rejects_unknown_loss(tmp_path, capsys):
@@ -765,15 +775,14 @@ def test_sweep_rejects_the_flags_its_grid_sets(tmp_path, capsys, monkeypatch, fl
 
 
 def test_sweep_refuses_a_grid_that_builds_one_config_twice(tmp_path, capsys, monkeypatch):
-    # -0 names ce_eta-0_seed0.jsonl, but its config equals eta 0's
+    # -0 would name ce_eta-0_seed0.jsonl with eta 0's config; NoiseSpec refuses it
     _no_runs(monkeypatch)
     out_dir = tmp_path / "g"
     argv = ["sweep", "--losses", "ce", "--etas", "0,-0", "--seeds", "0", "--jobs", "1"]
     assert run_main(argv + ["--out-dir", str(out_dir)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    first, second = (out_dir / f"ce_eta{eta}_seed0.jsonl" for eta in ("0", "-0"))
-    assert captured.err == f"error: the grid builds one config for {first} and {second}\n"
+    assert captured.err == "error: eta must lie in [0, 1) and not be -0.0, got -0.0\n"
     assert not out_dir.exists()
 
 
@@ -791,7 +800,7 @@ def _record_cells(monkeypatch):
 
     def record(job):
         cells.append(job[0])
-        return cli_mod._result_line(*job, {"last_test_top1": 0.5})
+        return cli_mod._result_line(*job, 0.5)
 
     monkeypatch.setattr(cli_mod, "_run_one", record)
     return cells
@@ -805,7 +814,7 @@ def test_sweep_cells_keep_the_noise_kind_of_a_config_file(tmp_path, capsys):
     assert run_main(argv + ["--out-dir", str(out_dir)]) == 0
     kinds = {}
     for path in sorted(out_dir.iterdir()):
-        noise = read_results(str(path))[1]["config"]["noise"]
+        noise = read_results(str(path))[1].config["noise"]
         kinds[path.name] = (noise["kind"], noise["eta"])
     assert kinds == {
         f"ce_eta{eta:g}_seed{seed}.jsonl": ("none" if eta == 0 else "asymmetric_shift", eta)
@@ -1079,6 +1088,24 @@ def test_sweep_refuses_a_reused_file_whose_record_value_is_not_a_number(tmp_path
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {target}: line 1: test_top1 must be")
+    assert target.read_bytes() == before
+
+
+def test_sweep_refuses_a_reused_file_whose_summary_value_is_not_a_number(tmp_path, capsys, monkeypatch):
+    argv = ["sweep", "--losses", "ce", "--etas", "0", "--seeds", "0", "--epochs", "1",
+            "--n-train", "100", "--n-test", "50", "--jobs", "1", "--out-dir", str(tmp_path / "g")]
+    assert run_main(argv) == 0
+    capsys.readouterr()
+    target = tmp_path / "g" / "ce_eta0_seed0.jsonl"
+    record, summary = target.read_text(encoding="utf-8").splitlines()
+    summary = json.dumps({**json.loads(summary), "best_test_top1": "x"})
+    target.write_text(f"{record}\n{summary}\n", encoding="utf-8")
+    before = target.read_bytes()
+    _no_runs(monkeypatch)
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {target}: line 2: best_test_top1 must be a finite number, got 'x'\n"
     assert target.read_bytes() == before
 
 

@@ -11,11 +11,12 @@ import pytest
 
 from eps_softmax import experiment, mlp
 from eps_softmax.cli import default_config
-from eps_softmax.data import DatasetSpec
+from eps_softmax.data import DatasetSpec, build_dataset
 from eps_softmax.errors import FIELD_RULES, ConfigError, DataError, TrainingDiverged
 from eps_softmax.experiment import (
     EpochRecord,
     ExperimentConfig,
+    RunSummary,
     config_from_dict,
     config_to_dict,
     emit_results,
@@ -25,7 +26,7 @@ from eps_softmax.experiment import (
 )
 from eps_softmax.losses import LossSpec
 from eps_softmax.mlp import MlpSpec, OptimSpec, ParamSet, Workspace, init_params, zeros_like_params
-from eps_softmax.noise import NoiseSpec
+from eps_softmax.noise import NoiseSpec, corrupt_labels
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -148,7 +149,10 @@ def test_every_spec_field_has_a_rule():
     # annotation has no rule would fail to build rather than go unchecked
     annotations = {
         f.type
-        for cls in (DatasetSpec, MlpSpec, LossSpec, NoiseSpec, OptimSpec, ExperimentConfig)
+        for cls in (
+            DatasetSpec, MlpSpec, LossSpec, NoiseSpec, OptimSpec, ExperimentConfig,
+            EpochRecord, RunSummary,
+        )
         for f in dataclasses.fields(cls)
         if cls is not ExperimentConfig or f.name == "seed"
     }
@@ -234,17 +238,21 @@ def test_load_config_file_missing_file(tmp_path):
 
 
 def test_run_experiment_produces_one_record_per_epoch():
-    records, summary = run_experiment(tiny_config())
+    config = tiny_config()
+    records, summary = run_experiment(config)
     assert [r.epoch for r in records] == [0, 1, 2]
-    assert summary["summary"] is True
-    assert summary["n_train"] == 90
-    assert summary["n_test"] == 30
-    assert summary["last_test_top1"] == records[-1].test_top1
-    assert summary["best_test_top1"] == max(r.test_top1 for r in records)
-    assert summary["n_flipped"] == len(summary["flipped_indices"])
-    assert summary["realized_noise_rate"] == pytest.approx(
-        summary["n_flipped"] / 90.0
-    )
+    assert isinstance(summary, RunSummary)
+    assert summary.n_train == 90
+    assert summary.n_test == 30
+    assert summary.last_test_top1 == records[-1].test_top1
+    assert summary.best_test_top1 == max(r.test_top1 for r in records)
+    # the flips are where corrupt_labels' copy differs from the clean labels,
+    # and the rate is bitwise the mean of that mask
+    clean = build_dataset(config.dataset, config.seed)[0].labels
+    flip_mask = corrupt_labels(clean, config.noise) != clean
+    assert summary.flipped_indices == np.flatnonzero(flip_mask).tolist()
+    assert summary.n_flipped == len(summary.flipped_indices) > 0
+    assert summary.realized_noise_rate == flip_mask.mean()
 
 
 def test_run_experiment_learns_the_easy_task():
@@ -253,7 +261,7 @@ def test_run_experiment_learns_the_easy_task():
         optim=OptimSpec(epochs=10, batch_size=32),
     )
     _, summary = run_experiment(config)
-    assert summary["last_test_top1"] >= 0.9
+    assert summary.last_test_top1 >= 0.9
 
 
 def test_run_experiment_is_deterministic():
@@ -262,14 +270,13 @@ def test_run_experiment_is_deterministic():
     for a, b in zip(a_records, b_records):
         assert a.train_loss == b.train_loss
         assert a.test_top1 == b.test_top1
-    a_summary.pop("config"), b_summary.pop("config")
     assert a_summary == b_summary
 
 
 def test_run_experiment_seed_changes_the_run():
     _, a = run_experiment(tiny_config())
     _, b = run_experiment(tiny_config(seed=1, mlp=MlpSpec((4, 8, 3), init_seed=1)))
-    assert a["final_train_loss"] != b["final_train_loss"]
+    assert a.final_train_loss != b.final_train_loss
 
 
 def test_run_experiment_invokes_the_callback():
@@ -498,7 +505,7 @@ def test_emit_reports_unwritable_paths(tmp_path):
 
 def test_emit_refuses_non_finite_values(tmp_path):
     records, summary = run_experiment(tiny_config())
-    summary["final_train_loss"] = float("nan")
+    summary.final_train_loss = float("nan")
     path = tmp_path / "run.jsonl"
     with pytest.raises(DataError, match="refusing to write"):
         emit_results(records, summary, str(path))
@@ -514,6 +521,11 @@ def test_emitted_files_have_no_wall_time(tmp_path):
 
 
 RECORD_LINE = '{"epoch": 0, "lr": 0.01, "train_loss": 1.0, "test_top1": 0.5}'
+SUMMARY = RunSummary(
+    config={}, n_train=2, n_test=2, realized_noise_rate=0.5, n_flipped=1, flipped_indices=[1],
+    last_test_top1=0.5, best_test_top1=0.5, best_epoch=0, final_train_loss=1.0,
+)
+SUMMARY_LINE = json.dumps({"summary": True, **dataclasses.asdict(SUMMARY)})
 
 
 def test_read_results_reads_a_record_line_that_holds_topk_errors(tmp_path):
@@ -521,8 +533,8 @@ def test_read_results_reads_a_record_line_that_holds_topk_errors(tmp_path):
     # same record; any other extra member is refused
     path = tmp_path / "run.jsonl"
     old = RECORD_LINE[:-1] + ', "test_topk_errors": [0.5, 0.25, 0.0, 0.0]}'
-    path.write_text(old + '\n{"summary": true}\n', encoding="utf-8")
-    assert read_results(str(path)) == ([EpochRecord(0, 0.01, 1.0, 0.5)], {"summary": True})
+    path.write_text(f"{old}\n{SUMMARY_LINE}\n", encoding="utf-8")
+    assert read_results(str(path)) == ([EpochRecord(0, 0.01, 1.0, 0.5)], SUMMARY)
     path.write_text(RECORD_LINE[:-1] + ', "test_top5": 1.0}\n', encoding="utf-8")
     with pytest.raises(DataError, match="not a valid epoch record"):
         read_results(str(path))
@@ -531,10 +543,10 @@ def test_read_results_reads_a_record_line_that_holds_topk_errors(tmp_path):
 def test_read_results_refuses_a_record_line_that_emit_results_never_writes(tmp_path):
     path = tmp_path / "run.jsonl"
     line = '{"epoch": "x", "lr": null, "train_loss": [1], "test_top1": "0.5", "wall_time_ms": 7}'
-    path.write_text(line + '\n{"summary": true}\n', encoding="utf-8")
+    path.write_text(f"{line}\n{SUMMARY_LINE}\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"run.jsonl: line 1: not a valid epoch record.*'wall_time_ms'"):
         read_results(str(path))
-    path.write_text(line.replace(', "wall_time_ms": 7', "") + '\n{"summary": true}\n', encoding="utf-8")
+    path.write_text(line.replace(', "wall_time_ms": 7', "") + f"\n{SUMMARY_LINE}\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"run.jsonl: line 1: epoch must be an integer"):
         read_results(str(path))
 
@@ -547,8 +559,35 @@ def test_read_results_refuses_a_record_line_that_emit_results_never_writes(tmp_p
 def test_read_results_checks_each_record_member_against_its_annotation(tmp_path, member, value):
     path = tmp_path / "run.jsonl"
     record = json.dumps({**json.loads(RECORD_LINE), member: value})
-    path.write_text(f'{RECORD_LINE}\n{record}\n{{"summary": true}}\n', encoding="utf-8")
+    path.write_text(f"{RECORD_LINE}\n{record}\n{SUMMARY_LINE}\n", encoding="utf-8")
     with pytest.raises(DataError, match=rf"run.jsonl: line 2: {member} must be .*, got {re.escape(repr(value))}$"):
+        read_results(str(path))
+
+
+@pytest.mark.parametrize(
+    "member, value",
+    [("best_test_top1", "x"), ("best_test_top1", math.nan), ("n_flipped", 1.5),
+     ("flipped_indices", [1.5]), ("config", [])],
+)
+def test_read_results_checks_each_summary_member_against_its_annotation(tmp_path, member, value):
+    path = tmp_path / "run.jsonl"
+    summary = json.dumps({**json.loads(SUMMARY_LINE), member: value})
+    path.write_text(f"{RECORD_LINE}\n{summary}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"run.jsonl: line 2: {member} must be .*, got {re.escape(repr(value))}$"):
+        read_results(str(path))
+
+
+@pytest.mark.parametrize(
+    "summary, what",
+    [({"summary": True}, "summary"),
+     ({**json.loads(SUMMARY_LINE), "wall_time_ms": 7}, "summary"),
+     ({**json.loads(SUMMARY_LINE), "summary": 1}, "epoch record")],
+    ids=["the tag alone", "an extra member", "a tag that is not true"],
+)
+def test_read_results_refuses_a_summary_line_that_emit_results_never_writes(tmp_path, summary, what):
+    path = tmp_path / "run.jsonl"
+    path.write_text(f"{RECORD_LINE}\n{json.dumps(summary)}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"run.jsonl: line 2: not a valid {what}: its members are"):
         read_results(str(path))
 
 
@@ -575,11 +614,11 @@ def test_read_results_rejects_lines_that_are_not_objects(tmp_path, line):
 
 
 @pytest.mark.parametrize(
-    "last", ['{"summary": true}', RECORD_LINE], ids=["a second summary", "a record"]
+    "last", [SUMMARY_LINE, RECORD_LINE], ids=["a second summary", "a record"]
 )
 def test_read_results_refuses_a_line_after_the_summary(tmp_path, last):
     path = tmp_path / "run.jsonl"
-    path.write_text(f'{RECORD_LINE}\n{{"summary": true}}\n{last}\n', encoding="utf-8")
+    path.write_text(f"{RECORD_LINE}\n{SUMMARY_LINE}\n{last}\n", encoding="utf-8")
     with pytest.raises(DataError, match="line 3: a line after the summary line"):
         read_results(str(path))
 

@@ -20,6 +20,7 @@ from eps_softmax.data import DatasetSpec, build_dataset, generate_blobs
 from eps_softmax.experiment import (
     EpochRecord,
     ExperimentConfig,
+    RunSummary,
     config_to_dict,
     emit_results,
     run_experiment,
@@ -93,8 +94,7 @@ def ref_evaluate(weights, biases, x, y):
 def reference_run(config):
     """(records, summary, clip scales) of the loop as it was before flat buffers."""
     train, test = build_dataset(config.dataset, config.seed)
-    corruption = corrupt_labels(train.labels, config.noise)
-    labels = corruption.noisy_labels
+    labels = corrupt_labels(train.labels, config.noise)
     rng = make_rng(config.mlp.init_seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(config.mlp.layer_sizes[:-1], config.mlp.layer_sizes[1:]):
@@ -121,19 +121,19 @@ def reference_run(config):
         top1 = ref_evaluate(weights, biases, test.features, test.labels)
         records.append(EpochRecord(epoch, lr, loss_total / n, top1))
     best = max(records, key=lambda r: r.test_top1)
-    summary = {
-        "summary": True,
-        "config": config_to_dict(config),
-        "n_train": n,
-        "n_test": len(test),
-        "realized_noise_rate": corruption.realized_rate,
-        "n_flipped": int(corruption.flip_mask.sum()),
-        "flipped_indices": [int(i) for i in np.flatnonzero(corruption.flip_mask)],
-        "last_test_top1": records[-1].test_top1,
-        "best_test_top1": best.test_top1,
-        "best_epoch": best.epoch,
-        "final_train_loss": records[-1].train_loss,
-    }
+    flip_mask = labels != train.labels
+    summary = RunSummary(
+        config=config_to_dict(config),
+        n_train=n,
+        n_test=len(test),
+        realized_noise_rate=float(flip_mask.mean()),
+        n_flipped=int(flip_mask.sum()),
+        flipped_indices=[int(i) for i in np.flatnonzero(flip_mask)],
+        last_test_top1=records[-1].test_top1,
+        best_test_top1=best.test_top1,
+        best_epoch=best.epoch,
+        final_train_loss=records[-1].train_loss,
+    )
     return records, summary, scales
 
 
@@ -242,7 +242,7 @@ def test_train_step_without_clip_or_decay_is_the_excess_risk_trainer(spec):
     data = DatasetSpec(source="blobs", n_classes=4, n_train=200, n_test=4, dim=2, separation=8.0)
     train, _ = generate_blobs(data, 0)
     noise = NoiseSpec("symmetric", eta=0.4, n_classes=4, seed=0)
-    labels = corrupt_labels(train.labels, noise).noisy_labels
+    labels = corrupt_labels(train.labels, noise)
     ref_params, ref_velocity = ref_train_linear_softmax(train.features, labels, 4, spec, 0, 300)
 
     params = init_params(MlpSpec((2, 4), init_seed=0))
