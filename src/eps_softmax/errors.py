@@ -2,10 +2,12 @@
 
 Every spec checks its fields against ``FIELD_RULES`` when it is built, for
 library, config-file and flag callers alike. A value a spec cannot use raises
-``ConfigError`` there; no spec warns and goes on.
+``ConfigError`` there; no spec warns and goes on. A float field holds the
+float its value equals, never an integer, and -0.0 (equal to 0.0) is refused.
 """
 
 import dataclasses
+import math
 import sys
 
 
@@ -48,10 +50,14 @@ FIELD_RULES = {
 
 def check_fields(spec, names=None) -> None:
     """Raise ConfigError naming the first field of a spec dataclass whose value
-    breaks the rule of its annotation; only the fields in ``names`` when given."""
+    breaks its annotation's rule (of ``names`` only); make float fields floats."""
     for f in dataclasses.fields(spec):
         value = getattr(spec, f.name)
         if names is None or f.name in names:
             fits, expected = FIELD_RULES[f.type]
             if not fits(value):
                 raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
+            if f.type == "float":
+                if value == 0 and math.copysign(1.0, value) < 0:
+                    raise ConfigError(f"{f.name} must not be -0.0")
+                object.__setattr__(spec, f.name, float(value))  # specs are frozen

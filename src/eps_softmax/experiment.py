@@ -30,6 +30,7 @@ from .mlp import (
     blas_threads_for,
     clip_grad_norm,
     cosine_lr,
+    eval_rows,
     evaluate,
     forward,
     init_params,
@@ -210,12 +211,12 @@ def run_experiment(
 
     params = init_params(config.mlp)
     velocity = zeros_like_params(params)
-    ws = Workspace(config.mlp.layer_sizes)
     shuffle_rng = make_rng(config.seed, stream=_SHUFFLE_STREAM)
     opt = config.optim
     n_train = len(noisy)
     # each batch is gathered into these; the last partial batch uses leading rows
     rows = min(opt.batch_size, n_train)
+    ws = Workspace(config.mlp.layer_sizes, max(rows, eval_rows(config.mlp.layer_sizes, len(test))))
     x_batch = np.empty((rows, noisy.features.shape[1]), dtype=noisy.features.dtype)
     y_batch = np.empty(rows, dtype=noisy.labels.dtype)
     records: list[EpochRecord] = []

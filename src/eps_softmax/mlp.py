@@ -20,8 +20,9 @@ gradient set and its scratch, and the batch forward leaves pending for
 backward. Results computed through a workspace are views of its buffers and
 are overwritten by its next forward, or by a clip or update of its
 gradients; callers that need snapshots should copy. Without a workspace
-every call gets fresh buffers. evaluate runs the test set through the
-workspace in chunks, so a run's working memory follows the batch size.
+every call gets fresh buffers. A run builds its workspace once, for the
+larger of its batch and one evaluate chunk, and evaluate runs the test set
+through it in chunks of that many rows.
 Identical seeds give bitwise identical parameters and trajectories in
 single-threaded use.
 
@@ -151,61 +152,54 @@ EVAL_CHUNK_BYTES = 4 * 2**20
 class Workspace:
     """The one owner of a training step's buffers, reused across steps.
 
-    It keeps one set of layer outputs and hidden-layer ReLU masks, sized to
-    the largest row count it has served; the gradient set backward writes
-    into; and ``pending``, the (params, input) of the last forward, which
-    backward consumes and evaluate clears. A smaller batch, such as the last
-    partial batch or an evaluation chunk, gets leading-row views of the same
-    buffers, cached per row count.
+    Built for ``rows``, the most any forward through it holds, it makes at
+    once one set of layer outputs and hidden-layer ReLU masks of that many
+    rows; the gradient set backward writes into; and ``pending``, the
+    (params, input) of the last forward, which backward consumes and evaluate
+    clears. A smaller batch, such as the last partial batch or an evaluation
+    chunk, gets leading-row views of the same buffers, cached per row count.
 
     The layer outputs are views into one float64 arena of
-    max(rows x sum(layer_sizes[1:]), n_params) entries, made at the first
-    forward and remade when a forward needs more rows; each time, the
-    gradient set (made the first time) gets the arena's first n_params
-    entries as its ``scratch``. So clip_grad_norm and sgd_step on ``grads``
-    overwrite the layer outputs: call them between a backward, which has
-    spent the outputs, and the next forward, as train_step does.
+    max(rows x sum(layer_sizes[1:]), n_params) entries, and the gradient set's
+    ``scratch`` is the arena's first n_params entries. So clip_grad_norm and
+    sgd_step on ``grads`` overwrite the layer outputs: call them between a
+    backward, which has spent the outputs, and the next forward, as
+    train_step does.
     """
 
-    def __init__(self, layer_sizes):
+    def __init__(self, layer_sizes, rows: int):
         self.layer_sizes = tuple(layer_sizes)
-        self.grads: ParamSet | None = None
-        self.pending: tuple[ParamSet, np.ndarray] | None = None
-        self.rows = 0
-        self._arena: np.ndarray | None = None
-        self._views: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
-
-    def _allocate(self, rows: int) -> None:
-        widths = self.layer_sizes[1:]
         self.rows = rows
-        self._arena = np.empty(max(rows * sum(widths), n_params(self.layer_sizes)))
+        self.pending: tuple[ParamSet, np.ndarray] | None = None
+        widths = self.layer_sizes[1:]
+        arena = np.empty(max(rows * sum(widths), n_params(self.layer_sizes)))
         self._outputs, start = [], 0
         for n in widths:
-            self._outputs.append(self._arena[start : start + rows * n].reshape(rows, n))
+            self._outputs.append(arena[start : start + rows * n].reshape(rows, n))
             start += rows * n
         self._masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
-        self._views = {}
-        if self.grads is None:
-            self.grads = ParamSet.zeros(self.layer_sizes)
-        self.grads.scratch = self._arena[: self.grads.flat.size]
+        self._views: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+        self.grads = ParamSet.zeros(self.layer_sizes)
+        self.grads.scratch = arena[: self.grads.flat.size]
 
     def buffers(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Each layer's output (hidden activations, then logits) and each
-        hidden layer's ReLU mask for a batch of ``rows``."""
+        hidden layer's ReLU mask for a batch of ``rows``; ValueError for more
+        rows than the workspace was built for."""
         views = self._views.get(rows)
         if views is None:
-            if self._arena is None or rows > self.rows:
-                self._allocate(rows)
+            if rows > self.rows:
+                raise ValueError(f"a batch of {rows} rows exceeds the workspace's {self.rows}")
             views = self._views[rows] = (
                 [z[:rows] for z in self._outputs],
                 [mask[:rows] for mask in self._masks],
             )
         return views
 
-    def eval_rows(self) -> int:
-        """Rows per evaluate chunk: as many as EVAL_CHUNK_BYTES of layer
-        outputs hold, and never fewer than the buffers already have."""
-        return max(self.rows, EVAL_CHUNK_BYTES // (8 * sum(self.layer_sizes[1:])), 1)
+
+def eval_rows(layer_sizes, n: int) -> int:
+    """Rows per evaluate chunk of n rows: EVAL_CHUNK_BYTES of layer outputs, in [1, n]."""
+    return min(n, max(EVAL_CHUNK_BYTES // (8 * sum(layer_sizes[1:])), 1))
 
 
 def init_params(spec: MlpSpec) -> ParamSet:
@@ -230,7 +224,7 @@ def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarra
     logits alias the buffers until the next forward through the same
     workspace, whatever its row count, and until a clip_grad_norm or sgd_step
     on ``ws.grads``, whose scratch shares their arena. Without ``ws`` a fresh
-    workspace is made and returned.
+    workspace for the batch's rows is made and returned.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -241,7 +235,7 @@ def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarra
             f"{params.weights[0].shape[1]}"
         )
     if ws is None:
-        ws = Workspace(params.layer_sizes)
+        ws = Workspace(params.layer_sizes, a.shape[0])
     outputs, _ = ws.buffers(a.shape[0])
     ws.pending = (params, a)
     last = len(params.weights) - 1
@@ -353,10 +347,9 @@ def evaluate(params: ParamSet, x, labels, ws: Workspace | None = None) -> float:
     """Top-1 accuracy: the share of rows whose highest logit is their label's.
 
     Ties go to the lower class index, as np.argmax breaks them. The rows run
-    through ``ws`` (a fresh workspace without one) in chunks of
-    ``ws.eval_rows()``, so the layer outputs held at once are bounded by
-    EVAL_CHUNK_BYTES or the largest batch the workspace has served; they leave
-    no forward pending on it. The misses are summed over chunks as integers.
+    through ``ws`` in chunks of ``ws.rows`` (without one, through a fresh
+    workspace of ``eval_rows`` rows) and leave no forward pending on it. The
+    misses are summed over chunks as integers.
     Raises ValueError on non-integer labels, IndexError on labels outside
     [0, K) and FloatingPointError on non-finite logits, which have no argmax.
     """
@@ -367,15 +360,14 @@ def evaluate(params: ParamSet, x, labels, ws: Workspace | None = None) -> float:
     if x.shape[:1] != y.shape:
         raise ValueError(f"features of shape {x.shape} do not match {y.size} labels")
     if ws is None:
-        ws = Workspace(params.layer_sizes)
+        ws = Workspace(params.layer_sizes, eval_rows(params.layer_sizes, y.size))
     misses = 0
-    chunk = ws.eval_rows()
-    for start in range(0, y.size, chunk):
-        logits, _ = forward(params, x[start : start + chunk], ws)
+    for start in range(0, y.size, ws.rows):
+        logits, _ = forward(params, x[start : start + ws.rows], ws)
         ws.pending = None  # no backward may follow an evaluation's forward
         if not np.isfinite(logits).all():
             raise FloatingPointError("logits are not finite; the network has diverged")
-        misses += int(np.count_nonzero(logits.argmax(axis=1) != y[start : start + chunk]))
+        misses += int(np.count_nonzero(logits.argmax(axis=1) != y[start : start + ws.rows]))
     return 1.0 - misses / y.size
 
 

@@ -33,8 +33,8 @@ class NoiseSpec:
         check_fields(self)
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.eta < 1.0 or np.signbit(self.eta):
-            raise ConfigError(f"eta must lie in [0, 1) and not be -0.0, got {self.eta!r}")
+        if not 0.0 <= self.eta < 1.0:
+            raise ConfigError("eta must lie in [0, 1)")
         if self.n_classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.kind == "none" and self.eta != 0.0:

@@ -302,7 +302,7 @@ def verify_excess_risk(
     def trained_logits(labels: np.ndarray) -> np.ndarray:
         params = init_params(MlpSpec((data_spec.dim, n_classes), init_seed=seed))
         velocity = zeros_like_params(params)
-        ws = Workspace(params.layer_sizes)
+        ws = Workspace(params.layer_sizes, n_points)
         for _ in range(steps):
             train_step(params, velocity, ws, train.features, labels, loss_spec, optim.lr0, optim)
         return forward(params, train.features)[0]
@@ -428,7 +428,7 @@ def gradcheck_mlp(kinds=LOSS_KINDS, seed: int = 0) -> list[CheckReport]:
         analytic = backward(ws, grad_logits / y.size).flat
 
         probe = init_params(spec_net)
-        ws = Workspace(spec_net.layer_sizes)
+        ws = Workspace(spec_net.layer_sizes, len(x))
 
         def mean_loss(flat: np.ndarray) -> float:
             probe.flat[...] = flat

@@ -218,7 +218,14 @@ def test_train_refuses_a_negative_zero_eta_in_one_error_line(tmp_path, capsys):
     assert run_main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: eta must lie in [0, 1) and not be -0.0, got -0.0\n"
+    assert captured.err == "error: eta must not be -0.0\n"
+    assert not out.exists()
+
+
+def test_train_refuses_a_negative_zero_m_in_one_error_line(tmp_path, capsys):
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", "--m", "-0", "--epochs", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: m must not be -0.0\n")
     assert not out.exists()
 
 
@@ -692,6 +699,19 @@ def test_integers_in_float_fields_of_a_config_file_are_valid(tmp_path):
     assert config.optim.lr0 == 1 and config.dataset.separation == 10
 
 
+def test_an_integer_in_a_float_field_of_a_config_file_writes_the_bytes_of_its_flag(tmp_path, capsys):
+    raw = config_to_dict(default_config())
+    raw["optim"]["lr0"] = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    small = ["--epochs", "1", "--n-train", "100", "--n-test", "50", "--log-every", "0"]
+    for name, flags in (("file", []), ("flag", ["--lr0", "1"])):
+        argv = ["train", "--config", str(path), *flags, *small, "--out", str(tmp_path / name)]
+        assert run_main(argv) == 0
+    assert (tmp_path / "file").read_bytes() == (tmp_path / "flag").read_bytes()
+    assert '"lr0": 1.0,' in (tmp_path / "file").read_text(encoding="utf-8")
+
+
 def test_sweep_writes_a_grid(tmp_path, capsys):
     out_dir = str(tmp_path / "grid")
     code = run_main(
@@ -775,14 +795,14 @@ def test_sweep_rejects_the_flags_its_grid_sets(tmp_path, capsys, monkeypatch, fl
 
 
 def test_sweep_refuses_a_grid_that_builds_one_config_twice(tmp_path, capsys, monkeypatch):
-    # -0 would name ce_eta-0_seed0.jsonl with eta 0's config; NoiseSpec refuses it
+    # -0 would name ce_eta-0_seed0.jsonl with eta 0's config; the float rule refuses it
     _no_runs(monkeypatch)
     out_dir = tmp_path / "g"
     argv = ["sweep", "--losses", "ce", "--etas", "0,-0", "--seeds", "0", "--jobs", "1"]
     assert run_main(argv + ["--out-dir", str(out_dir)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: eta must lie in [0, 1) and not be -0.0, got -0.0\n"
+    assert captured.err == "error: eta must not be -0.0\n"
     assert not out_dir.exists()
 
 
@@ -1107,6 +1127,25 @@ def test_sweep_refuses_a_reused_file_whose_summary_value_is_not_a_number(tmp_pat
     assert captured.out == ""
     assert captured.err == f"error: {target}: line 2: best_test_top1 must be a finite number, got 'x'\n"
     assert target.read_bytes() == before
+
+
+def test_sweep_prints_a_reused_integer_accuracy_as_the_float_a_fresh_run_prints(
+    tmp_path, capsys, monkeypatch
+):
+    # a short run that scores every test row
+    argv = ["sweep", "--losses", "ce", "--etas", "0", "--seeds", "0", "--epochs", "4", "--lr0", "0.1",
+            "--n-train", "100", "--n-test", "20", "--jobs", "1", "--out-dir", str(tmp_path / "g")]
+    assert run_main(argv) == 0
+    fresh = capsys.readouterr()
+    target = tmp_path / "g" / "ce_eta0_seed0.jsonl"
+    *records, summary = target.read_text(encoding="utf-8").splitlines()
+    summary = json.loads(summary)
+    assert summary["last_test_top1"] == 1.0
+    summary["last_test_top1"] = 1  # how another JSON writer may hold it
+    target.write_text("\n".join(records + [json.dumps(summary)]) + "\n", encoding="utf-8")
+    _no_runs(monkeypatch)
+    assert run_main(argv) == 0
+    assert capsys.readouterr() == fresh
 
 
 def test_verify_exit_code_and_output(capsys):

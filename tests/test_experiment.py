@@ -184,9 +184,10 @@ def test_library_specs_check_every_field_by_its_rule(build, field, rule):
     assert "config section" not in str(info.value)
 
 
-def test_a_spec_keeps_a_float_an_integer_and_a_numpy_float_as_given():
-    assert OptimSpec(lr0=1).lr0 == 1 and type(OptimSpec(lr0=1).lr0) is int
+def test_a_spec_stores_an_integer_and_a_numpy_float_as_a_float():
+    assert OptimSpec(lr0=1).lr0 == 1 and type(OptimSpec(lr0=1).lr0) is float
     assert LossSpec("ce_eps", m=np.float64(10.0)).m == 10.0
+    assert type(LossSpec("ce_eps", m=np.float64(10.0)).m) is float
     assert MlpSpec([8, 4]).layer_sizes == (8, 4)
 
 
@@ -197,6 +198,16 @@ def test_a_spec_keeps_a_float_an_integer_and_a_numpy_float_as_given():
 def test_specs_refuse_non_finite_floats(cls, kwargs, name, value):
     with pytest.raises(ConfigError, match=f"^{name} must be a finite number, got {value}$"):
         cls(**kwargs, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, name", SPEC_FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, _, n in SPEC_FLOAT_FIELDS]
+)
+def test_specs_refuse_a_negative_zero_float(cls, kwargs, name):
+    # -0.0 == 0.0, so a spec that kept it would equal the spec at 0.0 yet be
+    # written as -0.0 into its results
+    with pytest.raises(ConfigError, match=f"^{name} must not be -0.0$"):
+        cls(**kwargs, **{name: -0.0})
 
 
 def test_config_from_dict_rejects_non_dict_root():
@@ -296,11 +307,11 @@ def test_a_warm_train_step_allocates_no_parameter_sized_array():
     rng = np.random.default_rng(0)
     params = init_params(MlpSpec((128, 512, 512, 10), init_seed=0))
     velocity = zeros_like_params(params)
-    ws = Workspace(params.layer_sizes)
+    ws = Workspace(params.layer_sizes, 512)
     x, y = rng.standard_normal((512, 128)), rng.integers(0, 10, size=512)
     optim = OptimSpec(clip_norm=1e-3, batch_size=512)  # the clip fires
     args = (params, velocity, ws, x, y, LossSpec("ce"), 0.01, optim)
-    experiment.train_step(*args)  # cold: the workspace makes its buffers
+    experiment.train_step(*args)  # cold: the workspace caches its batch views
     tracemalloc.start()
     try:
         experiment.train_step(*args)

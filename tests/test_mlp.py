@@ -15,6 +15,7 @@ from eps_softmax.mlp import (
     backward,
     clip_grad_norm,
     cosine_lr,
+    eval_rows,
     evaluate,
     forward,
     init_params,
@@ -261,8 +262,8 @@ def test_evaluate_rank_count_matches_a_stable_argsort(k, chunk, monkeypatch):
     logits[:50] = 1.0  # rows where every class ties
     labels = rng.integers(0, k, size=400)
     monkeypatch.setattr(mlp, "EVAL_CHUNK_BYTES", 8 * k * chunk)
-    ws = Workspace((k, k))
-    assert ws.eval_rows() == chunk
+    ws = Workspace((k, k), eval_rows((k, k), 400))
+    assert ws.rows == chunk
     order = np.argsort(-logits, axis=1, kind="stable")
     rank = np.argmax(order == labels[:, None], axis=1)
     assert evaluate(identity_net(k), logits, labels, ws=ws) == 1.0 - float((rank >= 1).mean())
@@ -310,7 +311,7 @@ def test_forward_through_a_workspace_overwrites_its_buffers():
     """The aliasing contract in forward's docstring."""
     rng = np.random.default_rng(0)
     params = init_params(MlpSpec((3, 5, 2), init_seed=0))
-    ws = Workspace(params.layer_sizes)
+    ws = Workspace(params.layer_sizes, 4)
     x1, x2 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
     first, pending = forward(params, x1, ws)
     kept = first.copy()
@@ -333,37 +334,51 @@ def test_forward_through_a_workspace_overwrites_its_buffers():
 
 def test_the_gradient_scratch_lives_in_the_workspace_arena():
     """The Workspace contract: ws.grads' scratch is the leading entries of
-    the layer-output arena, sized by the parameters while the 8-512-512-4 net
-    trains at batch 128 (269,316 > 128 x 1,028) and by the outputs once an
-    evaluation grows it (510 x 1,028 > 269,316), and it follows the arena."""
+    the layer-output arena, which the 8-512-512-4 net's parameters size in a
+    workspace of 128 rows (269,316 > 128 x 1,028) and its outputs size in one
+    of 510 rows (510 x 1,028 > 269,316)."""
     rng = np.random.default_rng(6)
     params = init_params(MlpSpec((8, 512, 512, 4), init_seed=6))
-    ws = Workspace(params.layer_sizes)
-    assert ws.grads is None  # nothing is allocated before the first forward
-    x, y = rng.standard_normal((600, 8)), rng.integers(0, 4, size=600)
-
-    def step():
-        forward(params, x[:128], ws)
+    x = rng.standard_normal((128, 8))
+    for rows, arena in ((128, 269_316), (510, 510 * 1_028)):
+        ws = Workspace(params.layer_sizes, rows)
+        forward(params, x, ws)
         grads = backward(ws, rng.standard_normal((128, 4)))
-        assert grads.scratch.size == grads.flat.size
+        assert grads is ws.grads and grads.scratch.size == grads.flat.size
+        assert grads.scratch.base.size == arena == max(rows * 1_028, 269_316)  # base: the arena
         assert np.shares_memory(grads.scratch, ws.buffers(128)[0][0])
         bare = zeros_like_params(params)  # its scratch is a buffer of its own
         bare.flat[...] = grads.flat
         assert clip_grad_norm(grads, 1e-3)[1] == clip_grad_norm(bare, 1e-3)[1] < 1.0
         assert grads.flat.tobytes() == bare.flat.tobytes()
 
-    step()
-    grads = ws.grads
-    assert grads.scratch.base.size == 269_316 > 128 * 1_028  # base: the whole arena
+
+def test_a_workspace_refuses_a_batch_larger_than_it_was_built_for():
+    params = init_params(MlpSpec((3, 5, 2), init_seed=0))
+    ws = Workspace(params.layer_sizes, 4)
+    with pytest.raises(ValueError, match="^a batch of 5 rows exceeds the workspace's 4$"):
+        forward(params, np.ones((5, 3)), ws)
+    assert forward(params, np.ones((4, 3)), ws)[0].shape == (4, 2)
+
+
+def test_an_evaluate_keeps_the_workspace_buffers():
+    """A workspace built for a run's evaluation chunk serves it without being
+    remade: the batch views and the gradient scratch stay the same arrays."""
+    rng = np.random.default_rng(9)
+    params = init_params(MlpSpec((8, 64, 64, 4), init_seed=9))
+    ws = Workspace(params.layer_sizes, 1_000)
+    outputs, masks = ws.buffers(128)
+    scratch = ws.grads.scratch
+    x, y = rng.standard_normal((1_000, 8)), rng.integers(0, 4, size=1_000)
     evaluate(params, x, y, ws=ws)
-    assert ws.rows == 510 and grads.scratch.base.size == 510 * 1_028 > 269_316
-    assert ws.grads is grads  # a remade arena keeps the gradient set
-    step()
+    after_outputs, after_masks = ws.buffers(128)
+    assert all(a is b for a, b in zip(after_outputs + after_masks, outputs + masks))
+    assert ws.grads.scratch is scratch
 
 
 def test_a_second_backward_on_one_cache_raises():
     params = init_params(MlpSpec((3, 5, 2), init_seed=0))
-    _, cache = forward(params, np.ones((4, 3)), Workspace(params.layer_sizes))
+    _, cache = forward(params, np.ones((4, 3)), Workspace(params.layer_sizes, 4))
     backward(cache, np.ones((4, 2)))
     with pytest.raises(ValueError, match="stale cache"):
         backward(cache, np.ones((4, 2)))
@@ -372,7 +387,7 @@ def test_a_second_backward_on_one_cache_raises():
 def test_a_backward_after_an_evaluate_through_the_workspace_raises():
     rng = np.random.default_rng(7)
     params = init_params(MlpSpec((3, 5, 2), init_seed=0))
-    ws = Workspace(params.layer_sizes)
+    ws = Workspace(params.layer_sizes, 6)
     xt, yt = rng.standard_normal((6, 3)), rng.integers(0, 2, size=6)
     xa = rng.standard_normal((4, 3))
     evaluate(params, xt, yt, ws=ws)
@@ -385,7 +400,7 @@ def test_a_backward_after_an_evaluate_through_the_workspace_raises():
 def test_two_forwards_then_a_backward_give_the_gradients_of_the_second_batch():
     rng = np.random.default_rng(8)
     params = init_params(MlpSpec((3, 5, 5, 2), init_seed=8))
-    ws = Workspace(params.layer_sizes)
+    ws = Workspace(params.layer_sizes, 4)
     x1, x2 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
     g = rng.standard_normal((4, 2))
     _, pending = forward(params, x1, ws)
@@ -399,14 +414,13 @@ def test_two_forwards_then_a_backward_give_the_gradients_of_the_second_batch():
 def test_evaluate_in_chunks_gives_the_metrics_of_one_pass():
     rng = np.random.default_rng(3)
     params = init_params(MlpSpec((16, 256, 256, 10), init_seed=3))
-    chunk = Workspace(params.layer_sizes).eval_rows()
+    chunk = eval_rows(params.layer_sizes, 10_000)
     n = 2 * chunk + 37  # a partial last chunk
     x, y = rng.standard_normal((n, 16)), rng.integers(0, 10, size=n)
-    one_pass = Workspace(params.layer_sizes)
-    forward(params, x, one_pass)  # buffers for every row: no chunking
-    assert one_pass.eval_rows() == n
-    accuracy = evaluate(params, x, y, ws=Workspace(params.layer_sizes))
-    assert accuracy == evaluate(params, x, y, ws=one_pass)
+    one_pass = Workspace(params.layer_sizes, n)  # buffers for every row: no chunking
+    assert eval_rows(params.layer_sizes, n) == chunk < n
+    accuracy = evaluate(params, x, y, ws=Workspace(params.layer_sizes, chunk))
+    assert accuracy == evaluate(params, x, y, ws=one_pass) == evaluate(params, x, y)
     logits = forward(params, x)[0]
     rank = np.argmax(np.argsort(-logits, axis=1, kind="stable") == y[:, None], axis=1)
     assert accuracy == 1.0 - float((rank >= 1).mean())
@@ -418,11 +432,12 @@ def test_evaluate_holds_one_chunk_of_layer_outputs_not_the_test_set():
     params = init_params(MlpSpec((8, 64, 64, 10), init_seed=4))
     n = 20_000
     x, y = rng.standard_normal((n, 8)), rng.integers(0, 10, size=n)
-    ws = Workspace(params.layer_sizes)
-    forward(params, x[:64], ws)  # a workspace that has served 64-row batches
     full_test_set = n * sum(params.layer_sizes[1:]) * 8  # bytes of every layer output
     tracemalloc.start()
     try:
+        # a run's workspace: built for its 64-row batches and one evaluation chunk
+        ws = Workspace(params.layer_sizes, max(64, eval_rows(params.layer_sizes, n)))
+        forward(params, x[:64], ws)
         evaluate(params, x, y, ws=ws)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -432,5 +447,5 @@ def test_evaluate_holds_one_chunk_of_layer_outputs_not_the_test_set():
 
 def test_forward_of_an_empty_batch_through_a_fresh_workspace_gives_empty_logits():
     params = init_params(MlpSpec((3, 5, 2), init_seed=0))
-    logits, _ = forward(params, np.zeros((0, 3)), Workspace(params.layer_sizes))
+    logits, _ = forward(params, np.zeros((0, 3)), Workspace(params.layer_sizes, 0))
     assert logits.shape == (0, 2)

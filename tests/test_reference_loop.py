@@ -34,6 +34,7 @@ from eps_softmax.mlp import (
     backward,
     clip_grad_norm,
     cosine_lr,
+    eval_rows,
     forward,
     init_params,
     sgd_step,
@@ -183,7 +184,7 @@ def test_run_experiment_writes_the_reference_bytes(case, tmp_path):
         fired = sum(s < 1.0 for s in scales)
         assert 0 < fired < len(scales)  # both branches of the clip ran
     if case == "eval_chunks":
-        chunk = Workspace(config.mlp.layer_sizes).eval_rows()
+        chunk = eval_rows(config.mlp.layer_sizes, config.dataset.n_test)
         assert config.optim.batch_size < chunk < config.dataset.n_test / 2
 
 
@@ -227,7 +228,7 @@ def ref_train_linear_softmax(
     that it also returns the velocity."""
     params = init_params(MlpSpec((features.shape[1], n_classes), init_seed=seed))
     velocity = zeros_like_params(params)
-    ws = Workspace(params.layer_sizes)
+    ws = Workspace(params.layer_sizes, labels.size)
     n = labels.size
     for _ in range(steps):
         logits, cache = forward(params, features, ws)
@@ -247,7 +248,7 @@ def test_train_step_without_clip_or_decay_is_the_excess_risk_trainer(spec):
 
     params = init_params(MlpSpec((2, 4), init_seed=0))
     velocity = zeros_like_params(params)
-    ws = Workspace(params.layer_sizes)
+    ws = Workspace(params.layer_sizes, len(labels))
     # the excess-risk trainer's clip bound, the largest double, which no gradient reaches
     optim = OptimSpec(lr0=0.2, momentum=0.9, weight_decay=0.0, clip_norm=sys.float_info.max)
     for _ in range(300):
