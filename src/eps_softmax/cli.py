@@ -1,11 +1,11 @@
 """Command-line interface: train, sweep, verify, gradcheck.
 
 Exit codes: 0 on success, 1 on usage, configuration or data errors or when
-training diverges, 2 when a verification or gradient check fails. Flags override
-config-file fields; without a config file the desk-scale blob defaults below
-apply. A config file is checked as it is read, so an invalid field in it (say,
-noise that drowns the clean class) is refused even if a flag would replace it.
-The --seed flag drives the run, the weight init, and the noise draw
+training diverges, 2 when a verification or gradient check fails. Flags merge
+into the config file's sections (or the desk-scale blob defaults below) before
+any spec is built. A config file is checked as it is read, so an invalid field
+in it (say, noise that drowns the clean class) is refused even if a flag would
+replace it. The --seed flag drives the run, the weight init, and the noise draw
 together so seed-averaged comparisons vary everything at once.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import json
 import math
@@ -109,20 +108,20 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _base_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The --config file, or the defaults."""
-    return load_config_file(args.config) if args.config else default_config()
+def _base_config(args: argparse.Namespace) -> dict:
+    """The --config file's dicts, or the defaults'."""
+    return load_config_file(args.config) if args.config else config_to_dict(default_config())
 
 
-def build_config(
-    args: argparse.Namespace, base: ExperimentConfig | None = None
-) -> ExperimentConfig:
-    """Apply the command-line overrides to ``base`` (by default ``_base_config``).
-    Every section is rebuilt by its constructor, which checks the merged values."""
+def build_config(args: argparse.Namespace, base: dict | None = None) -> ExperimentConfig:
+    """Merge the command-line overrides into the section dicts of ``base`` (by
+    default ``_base_config``), then build each section's spec, which checks them."""
     if base is None:
         base = _base_config(args)
 
-    changes = {name: {} for name in ("dataset", "loss", "noise", "optim", "mlp")}
+    classes = {"dataset": DatasetSpec, "loss": LossSpec, "noise": NoiseSpec, "optim": OptimSpec,
+               "mlp": MlpSpec}
+    changes = {name: {} for name in classes}
     for flag, (sections, field, kind, _) in _OVERRIDES.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
@@ -132,8 +131,8 @@ def build_config(
         changes["mlp"]["layer_sizes"] = _parse_list("--layer-sizes", args.layer_sizes, int64)
     if args.seed is not None:
         changes["mlp"]["init_seed"] = changes["noise"]["seed"] = args.seed
-    specs = {name: dataclasses.replace(getattr(base, name), **changes[name]) for name in changes}
-    return ExperimentConfig(**specs, seed=base.seed if args.seed is None else args.seed)
+    specs = {name: cls(**{**base[name], **changes[name]}) for name, cls in classes.items()}
+    return ExperimentConfig(**specs, seed=base["seed"] if args.seed is None else args.seed)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -229,14 +228,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = _parse_list("--seeds", args.seeds, int64)
     # the base of every cell, so a config file is read once
     base = _base_config(args)
-    noisy_kind = args.noise_kind or base.noise.kind
+    noisy_kind = args.noise_kind or base["noise"]["kind"]
     if noisy_kind == "none":
         noisy_kind = "symmetric"
     jobs = []
     for kind, eta, seed in itertools.product(losses, etas, seeds):
         path = os.path.join(args.out_dir, f"{kind}_eta{eta:g}_seed{seed}.jsonl")
-        cell = {"loss": kind, "eta": eta, "seed": seed,
-                "noise_kind": "none" if eta == 0.0 else noisy_kind}
+        cell = {"loss": kind, "eta": eta, "seed": seed, "noise_kind": noisy_kind}
         config = build_config(argparse.Namespace(**{**vars(args), **cell}), base)
         if any(path == other for _, other in jobs):
             raise ConfigError(f"the grid lists {path} more than once")

@@ -17,6 +17,7 @@ from .core import make_rng
 from .errors import ConfigError, DataError, check_fields
 
 DATA_SOURCES = ("blobs", "idx")
+_IDX_PATHS = ("train_images_path", "train_labels_path", "test_images_path", "test_labels_path")
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,8 @@ class DatasetSpec:
     """Where the data comes from and how much of it to use.
 
     dim (the feature dimension) and separation shape blobs only; idx reads its
-    dimension from its files and refuses either field off its default.
+    dimension from its files and refuses either field off its default, and
+    blobs refuses any IDX path.
     n_train / n_test select a prefix of the IDX splits, which keeps subset
     experiments deterministic.
     """
@@ -48,22 +50,22 @@ class DatasetSpec:
             raise ConfigError("need at least 2 classes")
         if self.n_train < self.n_classes or self.n_test < self.n_classes:
             raise ConfigError("n_train and n_test must be at least n_classes")
+        paths = {name: getattr(self, name) for name in _IDX_PATHS}
         if self.source == "blobs":
             if self.dim < 1:
                 raise ConfigError("blobs needs dim >= 1")
             if self.separation <= 0:
                 raise ConfigError("separation must be positive")
+            if given := {name: path for name, path in paths.items() if path is not None}:
+                raise ConfigError(
+                    f"the IDX paths are idx-only fields; blobs leaves them null, got {given}"
+                )
         elif (self.dim, self.separation) != (0, 10.0):
             raise ConfigError(
                 "dim and separation are blobs-only fields; idx leaves them at 0 and 10.0, "
                 f"got {self.dim} and {self.separation}"
             )
-        if self.source == "idx" and not (
-            self.train_images_path
-            and self.train_labels_path
-            and self.test_images_path
-            and self.test_labels_path
-        ):
+        elif not all(paths.values()):
             raise ConfigError("idx source needs images and labels paths for both splits")
 
 

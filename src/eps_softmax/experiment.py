@@ -151,7 +151,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
-def load_config_file(path: str) -> ExperimentConfig:
+def load_config_file(path: str) -> dict:
+    """The file's nested dicts, checked by ``config_from_dict``; they keep the
+    fields that the file's kinds do not read, for the kinds a flag selects."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -159,7 +161,8 @@ def load_config_file(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    return config_from_dict(raw)
+    config_from_dict(raw)
+    return raw
 
 
 def train_step(

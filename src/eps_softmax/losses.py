@@ -37,7 +37,7 @@ with beta = 0 reproduces its fit term bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -110,11 +110,13 @@ _TABLE = {
     "sce": (("beta", False, _rce_term), ("alpha", False, _log_term)),
 }
 LOSS_KINDS = tuple(_TABLE)
+_TERM_FIELD = {_focal_term: "gamma", _gce_term: "q", _rce_term: "A"}
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Selects a loss family and its hyperparameters; unused fields are ignored.
+    """Selects a loss family and its hyperparameters; a field that its kind's
+    table row does not read is checked, then set to its default.
 
     m       amplification of the winning probability (eps kinds)
     alpha   weight of the fit term (combined kinds, sce)
@@ -136,19 +138,23 @@ class LossSpec:
         check_fields(self)
         if self.kind not in _TABLE:
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        terms = _TABLE[self.kind]
-        reads = {term for _, _, term in terms}
-        if any(amplified for _, amplified, _ in terms) and self.m < 0:
+        reads = set()
+        for field, amplified, term in _TABLE[self.kind]:
+            reads |= {field, "m" if amplified else None, _TERM_FIELD.get(term)}
+        for f in fields(self)[1:]:
+            if f.name not in reads:
+                object.__setattr__(self, f.name, f.default)  # specs are frozen
+        # every default passes these checks
+        if self.m < 0:
             raise ConfigError("m must be nonnegative")
-        if _focal_term in reads and self.gamma < 0:
+        if self.gamma < 0:
             raise ConfigError("gamma must be nonnegative")
-        if _gce_term in reads and not 0.0 < self.q <= 1.0:
+        if not 0.0 < self.q <= 1.0:
             raise ConfigError("q must lie in (0, 1]")
-        if _rce_term in reads and self.A >= 0:
+        if self.A >= 0:
             raise ConfigError("A must be negative")
-        if terms[0][0] is not None:
-            if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta == 0:
-                raise ConfigError("alpha and beta must be nonnegative, not both zero")
+        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta == 0:
+            raise ConfigError("alpha and beta must be nonnegative, not both zero")
 
 
 @dataclass(frozen=True)

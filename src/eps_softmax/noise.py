@@ -22,7 +22,8 @@ NOISE_KINDS = ("none", "symmetric", "asymmetric_shift")
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Corruption model: kind, flip rate eta, class count, and its own seed."""
+    """Corruption model: kind, flip rate eta, class count, and its own seed;
+    any kind at eta 0 flips nothing and is stored as "none"."""
 
     kind: str
     eta: float = 0.0
@@ -39,6 +40,8 @@ class NoiseSpec:
             raise ConfigError("need at least 2 classes")
         if self.kind == "none" and self.eta != 0.0:
             raise ConfigError("kind 'none' requires eta = 0")
+        if self.eta == 0.0:
+            object.__setattr__(self, "kind", "none")  # specs are frozen
         if (margin := clean_dominance_margin(self)) <= 0.0:
             raise ConfigError(
                 f"{self.kind} eta={self.eta} at K={self.n_classes} leaves the clean class "
@@ -69,7 +72,7 @@ def corrupt_labels(labels, spec: NoiseSpec) -> np.ndarray:
     k = spec.n_classes
     arr = check_labels(labels, k)
 
-    if spec.kind == "none" or spec.eta == 0.0:
+    if spec.kind == "none":
         return arr.copy()
     rng = make_rng(spec.seed)
     flip = rng.random(arr.size) < spec.eta

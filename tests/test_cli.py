@@ -82,16 +82,17 @@ def test_build_config_layer_sizes_flag():
 
 
 # (argv, attribute path, value): each override flag and every field it sets.
-# Companion flags keep the config valid where one flag alone would not.
+# Companion flags keep the config valid where one flag alone would not, and
+# select a loss kind that reads the loss field and a noise rate above 0.
 FLAG_CASES = [
     (["--loss", "gce"], "loss.kind", "gce"),
-    (["--m", "3.5"], "loss.m", 3.5),
-    (["--alpha", "0.25"], "loss.alpha", 0.25),
-    (["--beta", "2.5"], "loss.beta", 2.5),
-    (["--gamma", "1.5"], "loss.gamma", 1.5),
-    (["--q", "0.3"], "loss.q", 0.3),
-    (["--A", "-2"], "loss.A", -2.0),
-    (["--noise-kind", "symmetric"], "noise.kind", "symmetric"),
+    (["--m", "3.5", "--loss", "ce_eps"], "loss.m", 3.5),
+    (["--alpha", "0.25", "--loss", "ce_eps_mae"], "loss.alpha", 0.25),
+    (["--beta", "2.5", "--loss", "ce_eps_mae"], "loss.beta", 2.5),
+    (["--gamma", "1.5", "--loss", "fl"], "loss.gamma", 1.5),
+    (["--q", "0.3", "--loss", "gce"], "loss.q", 0.3),
+    (["--A", "-2", "--loss", "sce"], "loss.A", -2.0),
+    (["--noise-kind", "symmetric", "--eta", "0.3"], "noise.kind", "symmetric"),
     (["--eta", "0.3", "--noise-kind", "symmetric"], "noise.eta", 0.3),
     (["--epochs", "7"], "optim.epochs", 7),
     (["--batch-size", "32"], "optim.batch_size", 32),
@@ -117,14 +118,14 @@ def _field(config, path):
 
 
 def _file_config():
-    """A valid config whose every flagged field differs from the defaults and
-    from the values FLAG_CASES sets."""
+    """A valid config whose every flagged field differs from the values
+    FLAG_CASES sets and, where its kinds read it, from the defaults."""
     base = default_config(2)
     return dataclasses.replace(
         base,
         dataset=dataclasses.replace(base.dataset, n_train=400, n_test=200, separation=6.0),
         mlp=MlpSpec((8, 32, 4), init_seed=2),
-        loss=LossSpec("sce", m=2.0, alpha=0.5, beta=1.5, gamma=0.75, q=0.5, A=-3.0),
+        loss=LossSpec("sce", alpha=0.5, beta=1.5, A=-3.0),
         noise=NoiseSpec("asymmetric_shift", eta=0.2, n_classes=4, seed=2),
         optim=OptimSpec(lr0=0.02, momentum=0.8, weight_decay=2e-4, clip_norm=3.0, epochs=5,
                         batch_size=64),
@@ -146,11 +147,25 @@ def test_every_override_flag_reaches_its_fields(tmp_path, argv, path, value, fro
     assert _field(base, path) != value
     config = build_config(parse_train(argv))
     assert _field(config, path) == value
-    # the file (or the defaults) still decides every field no flag here names
+    # the file (or the defaults) still decides every field that no flag here
+    # names and, for a loss field, that the built kind reads
     named = {p for a, p, _ in FLAG_CASES if a[0] in argv}
-    for _, other, _ in FLAG_CASES:
+    for _, other, off in FLAG_CASES:
+        section, _, name = other.partition(".")
+        if section == "loss" and name != "kind":
+            if getattr(dataclasses.replace(config.loss, **{name: off}), name) != off:
+                continue  # the built kind does not read it
         if other not in named:
             assert _field(config, other) == _field(base, other), other
+
+
+def test_a_config_file_keeps_the_loss_fields_its_kind_does_not_read_for_a_flags_kind(tmp_path):
+    raw = config_to_dict(default_config())
+    raw["loss"].update(m=1e4, alpha=0.1)  # fields that ce does not read
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    config = build_config(parse_train(["--config", str(path), "--loss", "ce_eps_mae"]))
+    assert config.loss == LossSpec("ce_eps_mae", m=1e4, alpha=0.1)
 
 
 def test_build_config_rejects_inconsistent_overrides():
@@ -841,6 +856,43 @@ def test_sweep_cells_keep_the_noise_kind_of_a_config_file(tmp_path, capsys):
         for eta in (0.0, 0.2, 0.3)
         for seed in (0, 1)
     }
+
+
+def test_sweep_cells_keep_the_noise_kind_of_a_config_file_at_eta_zero(tmp_path, capsys, monkeypatch):
+    # the file's own noise spec is kind none, but its section still names the shift
+    config = _config_file(tmp_path, kind="asymmetric_shift", eta=0.0)
+    cells = _record_cells(monkeypatch)
+    argv = ["sweep", "--config", config, "--losses", "ce", "--etas", "0,0.2", "--seeds", "0",
+            "--jobs", "1", "--out-dir", str(tmp_path / "g")]
+    assert run_main(argv) == 0
+    assert [(c.noise.kind, c.noise.eta) for c in cells] == [("none", 0.0), ("asymmetric_shift", 0.2)]
+
+
+def test_a_sweep_cell_is_the_train_run_of_its_kind_and_a_rerun_at_another_m_reuses_it(
+    tmp_path, capsys, monkeypatch
+):
+    # ce reads neither m nor alpha, so its cells are the runs of train --loss ce
+    # at any m, and an eta-0 cell is the run of any noise kind at eta 0
+    small = ["--epochs", "1", "--n-train", "100", "--n-test", "50"]
+    out_dir = tmp_path / "g"
+
+    def sweep(losses, *flags):
+        return run_main(["sweep", "--losses", losses, "--etas", "0,0.6", "--seeds", "0", "--jobs",
+                         "1", *small, *flags, "--out-dir", str(out_dir)])
+
+    assert sweep("ce,ce_eps_mae", "--m", "1e4", "--alpha", "0.1") == 0
+    lines = capsys.readouterr().out.splitlines()
+    for eta in ("0", "0.6"):
+        out = tmp_path / f"train_eta{eta}.jsonl"
+        argv = ["train", "--loss", "ce", "--noise-kind", "symmetric", "--eta", eta, "--seed", "0",
+                *small, "--log-every", "0", "--out", str(out)]
+        assert run_main(argv) == 0
+        assert out.read_bytes() == (out_dir / f"ce_eta{eta}_seed0.jsonl").read_bytes()
+    capsys.readouterr()
+    cells = _record_cells(monkeypatch)
+    assert sweep("ce", "--m", "0") == 0
+    assert cells == []
+    assert capsys.readouterr().out.splitlines() == lines[:2]
 
 
 def test_sweep_loads_its_config_file_once(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Synthetic generators and the IDX file loader."""
 
+import re
 import struct
 
 import numpy as np
@@ -62,6 +63,15 @@ def test_spec_refuses_blobs_only_fields_for_idx(fields, got):
         DatasetSpec(**base, **fields)
     # the defaults, which config_to_dict writes for idx, are accepted
     assert DatasetSpec(**base, dim=0, separation=10.0) == DatasetSpec(**base)
+
+
+def test_spec_refuses_idx_paths_for_blobs():
+    # blobs reads no file, so a path would sit in its results unread
+    got = {"train_images_path": "nowhere.idx", "test_labels_path": "labels.idx"}
+    message = "^the IDX paths are idx-only fields; blobs leaves them null, got "
+    with pytest.raises(ConfigError, match=message + re.escape(str(got)) + "$"):
+        blob_spec(**got)
+    assert blob_spec(train_images_path=None) == blob_spec()
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def test_config_from_dict_rejects_non_dict_root():
 def test_load_config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_to_dict(tiny_config())), encoding="utf-8")
-    assert load_config_file(str(path)) == tiny_config()
+    assert load_config_file(str(path)) == config_to_dict(tiny_config())
 
 
 @pytest.mark.parametrize("number", ["1e400", "-1e400", "Infinity", "NaN"])

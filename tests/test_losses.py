@@ -58,6 +58,24 @@ def test_all_kinds_are_constructible():
         LossSpec(kind)
 
 
+# the fields each kind's table row reads
+READS = {
+    "ce": (), "fl": ("gamma",), "mae": (), "ce_eps": ("m",), "fl_eps": ("m", "gamma"),
+    "ce_eps_mae": ("m", "alpha", "beta"), "fl_eps_mae": ("m", "gamma", "alpha", "beta"),
+    "gce": ("q",), "sce": ("alpha", "beta", "A"),
+}
+OFF_DEFAULT = dict(m=3.0, alpha=0.25, beta=2.5, gamma=1.5, q=0.3, A=-2.0)
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_a_spec_keeps_only_the_fields_its_kind_reads(kind):
+    # an unread field holds its default, so one run has one spec
+    read = {name: OFF_DEFAULT[name] for name in READS[kind]}
+    spec = LossSpec(kind, **OFF_DEFAULT)
+    assert spec == LossSpec(kind, **read)
+    assert {name: getattr(spec, name) for name in read} == read
+
+
 # ---------------------------------------------------------------------------
 # Frozen reference values (computed independently with the math module)
 # ---------------------------------------------------------------------------

@@ -45,6 +45,12 @@ def test_spec_refuses_a_negative_zero_eta(kind):
         assert NoiseSpec(kind, eta=zero).eta == 0
 
 
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_every_kind_at_eta_zero_is_kind_none(kind):
+    # no label flips at eta 0, so the spec is the one of a run without noise
+    assert NoiseSpec(kind, eta=0, n_classes=4, seed=3) == NoiseSpec("none", n_classes=4, seed=3)
+
+
 def test_spec_refuses_symmetric_noise_that_drowns_the_clean_class():
     message = r"^symmetric eta=0.95 at K=10 leaves the clean class without a strict plurality"
     with pytest.raises(ConfigError, match=message):
