@@ -331,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     # a Warning arrives here only as an exception, under -W error
-    except (ConfigError, DataError, TrainingDiverged, OSError, Warning) as exc:
+    except (ConfigError, DataError, TrainingDiverged, OSError, MemoryError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,7 +35,6 @@ from .mlp import (
     forward,
     init_params,
     sgd_step,
-    zeros_like_params,
 )
 from .noise import NoiseSpec, corrupt_labels
 
@@ -179,7 +178,7 @@ def train_step(
     gradients clipped to ``optim.clip_norm``; returns the batch's loss sum.
     The callees are looked up in this module at call time, so a wrapper
     installed on it sees every step."""
-    logits, _ = forward(params, x, ws)
+    logits = forward(params, x, ws)
     values, grad_logits = batch_loss(logits, y, spec)
     loss_sum = float(values.sum())
     grad_logits /= y.size
@@ -213,7 +212,7 @@ def run_experiment(
     noisy = Dataset(train.features, corrupt_labels(train.labels, config.noise))
 
     params = init_params(config.mlp)
-    velocity = zeros_like_params(params)
+    velocity = ParamSet.zeros(config.mlp.layer_sizes)
     shuffle_rng = make_rng(config.seed, stream=_SHUFFLE_STREAM)
     opt = config.optim
     n_train = len(noisy)
@@ -250,7 +249,7 @@ def run_experiment(
                 loss_total += batch_sum
                 step += 1
             try:
-                test_top1 = evaluate(params, test.features, test.labels, ws=ws)
+                test_top1 = evaluate(params, test.features, test.labels, ws)
             except FloatingPointError as exc:
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}, after step {step - 1}: {exc}"

@@ -14,15 +14,14 @@ gradient clip therefore run a few ufuncs over ``flat``, each in the same
 elementwise order as the per-layer update written above, so they give the same
 bits as a loop over layers.
 
-All updates happen in place. A Workspace owns all of a training step's
-buffers, so a step allocates no per-layer arrays: the layer outputs, the
-gradient set and its scratch, and the batch forward leaves pending for
-backward. Results computed through a workspace are views of its buffers and
-are overwritten by its next forward, or by a clip or update of its
-gradients; callers that need snapshots should copy. Without a workspace
-every call gets fresh buffers. A run builds its workspace once, for the
-larger of its batch and one evaluate chunk, and evaluate runs the test set
-through it in chunks of that many rows.
+All updates happen in place. Every network buffer comes from a Workspace
+the caller builds, so a step allocates no per-layer arrays: the layer
+outputs, the gradient set and its scratch, and the batch forward leaves
+pending for backward. Results computed through a workspace are views of its
+buffers and are overwritten by its next forward, or by a clip or update of
+its gradients; callers that need snapshots should copy. A run builds its
+workspace once, for the larger of its batch and one evaluate chunk, and
+evaluate runs the test set through it in chunks of that many rows.
 Identical seeds give bitwise identical parameters and trajectories in
 single-threaded use.
 
@@ -100,9 +99,9 @@ class ParamSet:
 
     ``flat`` holds the weights in layer order, then the biases, which is the
     order ``arrays()`` yields them in. Writing through a view writes ``flat``.
-    ``scratch``, a flat buffer of ``flat.size`` entries, holds the temporaries
-    of clip_grad_norm and sgd_step; a Workspace points its gradient set's at
-    its arena, and a bare set makes its own at its first clip or update.
+    ``scratch`` takes the temporaries of clip_grad_norm and sgd_step: for a
+    Workspace's gradient set, the first ``flat.size`` entries of its arena;
+    for any other set, None, so numpy allocates them per call.
     """
 
     flat: np.ndarray
@@ -133,12 +132,6 @@ class ParamSet:
     def arrays(self):
         yield from self.weights
         yield from self.biases
-
-
-def _scratch(ps: ParamSet) -> np.ndarray:
-    if ps.scratch is None:
-        ps.scratch = np.empty_like(ps.flat)
-    return ps.scratch
 
 
 #: Bytes of layer outputs one evaluate chunk may hold. A matrix product can
@@ -212,19 +205,14 @@ def init_params(spec: MlpSpec) -> ParamSet:
     return params
 
 
-def zeros_like_params(params: ParamSet) -> ParamSet:
-    return ParamSet.zeros(params.layer_sizes)
-
-
-def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarray, Workspace]:
-    """Logits for a batch, and the workspace that holds the batch for backward.
+def forward(params: ParamSet, x, ws: Workspace) -> np.ndarray:
+    """Logits for a batch, computed through ``ws``, which holds the batch for backward.
 
     Layer outputs are written into the leading rows of ``ws``'s buffers, and
     the batch becomes ``ws.pending``, replacing any earlier one. The returned
     logits alias the buffers until the next forward through the same
     workspace, whatever its row count, and until a clip_grad_norm or sgd_step
-    on ``ws.grads``, whose scratch shares their arena. Without ``ws`` a fresh
-    workspace for the batch's rows is made and returned.
+    on ``ws.grads``, whose scratch shares their arena.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -234,8 +222,6 @@ def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarra
             f"input dim {a.shape[1]} does not match first layer fan-in "
             f"{params.weights[0].shape[1]}"
         )
-    if ws is None:
-        ws = Workspace(params.layer_sizes, a.shape[0])
     outputs, _ = ws.buffers(a.shape[0])
     ws.pending = (params, a)
     last = len(params.weights) - 1
@@ -245,7 +231,7 @@ def forward(params: ParamSet, x, ws: Workspace | None = None) -> tuple[np.ndarra
         if i < last:
             np.maximum(z, 0.0, out=z)
         a = z
-    return a, ws
+    return a
 
 
 def backward(ws: Workspace, grad_logits: np.ndarray) -> ParamSet:
@@ -289,14 +275,14 @@ def backward(ws: Workspace, grad_logits: np.ndarray) -> ParamSet:
 def clip_grad_norm(grads: ParamSet, max_norm: float = 5.0) -> tuple[ParamSet, float]:
     """Rescale all gradients in place if their global L2 norm exceeds max_norm.
 
-    The squares go to ``grads.scratch``, and each array's are summed over
-    that array's range of it, weights then biases, so the norm has the same
-    bits as summing each layer's gradient on its own. Returns the grads and
-    the scale factor applied (1.0 when no clipping). For a workspace's
-    gradients the scratch is its layer-output arena (see Workspace).
+    The squares go to ``grads.scratch`` (for a workspace's gradients, its
+    layer-output arena; see Workspace), and each array's are summed over that
+    array's range of them, weights then biases, so the norm has the same bits
+    as summing each layer's gradient on its own. Returns the grads and the
+    scale factor applied (1.0 when no clipping).
     """
     with np.errstate(over="ignore"):  # a finite gradient's squares may overflow
-        squares = np.multiply(grads.flat, grads.flat, out=_scratch(grads))
+        squares = np.multiply(grads.flat, grads.flat, out=grads.scratch)
     total, start = 0.0, 0
     for a in grads.arrays():
         total += float(np.add.reduce(squares[start : start + a.size]))
@@ -331,10 +317,10 @@ def sgd_step(
 ) -> tuple[ParamSet, ParamSet]:
     """One momentum-SGD update, in place; returns (params, velocity).
 
-    The update's temporary lives in ``grads.scratch``, which for a
-    workspace's gradients is its layer-output arena (see Workspace).
+    The update's temporary goes to ``grads.scratch``, which for a workspace's
+    gradients is its layer-output arena (see Workspace).
     """
-    step = np.multiply(params.flat, weight_decay, out=_scratch(grads))
+    step = np.multiply(params.flat, weight_decay, out=grads.scratch)
     step += grads.flat
     velocity.flat *= momentum
     velocity.flat += step
@@ -343,13 +329,12 @@ def sgd_step(
     return params, velocity
 
 
-def evaluate(params: ParamSet, x, labels, ws: Workspace | None = None) -> float:
+def evaluate(params: ParamSet, x, labels, ws: Workspace) -> float:
     """Top-1 accuracy: the share of rows whose highest logit is their label's.
 
     Ties go to the lower class index, as np.argmax breaks them. The rows run
-    through ``ws`` in chunks of ``ws.rows`` (without one, through a fresh
-    workspace of ``eval_rows`` rows) and leave no forward pending on it. The
-    misses are summed over chunks as integers.
+    through ``ws`` in chunks of ``ws.rows`` and leave no forward pending on
+    it. The misses are summed over chunks as integers.
     Raises ValueError on non-integer labels, IndexError on labels outside
     [0, K) and FloatingPointError on non-finite logits, which have no argmax.
     """
@@ -359,11 +344,9 @@ def evaluate(params: ParamSet, x, labels, ws: Workspace | None = None) -> float:
         raise ValueError("cannot evaluate on an empty dataset")
     if x.shape[:1] != y.shape:
         raise ValueError(f"features of shape {x.shape} do not match {y.size} labels")
-    if ws is None:
-        ws = Workspace(params.layer_sizes, eval_rows(params.layer_sizes, y.size))
     misses = 0
     for start in range(0, y.size, ws.rows):
-        logits, _ = forward(params, x[start : start + ws.rows], ws)
+        logits = forward(params, x[start : start + ws.rows], ws)
         ws.pending = None  # no backward may follow an evaluation's forward
         if not np.isfinite(logits).all():
             raise FloatingPointError("logits are not finite; the network has diverged")

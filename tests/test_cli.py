@@ -226,6 +226,17 @@ def test_train_refuses_a_huge_class_count_in_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_whose_labels_cannot_be_allocated_exits_in_one_error_line(tmp_path, capsys):
+    # 2**55 int64 labels are 256 PiB, more than any 57-bit address space holds
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", "--n-train", str(2**55), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate 256. PiB")
+    assert not out.exists()
+
+
 def test_train_refuses_a_negative_zero_eta_in_one_error_line(tmp_path, capsys):
     # -0 would train eta 0's run yet write "eta": -0.0 into its results
     out = tmp_path / "run.jsonl"

@@ -25,7 +25,7 @@ from eps_softmax.experiment import (
     run_experiment,
 )
 from eps_softmax.losses import LossSpec
-from eps_softmax.mlp import MlpSpec, OptimSpec, ParamSet, Workspace, init_params, zeros_like_params
+from eps_softmax.mlp import MlpSpec, OptimSpec, ParamSet, Workspace, init_params
 from eps_softmax.noise import NoiseSpec, corrupt_labels
 
 
@@ -306,7 +306,7 @@ def test_a_warm_train_step_allocates_no_parameter_sized_array():
     gradients and the clip and update scratch, which shares the outputs' arena."""
     rng = np.random.default_rng(0)
     params = init_params(MlpSpec((128, 512, 512, 10), init_seed=0))
-    velocity = zeros_like_params(params)
+    velocity = ParamSet.zeros(params.layer_sizes)
     ws = Workspace(params.layer_sizes, 512)
     x, y = rng.standard_normal((512, 128)), rng.integers(0, 10, size=512)
     optim = OptimSpec(clip_norm=1e-3, batch_size=512)  # the clip fires

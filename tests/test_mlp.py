@@ -11,6 +11,7 @@ from eps_softmax.errors import ConfigError
 from eps_softmax.mlp import (
     MlpSpec,
     OptimSpec,
+    ParamSet,
     Workspace,
     backward,
     clip_grad_norm,
@@ -20,7 +21,6 @@ from eps_softmax.mlp import (
     forward,
     init_params,
     sgd_step,
-    zeros_like_params,
 )
 
 
@@ -76,7 +76,8 @@ def test_forward_matches_hand_computation():
     params.weights[1][:] = [[1.0, 1.0], [0.0, 2.0]]
     params.biases[1][:] = [0.1, 0.0]
     x = np.array([[2.0, 3.0]])
-    logits, ws = forward(params, x)
+    ws = Workspace(params.layer_sizes, 1)
+    logits = forward(params, x, ws)
     # hidden = relu([2.0, -2.5]) = [2.0, 0.0]; output = [2.1, 0.0]
     assert np.allclose(logits, [[2.1, 0.0]], atol=1e-15)
     assert ws.pending[0] is params and ws.pending[1].shape == (1, 2)
@@ -85,23 +86,25 @@ def test_forward_matches_hand_computation():
 def test_forward_no_relu_on_the_output_layer():
     params = init_params(MlpSpec((1, 1), init_seed=0))
     params.weights[0][:] = [[-1.0]]
-    logits, _ = forward(params, [[3.0]])
+    logits = forward(params, [[3.0]], Workspace(params.layer_sizes, 1))
     assert logits[0, 0] == -3.0
 
 
 def test_forward_validates_input():
     params = init_params(MlpSpec((4, 3), init_seed=0))
+    ws = Workspace(params.layer_sizes, 4)
     with pytest.raises(ValueError):
-        forward(params, [1.0, 2.0, 3.0, 4.0])
+        forward(params, [1.0, 2.0, 3.0, 4.0], ws)
     with pytest.raises(ValueError):
-        forward(params, [[1.0, 2.0]])
+        forward(params, [[1.0, 2.0]], ws)
 
 
 def test_backward_rejects_mismatched_grad():
     params = init_params(MlpSpec((4, 3), init_seed=0))
-    _, cache = forward(params, np.zeros((2, 4)))
+    ws = Workspace(params.layer_sizes, 2)
+    forward(params, np.zeros((2, 4)), ws)
     with pytest.raises(ValueError):
-        backward(cache, np.zeros((3, 3)))
+        backward(ws, np.zeros((3, 3)))
 
 
 def test_backward_matches_finite_differences():
@@ -110,13 +113,14 @@ def test_backward_matches_finite_differences():
     params = init_params(spec)
     x = rng.standard_normal((4, 3))
     target = rng.standard_normal((4, 2))
+    ws = Workspace(spec.layer_sizes, 4)
 
     def loss_of(ps):
-        out, _ = forward(ps, x)
+        out = forward(ps, x, ws)  # overwrites the layer outputs, not ws.grads
         return 0.5 * ((out - target) ** 2).sum() / 4.0
 
-    logits, cache = forward(params, x)
-    grads = backward(cache, (logits - target) / 4.0)
+    logits = forward(params, x, ws)
+    grads = backward(ws, (logits - target) / 4.0)
     h = 1e-6
     for g, p in zip(grads.arrays(), params.arrays()):
         flat_p = p.ravel()
@@ -133,7 +137,7 @@ def test_backward_matches_finite_differences():
 
 def test_clip_leaves_small_gradients_untouched():
     params = init_params(MlpSpec((2, 2), init_seed=0))
-    grads = zeros_like_params(params)
+    grads = ParamSet.zeros(params.layer_sizes)
     grads.weights[0][:] = [[0.1, 0.0], [0.0, 0.1]]
     before = grads.weights[0].copy()
     _, scale = clip_grad_norm(grads, max_norm=5.0)
@@ -143,7 +147,7 @@ def test_clip_leaves_small_gradients_untouched():
 
 def test_clip_rescales_to_the_threshold():
     params = init_params(MlpSpec((2, 2), init_seed=0))
-    grads = zeros_like_params(params)
+    grads = ParamSet.zeros(params.layer_sizes)
     grads.weights[0][:] = [[30.0, 0.0], [0.0, 40.0]]  # global norm 50
     _, scale = clip_grad_norm(grads, max_norm=5.0)
     assert scale == pytest.approx(0.1)
@@ -153,7 +157,7 @@ def test_clip_rescales_to_the_threshold():
 
 def test_clip_rescales_a_finite_gradient_whose_squares_overflow():
     params = init_params(MlpSpec((2, 3, 2), init_seed=0))
-    grads = zeros_like_params(params)
+    grads = ParamSet.zeros(params.layer_sizes)
     grads.flat[...] = 1e200  # each square overflows; the pytest filter makes a warning an error
     grads.flat[0] = -3e199
     _, scale = clip_grad_norm(grads, max_norm=5.0)
@@ -166,7 +170,7 @@ def test_clip_rescales_a_finite_gradient_whose_squares_overflow():
 
 def test_clip_at_an_infinite_norm_keeps_finite_grads_but_no_spec_takes_it():
     params = init_params(MlpSpec((2, 3, 2), init_seed=0))
-    grads = zeros_like_params(params)
+    grads = ParamSet.zeros(params.layer_sizes)
     grads.flat[...] = np.random.default_rng(0).standard_normal(grads.flat.size) * 1e150
     before = grads.flat.tobytes()
     out, scale = clip_grad_norm(grads, max_norm=math.inf)  # no finite norm exceeds it
@@ -194,8 +198,8 @@ def test_cosine_lr_is_monotone_decreasing():
 def test_sgd_step_matches_the_update_rule():
     params = init_params(MlpSpec((1, 1), init_seed=0))
     params.weights[0][:] = [[1.0]]
-    vel = zeros_like_params(params)
-    grads = zeros_like_params(params)
+    vel = ParamSet.zeros(params.layer_sizes)
+    grads = ParamSet.zeros(params.layer_sizes)
     grads.weights[0][:] = [[2.0]]
     sgd_step(params, grads, vel, lr=0.1, momentum=0.9, weight_decay=0.01)
     # v = 0.9 * 0 + (2.0 + 0.01 * 1.0) = 2.01; w = 1.0 - 0.1 * 2.01
@@ -210,9 +214,9 @@ def test_sgd_step_matches_the_update_rule():
 def test_sgd_step_updates_in_place():
     params = init_params(MlpSpec((2, 2), init_seed=0))
     before = params.weights[0]
-    grads = zeros_like_params(params)
+    grads = ParamSet.zeros(params.layer_sizes)
     grads.weights[0][:] = 1.0
-    vel = zeros_like_params(params)
+    vel = ParamSet.zeros(params.layer_sizes)
     sgd_step(params, grads, vel, lr=0.1, momentum=0.0, weight_decay=0.0)
     assert params.weights[0] is before
 
@@ -222,20 +226,21 @@ def test_evaluate_counts_argmax_misses():
     params.weights[0][:] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
     x = np.array([[5.0, 0.0], [0.0, 5.0], [0.0, 5.0]])
     # sample 3 has score order (1, 0, 2): its label 0 is a miss
-    accuracy = evaluate(params, x, np.array([0, 1, 0]))
+    accuracy = evaluate(params, x, np.array([0, 1, 0]), Workspace(params.layer_sizes, 3))
     assert type(accuracy) is float and accuracy == 1.0 - 1 / 3
 
 
 def test_evaluate_breaks_score_ties_toward_the_lowest_index():
     params = init_params(MlpSpec((1, 2), init_seed=0))
     params.weights[0][:] = [[0.0], [0.0]]  # both logits identical
-    assert evaluate(params, [[1.0]], np.array([0])) == 1.0
-    assert evaluate(params, [[1.0]], np.array([1])) == 0.0
+    ws = Workspace(params.layer_sizes, 1)
+    assert evaluate(params, [[1.0]], np.array([0]), ws) == 1.0
+    assert evaluate(params, [[1.0]], np.array([1]), ws) == 0.0
 
 
 def test_param_sets_are_views_of_one_flat_buffer():
     params = init_params(MlpSpec((3, 5, 2), init_seed=0))
-    for ps in (params, zeros_like_params(params)):
+    for ps in (params, ParamSet.zeros(params.layer_sizes)):
         assert ps.flat.shape == (3 * 5 + 5 * 2 + 5 + 2,)
         assert all(np.shares_memory(a, ps.flat) for a in ps.arrays())
     # weights in layer order, then biases
@@ -274,7 +279,7 @@ def test_evaluate_rejects_non_finite_logits(bad):
     params = identity_net(4)
     params.biases[0][2] = bad
     with pytest.raises(FloatingPointError):
-        evaluate(params, np.zeros((3, 4)), np.array([0, 1, 2]))
+        evaluate(params, np.zeros((3, 4)), np.array([0, 1, 2]), Workspace((4, 4), 3))
 
 
 @pytest.mark.parametrize(
@@ -287,7 +292,7 @@ def test_evaluate_rejects_non_finite_logits(bad):
 )
 def test_evaluate_refuses_an_empty_or_mismatched_set(x, labels, message):
     with pytest.raises(ValueError, match=message):
-        evaluate(identity_net(4), x, labels)
+        evaluate(identity_net(4), x, labels, Workspace((4, 4), 3))
 
 
 @pytest.mark.parametrize(
@@ -304,7 +309,7 @@ def test_evaluate_refuses_labels_outside_the_classes(labels, error, message):
     params = init_params(MlpSpec((2, 3, 4), init_seed=0))
     x = np.random.default_rng(0).standard_normal((6, 2))
     with pytest.raises(error, match=message):
-        evaluate(params, x, np.array(labels))
+        evaluate(params, x, np.array(labels), Workspace(params.layer_sizes, 6))
 
 
 def test_forward_through_a_workspace_overwrites_its_buffers():
@@ -313,22 +318,23 @@ def test_forward_through_a_workspace_overwrites_its_buffers():
     params = init_params(MlpSpec((3, 5, 2), init_seed=0))
     ws = Workspace(params.layer_sizes, 4)
     x1, x2 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-    first, pending = forward(params, x1, ws)
+    first = forward(params, x1, ws)
     kept = first.copy()
-    second, _ = forward(params, x2, ws)
-    assert pending is ws and second is first and ws.buffers(4)[0][-1] is first
-    assert np.array_equal(second, forward(params, x2)[0])
+    second = forward(params, x2, ws)
+    assert ws.pending[0] is params and ws.pending[1] is x2
+    assert second is first and ws.buffers(4)[0][-1] is first
+    assert np.array_equal(second, forward(params, x2, Workspace(params.layer_sizes, 4)))
     assert not np.array_equal(first, kept)
     # a smaller row count shares the leading rows
-    other, _ = forward(params, x1[:3], ws)
+    other = forward(params, x1[:3], ws)
     assert np.shares_memory(other, first)
     # backward writes into the workspace's one gradient set
     grads = backward(ws, np.ones((3, 2)))
     forward(params, x1, ws)  # backward consumed the pending forward
     assert backward(ws, np.ones((4, 2))) is grads is ws.grads
-    # without a workspace every call gets fresh arrays
-    a, _ = forward(params, x1)
-    b, _ = forward(params, x1)
+    # two workspaces share no buffers
+    a = forward(params, x1, Workspace(params.layer_sizes, 4))
+    b = forward(params, x1, Workspace(params.layer_sizes, 4))
     assert not np.shares_memory(a, b)
 
 
@@ -347,10 +353,11 @@ def test_the_gradient_scratch_lives_in_the_workspace_arena():
         assert grads is ws.grads and grads.scratch.size == grads.flat.size
         assert grads.scratch.base.size == arena == max(rows * 1_028, 269_316)  # base: the arena
         assert np.shares_memory(grads.scratch, ws.buffers(128)[0][0])
-        bare = zeros_like_params(params)  # its scratch is a buffer of its own
+        bare = ParamSet.zeros(params.layer_sizes)  # no scratch: numpy allocates the temporaries
         bare.flat[...] = grads.flat
         assert clip_grad_norm(grads, 1e-3)[1] == clip_grad_norm(bare, 1e-3)[1] < 1.0
         assert grads.flat.tobytes() == bare.flat.tobytes()
+        assert bare.scratch is None
 
 
 def test_a_workspace_refuses_a_batch_larger_than_it_was_built_for():
@@ -358,7 +365,7 @@ def test_a_workspace_refuses_a_batch_larger_than_it_was_built_for():
     ws = Workspace(params.layer_sizes, 4)
     with pytest.raises(ValueError, match="^a batch of 5 rows exceeds the workspace's 4$"):
         forward(params, np.ones((5, 3)), ws)
-    assert forward(params, np.ones((4, 3)), ws)[0].shape == (4, 2)
+    assert forward(params, np.ones((4, 3)), ws).shape == (4, 2)
 
 
 def test_an_evaluate_keeps_the_workspace_buffers():
@@ -378,10 +385,11 @@ def test_an_evaluate_keeps_the_workspace_buffers():
 
 def test_a_second_backward_on_one_cache_raises():
     params = init_params(MlpSpec((3, 5, 2), init_seed=0))
-    _, cache = forward(params, np.ones((4, 3)), Workspace(params.layer_sizes, 4))
-    backward(cache, np.ones((4, 2)))
+    ws = Workspace(params.layer_sizes, 4)
+    forward(params, np.ones((4, 3)), ws)
+    backward(ws, np.ones((4, 2)))
     with pytest.raises(ValueError, match="stale cache"):
-        backward(cache, np.ones((4, 2)))
+        backward(ws, np.ones((4, 2)))
 
 
 def test_a_backward_after_an_evaluate_through_the_workspace_raises():
@@ -391,10 +399,10 @@ def test_a_backward_after_an_evaluate_through_the_workspace_raises():
     xt, yt = rng.standard_normal((6, 3)), rng.integers(0, 2, size=6)
     xa = rng.standard_normal((4, 3))
     evaluate(params, xt, yt, ws=ws)
-    _, pending = forward(params, xa, ws)
+    forward(params, xa, ws)
     evaluate(params, xt, yt, ws=ws)  # its forwards overwrite the layer outputs of xa
     with pytest.raises(ValueError, match="stale cache"):
-        backward(pending, np.ones((4, 2)))
+        backward(ws, np.ones((4, 2)))
 
 
 def test_two_forwards_then_a_backward_give_the_gradients_of_the_second_batch():
@@ -403,12 +411,17 @@ def test_two_forwards_then_a_backward_give_the_gradients_of_the_second_batch():
     ws = Workspace(params.layer_sizes, 4)
     x1, x2 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
     g = rng.standard_normal((4, 2))
-    _, pending = forward(params, x1, ws)
+    forward(params, x1, ws)
     forward(params, x2, ws)
-    grads = backward(pending, g)
-    fresh = backward(forward(params, x2)[1], g)
-    assert grads.flat.tobytes() == fresh.flat.tobytes()
-    assert not np.array_equal(fresh.flat, backward(forward(params, x1)[1], g).flat)
+    grads = backward(ws, g)
+
+    def fresh_grads(x):
+        fresh_ws = Workspace(params.layer_sizes, 4)
+        forward(params, x, fresh_ws)
+        return backward(fresh_ws, g)
+
+    assert grads.flat.tobytes() == fresh_grads(x2).flat.tobytes()
+    assert not np.array_equal(fresh_grads(x2).flat, fresh_grads(x1).flat)
 
 
 def test_evaluate_in_chunks_gives_the_metrics_of_one_pass():
@@ -420,8 +433,8 @@ def test_evaluate_in_chunks_gives_the_metrics_of_one_pass():
     one_pass = Workspace(params.layer_sizes, n)  # buffers for every row: no chunking
     assert eval_rows(params.layer_sizes, n) == chunk < n
     accuracy = evaluate(params, x, y, ws=Workspace(params.layer_sizes, chunk))
-    assert accuracy == evaluate(params, x, y, ws=one_pass) == evaluate(params, x, y)
-    logits = forward(params, x)[0]
+    assert accuracy == evaluate(params, x, y, ws=one_pass)
+    logits = forward(params, x, one_pass)
     rank = np.argmax(np.argsort(-logits, axis=1, kind="stable") == y[:, None], axis=1)
     assert accuracy == 1.0 - float((rank >= 1).mean())
     assert 0.0 < accuracy < 1.0
@@ -447,5 +460,5 @@ def test_evaluate_holds_one_chunk_of_layer_outputs_not_the_test_set():
 
 def test_forward_of_an_empty_batch_through_a_fresh_workspace_gives_empty_logits():
     params = init_params(MlpSpec((3, 5, 2), init_seed=0))
-    logits, _ = forward(params, np.zeros((0, 3)), Workspace(params.layer_sizes, 0))
+    logits = forward(params, np.zeros((0, 3)), Workspace(params.layer_sizes, 0))
     assert logits.shape == (0, 2)

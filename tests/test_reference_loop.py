@@ -30,6 +30,7 @@ from eps_softmax.losses import LossSpec, batch_loss
 from eps_softmax.mlp import (
     MlpSpec,
     OptimSpec,
+    ParamSet,
     Workspace,
     backward,
     clip_grad_norm,
@@ -38,7 +39,6 @@ from eps_softmax.mlp import (
     forward,
     init_params,
     sgd_step,
-    zeros_like_params,
 )
 from eps_softmax.noise import NoiseSpec, corrupt_labels
 
@@ -193,7 +193,7 @@ def random_sets(seed):
     as the reference's per-array copies."""
     rng = np.random.default_rng(seed)
     params = init_params(MlpSpec((7, 33, 19, 5), init_seed=seed))
-    sets = [params, zeros_like_params(params), zeros_like_params(params)]
+    sets = [params, ParamSet.zeros(params.layer_sizes), ParamSet.zeros(params.layer_sizes)]
     for s in sets:
         s.flat[...] = rng.normal(0.0, 3.0, size=s.flat.size)
     return sets, [[a.copy() for a in s.arrays()] for s in sets]
@@ -227,13 +227,13 @@ def ref_train_linear_softmax(
     """The excess-risk check's trainer before train_step, verbatim except
     that it also returns the velocity."""
     params = init_params(MlpSpec((features.shape[1], n_classes), init_seed=seed))
-    velocity = zeros_like_params(params)
+    velocity = ParamSet.zeros(params.layer_sizes)
     ws = Workspace(params.layer_sizes, labels.size)
     n = labels.size
     for _ in range(steps):
-        logits, cache = forward(params, features, ws)
+        logits = forward(params, features, ws)
         _, grad_logits = batch_loss(logits, labels, spec)
-        grads = backward(cache, grad_logits / n)
+        grads = backward(ws, grad_logits / n)
         sgd_step(params, grads, velocity, 0.2, 0.9)
     return params, velocity
 
@@ -247,7 +247,7 @@ def test_train_step_without_clip_or_decay_is_the_excess_risk_trainer(spec):
     ref_params, ref_velocity = ref_train_linear_softmax(train.features, labels, 4, spec, 0, 300)
 
     params = init_params(MlpSpec((2, 4), init_seed=0))
-    velocity = zeros_like_params(params)
+    velocity = ParamSet.zeros(params.layer_sizes)
     ws = Workspace(params.layer_sizes, len(labels))
     # the excess-risk trainer's clip bound, the largest double, which no gradient reaches
     optim = OptimSpec(lr0=0.2, momentum=0.9, weight_decay=0.0, clip_norm=sys.float_info.max)

@@ -342,12 +342,32 @@ def test_excess_risk_trains_the_clean_model_once_for_every_spec(monkeypatch):
     ]
     calls = _count_train_steps(monkeypatch)
     reports = verify_excess_risk(specs, m=1e3, seed=1, n_points=40, steps=30)
-    assert len(calls) == 4 * 30
+    assert len(calls) == 3 * 30  # the none spec's labels are the clean ones: no fourth training
     # sharing the clean model changes no number: each line is the one-spec check's
     alone = [verify_excess_risk([s], m=1e3, seed=1, n_points=40, steps=30)[0] for s in specs]
     assert [(r.name, r.passed, r.stats) for r in reports] == [
         (r.name, r.passed, r.stats) for r in alone
     ]
+    # nor does reusing it: training every spec's labels anew gives the same lines
+    monkeypatch.setattr(np, "array_equal", lambda *args: False)
+    anew = verify_excess_risk(specs, m=1e3, seed=1, n_points=40, steps=30)
+    assert [(r.name, r.passed, r.stats) for r in reports] == [
+        (r.name, r.passed, r.stats) for r in anew
+    ]
+    assert reports[2].stats["risk_gap"] == 0.0
+
+
+def test_the_verify_suite_trains_each_labelling_once(monkeypatch):
+    """The suite's three specs at the defaults take 3 x 4,000 steps: the
+    none spec's labels are the clean ones, so its model is the clean model."""
+    calls = []
+    monkeypatch.setattr(theory, "train_step", lambda *args: calls.append(None))
+    specs = [
+        NoiseSpec(kind, eta=eta, n_classes=4, seed=0)
+        for kind, eta in (("symmetric", 0.4), ("asymmetric_shift", 0.3), ("none", 0.0))
+    ]
+    verify_excess_risk(specs)
+    assert len(calls) == 12_000
 
 
 def test_excess_risk_refuses_bad_spec_lists_before_any_training(monkeypatch):
