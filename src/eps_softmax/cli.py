@@ -242,6 +242,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # every cell's config and every existing file are checked before any run
     reused = [_reused_result(*job) for job in jobs]
+    made = not os.path.isdir(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     todo = [job for job, done in zip(jobs, reused) if done is None]
     # a pool forks all its workers at the first submit, so start no idle ones
@@ -255,12 +256,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         runner = contextlib.nullcontext()
     results = []
-    with runner as pool:
-        fresh = (pool.map if pool else map)(_run_one, todo)
-        for done in reused:  # one line per cell, in grid order
-            result = next(fresh) if done is None else done
-            print(json.dumps(result))
-            results.append(result)
+    try:
+        with runner as pool:
+            fresh = (pool.map if pool else map)(_run_one, todo)
+            for done in reused:  # one line per cell, in grid order
+                result = next(fresh) if done is None else done
+                print(json.dumps(result))
+                results.append(result)
+    except BaseException:
+        if made:  # a failed sweep leaves no directory it made, unless a cell finished in it
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out_dir)
+        raise
     _print_table(results, losses, etas)
     return 0
 

@@ -34,6 +34,7 @@ from .mlp import (
     evaluate,
     forward,
     init_params,
+    n_params,
     sgd_step,
 )
 from .noise import NoiseSpec, corrupt_labels
@@ -47,7 +48,9 @@ class ExperimentConfig:
     """One experiment; where its results are written is not part of it.
 
     Construction checks the sections agree on the class count and, for the
-    blobs source, the input width; a mismatch raises ConfigError."""
+    blobs source, the input width; a mismatch raises ConfigError. So does an
+    array the run would size past numpy's limit of np.intp's largest value in
+    bytes: the features of either split, the parameters, or the workspace."""
 
     dataset: DatasetSpec
     mlp: MlpSpec
@@ -72,6 +75,20 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"mlp input size {self.mlp.layer_sizes[0]} does not match "
                     f"dataset dim {self.dataset.dim}"
+                )
+        # numpy refuses such an array with a ValueError, which cli.main does not catch
+        limit = np.iinfo(np.intp).max
+        d, sizes = self.dataset, self.mlp.layer_sizes
+        rows = max(min(self.optim.batch_size, d.n_train), eval_rows(sizes, d.n_test))
+        for field, floats in (
+            (f"dataset n_train {d.n_train}", d.n_train * max(d.dim, 1)),
+            (f"dataset n_test {d.n_test}", d.n_test * max(d.dim, 1)),
+            (f"mlp layer_sizes {list(sizes)}", n_params(sizes)),
+            (f"optim batch_size {self.optim.batch_size}", rows * sum(sizes[1:])),
+        ):
+            if 8 * floats > limit:
+                raise ConfigError(
+                    f"{field} sizes an array of {8 * floats} bytes, past numpy's limit of {limit}"
                 )
 
 

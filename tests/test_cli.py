@@ -237,6 +237,73 @@ def test_train_whose_labels_cannot_be_allocated_exits_in_one_error_line(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--n-train", str(2**62)], "dataset n_train"),
+        (["--n-train", str(2**60)], "dataset n_train"),
+        (["--n-test", str(2**62)], "dataset n_test"),
+        (["--layer-sizes", f"8,{2**62},4"], "mlp layer_sizes"),
+        (["--dim", "1", "--layer-sizes", "1,64,64,4", "--n-train", str(2**59), "--batch-size",
+          str(2**59)], "optim batch_size"),
+    ],
+)
+def test_train_refuses_an_array_past_numpys_size_limit_in_one_error_line(
+    tmp_path, capsys, flags, field
+):
+    # numpy itself would raise a ValueError, which main does not catch
+    out = tmp_path / "run.jsonl"
+    assert run_main(["train", *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {field} ")
+    assert "past numpy's limit of 9223372036854775807" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs, etas", [("1", "0"), ("2", "0,0.2")])
+def test_a_failed_sweep_leaves_no_directory_it_made(tmp_path, capsys, jobs, etas):
+    # 2**55 labels cannot be allocated: every cell fails after the directory is made
+    out = tmp_path / "made" / "g"
+    argv = ["sweep", "--losses", "ce", "--etas", etas, "--n-train", str(2**55), "--jobs", jobs,
+            "--out-dir", str(out)]
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
+    assert not out.exists()
+    assert (tmp_path / "made").is_dir()  # os.rmdir takes only the directory itself
+
+
+def test_a_failed_sweep_keeps_a_directory_it_found(tmp_path, capsys):
+    out = tmp_path / "g"
+    out.mkdir()
+    argv = ["sweep", "--losses", "ce", "--etas", "0", "--n-train", str(2**55), "--jobs", "1",
+            "--out-dir", str(out)]
+    assert run_main(argv) == 1
+    assert out.is_dir() and not any(out.iterdir())
+
+
+def test_a_failed_sweep_keeps_its_directory_once_a_cell_finished(tmp_path, capsys, monkeypatch):
+    original, calls = cli_mod._run_one, []
+
+    def second_fails(job):
+        calls.append(job)
+        if len(calls) == 2:
+            raise MemoryError("Unable to allocate the second cell")
+        return original(job)
+
+    monkeypatch.setattr(cli_mod, "_run_one", second_fails)
+    out = tmp_path / "g"
+    argv = ["sweep", "--losses", "ce", "--etas", "0,0.2", "--epochs", "1", "--n-train", "100",
+            "--n-test", "50", "--jobs", "1", "--out-dir", str(out)]
+    assert run_main(argv) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate the second cell\n"
+    assert sorted(os.listdir(out)) == ["ce_eta0_seed0.jsonl"]
+
+
 def test_train_refuses_a_negative_zero_eta_in_one_error_line(tmp_path, capsys):
     # -0 would train eta 0's run yet write "eta": -0.0 into its results
     out = tmp_path / "run.jsonl"

@@ -1,6 +1,10 @@
 """Verification helpers: bound fuzzing, calibrated optima, risk bound, FD oracle."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -295,9 +299,9 @@ def test_checks_below_their_minimum_count_are_config_errors(check, kwargs):
 
 
 def test_excess_risk_demo_clean_labels_have_zero_gap():
-    # same labels, same init: both models coincide, so the gap is exactly zero
+    # without noise the noisy risk is the clean one: one argmin, so the gap is exactly zero
     spec = NoiseSpec("none", n_classes=4)
-    (report,) = verify_excess_risk([spec], m=100.0, n_points=80, steps=600)
+    (report,) = verify_excess_risk([spec], m=100.0)
     assert report.stats["risk_gap"] == 0.0
     assert report.stats["risk_gap"] <= report.stats["bound"]
     assert report.passed
@@ -305,7 +309,7 @@ def test_excess_risk_demo_clean_labels_have_zero_gap():
 
 def test_excess_risk_demo_noisy_gap_within_bound():
     spec = NoiseSpec("symmetric", eta=0.3, n_classes=4, seed=0)
-    (report,) = verify_excess_risk([spec], m=1e4, n_points=120, steps=1500)
+    (report,) = verify_excess_risk([spec], m=1e4)
     assert report.passed
     assert report.stats["risk_gap"] <= report.stats["bound"]
     assert report.stats["max_output_distance"] <= report.stats["eps"] + 1e-12
@@ -318,67 +322,92 @@ def test_excess_risk_demo_rejects_degenerate_margins():
         NoiseSpec("symmetric", eta=0.5, n_classes=2)
 
 
-def test_excess_risk_demo_rejects_large_tasks():
-    with pytest.raises(ConfigError):
-        verify_excess_risk([NoiseSpec("none", n_classes=4)], m=10.0, n_points=500)
+@pytest.mark.parametrize(
+    "kind, etas, m, table_gap",
+    [
+        ("symmetric", (0.2, 0.4, 0.6), 100.0, 7.45e-3),
+        ("symmetric", (0.2, 0.4, 0.6), 1e4, 7.5e-5),
+        ("asymmetric_shift", (0.2, 0.4), 100.0, 4.96e-3),
+        ("asymmetric_shift", (0.2, 0.4), 1e4, 4.99e-5),
+    ],
+)
+def test_the_excess_risk_gap_at_the_noisy_minimizer_is_its_limit_at_every_eta(
+    kind, etas, m, table_gap
+):
+    # ROADMAP item 2's population table: (1 - s*) / (m + 1) whatever eta, with
+    # s* = 1/K under symmetric noise and 1/2 under the shift
+    reports = verify_excess_risk([NoiseSpec(kind, eta=eta, n_classes=4) for eta in etas], m=m)
+    s_star = 0.25 if kind == "symmetric" else 0.5
+    for report in reports:
+        gap, limit, tol = (report.stats[key] for key in ("risk_gap", "limit", "tolerance"))
+        assert report.passed
+        assert tol == theory.EXCESS_RISK_REL_TOL
+        assert abs(gap - table_gap) <= tol * table_gap
+        assert abs(gap - limit) <= tol / 2 * limit
+        assert limit == pytest.approx(-math.log((s_star + m) / (m + 1)))
 
 
-def _count_train_steps(monkeypatch):
+def test_the_m0_control_gap_is_plain_ce_at_the_noisy_minimizer():
+    # at m = 0 the minimizer predicts the noisy label distribution, p_0 = 1 - eta
+    for report, spec in zip(verify_excess_risk(MUTATION_NOISE), MUTATION_NOISE):
+        assert report.stats["risk_gap_m0"] == pytest.approx(-math.log(1.0 - spec.eta), rel=0.02)
+
+
+def test_the_noisy_excess_risk_lines_fail_at_m0():
+    # ce_eps at m = 0 is ce, whose gap grows with eta instead of reaching the limit
+    sym, shift, none = verify_excess_risk(MUTATION_NOISE, m=0.0)
+    assert not sym.passed and not shift.passed and none.passed
+    for report in (sym, shift):
+        assert report.stats["risk_gap"] == report.stats["risk_gap_m0"]
+        assert report.stats["risk_gap"] < report.stats["bound"]  # the bound half alone passes
+
+
+def test_excess_risk_stats_name_every_figure_of_the_line():
+    for report in verify_excess_risk(MUTATION_NOISE):
+        assert set(report.stats) == {"risk_gap", "limit", "tolerance", "risk_gap_m0", "delta",
+                                     "c", "a", "bound", "max_output_distance", "eps"}
+        assert all(math.isfinite(v) for v in report.stats.values())
+
+
+def test_the_verify_suite_makes_no_train_step_call(monkeypatch):
+    """The excess-risk lines score a grid of predictions; nothing is trained.
+    Every train_step call makes one call of the sgd_step it looks up in
+    experiment."""
+    from eps_softmax import experiment
+
     calls = []
 
-    def counted(*args, _original=theory.train_step):
+    def counted(*args, _original=experiment.sgd_step):
         calls.append(None)
         return _original(*args)
 
-    monkeypatch.setattr(theory, "train_step", counted)
-    return calls
+    monkeypatch.setattr(experiment, "sgd_step", counted)
+    assert all(r.passed for r in theory.run_verification_suite(trials=2000))
+    assert calls == []
 
 
-def test_excess_risk_trains_the_clean_model_once_for_every_spec(monkeypatch):
-    specs = [
-        NoiseSpec("symmetric", eta=0.4, n_classes=4, seed=1),
-        NoiseSpec("asymmetric_shift", eta=0.3, n_classes=4, seed=1),
-        NoiseSpec("none", n_classes=4, seed=1),
-    ]
-    calls = _count_train_steps(monkeypatch)
-    reports = verify_excess_risk(specs, m=1e3, seed=1, n_points=40, steps=30)
-    assert len(calls) == 3 * 30  # the none spec's labels are the clean ones: no fourth training
-    # sharing the clean model changes no number: each line is the one-spec check's
-    alone = [verify_excess_risk([s], m=1e3, seed=1, n_points=40, steps=30)[0] for s in specs]
-    assert [(r.name, r.passed, r.stats) for r in reports] == [
-        (r.name, r.passed, r.stats) for r in alone
-    ]
-    # nor does reusing it: training every spec's labels anew gives the same lines
-    monkeypatch.setattr(np, "array_equal", lambda *args: False)
-    anew = verify_excess_risk(specs, m=1e3, seed=1, n_points=40, steps=30)
-    assert [(r.name, r.passed, r.stats) for r in reports] == [
-        (r.name, r.passed, r.stats) for r in anew
-    ]
-    assert reports[2].stats["risk_gap"] == 0.0
-
-
-def test_the_verify_suite_trains_each_labelling_once(monkeypatch):
-    """The suite's three specs at the defaults take 3 x 4,000 steps: the
-    none spec's labels are the clean ones, so its model is the clean model."""
-    calls = []
-    monkeypatch.setattr(theory, "train_step", lambda *args: calls.append(None))
-    specs = [
-        NoiseSpec(kind, eta=eta, n_classes=4, seed=0)
-        for kind, eta in (("symmetric", 0.4), ("asymmetric_shift", 0.3), ("none", 0.0))
-    ]
-    verify_excess_risk(specs)
-    assert len(calls) == 12_000
+def test_importing_theory_loads_neither_the_training_harness_nor_the_data():
+    code = "import sys, eps_softmax.theory; print(sorted(sys.modules))"
+    src = os.path.dirname(os.path.dirname(theory.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    loaded = set(ast.literal_eval(done.stdout))
+    assert "eps_softmax.theory" in loaded
+    assert not loaded & {"eps_softmax.experiment", "eps_softmax.data"}
 
 
 def test_excess_risk_refuses_bad_spec_lists_before_any_training(monkeypatch):
-    calls = _count_train_steps(monkeypatch)
+    # before any risk is evaluated: no batch_loss call
+    calls = []
+    monkeypatch.setattr(theory, "batch_loss", lambda *args: calls.append(None))
     clean = NoiseSpec("none", n_classes=4)
     for specs, match in (
         ([], "must be at least 1"),
         ([clean, NoiseSpec("none", n_classes=3)], "one class count"),
+        ([NoiseSpec("none", n_classes=5)], "K <= 4"),
     ):
         with pytest.raises(ConfigError, match=match):
-            verify_excess_risk(specs, steps=5)
+            verify_excess_risk(specs)
     # a spec with no margin cannot be built, so it never reaches the check
     with pytest.raises(ConfigError, match="margin"):
         NoiseSpec("symmetric", eta=0.75, n_classes=4)
@@ -493,7 +522,7 @@ def failed_lines() -> set:
     reports = (
         one_hot_bound_grid(trials=2000, seed=0)
         + [delta_sweep(trials=200, seed=0)]
-        + verify_excess_risk(MUTATION_NOISE, n_points=80, steps=600)
+        + verify_excess_risk(MUTATION_NOISE)
         + gradcheck_losses(cases=40, seed=0)
         + gradcheck_mlp(seed=0)
     )
