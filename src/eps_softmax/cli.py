@@ -17,11 +17,13 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import sys
 
 from .data import DatasetSpec
 from .errors import ConfigError, DataError, TrainingDiverged, is_int64
 from .experiment import (
+    _SECTIONS,
     ExperimentConfig,
     config_to_dict,
     emit_results,
@@ -118,10 +120,7 @@ def build_config(args: argparse.Namespace, base: dict | None = None) -> Experime
     default ``_base_config``), then build each section's spec, which checks them."""
     if base is None:
         base = _base_config(args)
-
-    classes = {"dataset": DatasetSpec, "loss": LossSpec, "noise": NoiseSpec, "optim": OptimSpec,
-               "mlp": MlpSpec}
-    changes = {name: {} for name in classes}
+    changes = {name: {} for name, _ in _SECTIONS}
     for flag, (sections, field, kind, _) in _OVERRIDES.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
@@ -131,7 +130,7 @@ def build_config(args: argparse.Namespace, base: dict | None = None) -> Experime
         changes["mlp"]["layer_sizes"] = _parse_list("--layer-sizes", args.layer_sizes, int64)
     if args.seed is not None:
         changes["mlp"]["init_seed"] = changes["noise"]["seed"] = args.seed
-    specs = {name: cls(**{**base[name], **changes[name]}) for name, cls in classes.items()}
+    specs = {name: cls(**{**base[name], **changes[name]}) for name, cls in _SECTIONS}
     return ExperimentConfig(**specs, seed=base["seed"] if args.seed is None else args.seed)
 
 
@@ -242,7 +241,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # every cell's config and every existing file are checked before any run
     reused = [_reused_result(*job) for job in jobs]
-    made = not os.path.isdir(args.out_dir)
+    out = pathlib.Path(args.out_dir)
+    made = [p for p in (out, *out.parents) if not p.is_dir()]  # what makedirs makes, leaf first
     os.makedirs(args.out_dir, exist_ok=True)
     todo = [job for job, done in zip(jobs, reused) if done is None]
     # a pool forks all its workers at the first submit, so start no idle ones
@@ -264,9 +264,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(json.dumps(result))
                 results.append(result)
     except BaseException:
-        if made:  # a failed sweep leaves no directory it made, unless a cell finished in it
+        for path in made:  # a failed sweep removes them, but none that holds a finished cell
             with contextlib.suppress(OSError):
-                os.rmdir(args.out_dir)
+                os.rmdir(path)
         raise
     _print_table(results, losses, etas)
     return 0

@@ -79,17 +79,21 @@ class ExperimentConfig:
         # numpy refuses such an array with a ValueError, which cli.main does not catch
         limit = np.iinfo(np.intp).max
         d, sizes = self.dataset, self.mlp.layer_sizes
-        rows = max(min(self.optim.batch_size, d.n_train), eval_rows(sizes, d.n_test))
         for field, floats in (
             (f"dataset n_train {d.n_train}", d.n_train * max(d.dim, 1)),
             (f"dataset n_test {d.n_test}", d.n_test * max(d.dim, 1)),
             (f"mlp layer_sizes {list(sizes)}", n_params(sizes)),
-            (f"optim batch_size {self.optim.batch_size}", rows * sum(sizes[1:])),
+            (f"optim batch_size {self.optim.batch_size}", self.workspace_rows() * sum(sizes[1:])),
         ):
             if 8 * floats > limit:
                 raise ConfigError(
                     f"{field} sizes an array of {8 * floats} bytes, past numpy's limit of {limit}"
                 )
+
+    def workspace_rows(self) -> int:
+        """Rows of the run's one Workspace: a training batch or an evaluate chunk, the larger."""
+        d = self.dataset
+        return max(min(self.optim.batch_size, d.n_train), eval_rows(self.mlp.layer_sizes, d.n_test))
 
 
 @dataclass
@@ -199,9 +203,9 @@ def train_step(
     values, grad_logits = batch_loss(logits, y, spec)
     loss_sum = float(values.sum())
     grad_logits /= y.size
-    grads = backward(ws, grad_logits)
-    clip_grad_norm(grads, optim.clip_norm)
-    sgd_step(params, grads, velocity, lr, optim.momentum, optim.weight_decay)
+    backward(ws, grad_logits)
+    clip_grad_norm(ws, optim.clip_norm)
+    sgd_step(params, ws, velocity, lr, optim.momentum, optim.weight_decay)
     return loss_sum
 
 
@@ -235,7 +239,7 @@ def run_experiment(
     n_train = len(noisy)
     # each batch is gathered into these; the last partial batch uses leading rows
     rows = min(opt.batch_size, n_train)
-    ws = Workspace(config.mlp.layer_sizes, max(rows, eval_rows(config.mlp.layer_sizes, len(test))))
+    ws = Workspace(config.mlp.layer_sizes, config.workspace_rows())
     x_batch = np.empty((rows, noisy.features.shape[1]), dtype=noisy.features.dtype)
     y_batch = np.empty(rows, dtype=noisy.labels.dtype)
     records: list[EpochRecord] = []

@@ -15,13 +15,13 @@ elementwise order as the per-layer update written above, so they give the same
 bits as a loop over layers.
 
 All updates happen in place. Every network buffer comes from a Workspace
-the caller builds, so a step allocates no per-layer arrays: the layer
-outputs, the gradient set and its scratch, and the batch forward leaves
-pending for backward. Results computed through a workspace are views of its
-buffers and are overwritten by its next forward, or by a clip or update of
-its gradients; callers that need snapshots should copy. A run builds its
-workspace once, for the larger of its batch and one evaluate chunk, and
-evaluate runs the test set through it in chunks of that many rows.
+the caller builds and passes to each function that writes it (forward,
+backward, clip_grad_norm, sgd_step, evaluate), so a step allocates no
+per-layer arrays. Results computed through a workspace are views of its
+buffers, overwritten by the next of those calls on it; callers that need
+snapshots should copy. A run builds its workspace once, for the larger of
+its batch and one evaluate chunk, and evaluate runs the test set through it
+in chunks of that many rows.
 Identical seeds give bitwise identical parameters and trajectories in
 single-threaded use.
 
@@ -36,7 +36,7 @@ import contextlib
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,15 +99,11 @@ class ParamSet:
 
     ``flat`` holds the weights in layer order, then the biases, which is the
     order ``arrays()`` yields them in. Writing through a view writes ``flat``.
-    ``scratch`` takes the temporaries of clip_grad_norm and sgd_step: for a
-    Workspace's gradient set, the first ``flat.size`` entries of its arena;
-    for any other set, None, so numpy allocates them per call.
     """
 
     flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, layer_sizes) -> ParamSet:
@@ -153,11 +149,10 @@ class Workspace:
     chunk, gets leading-row views of the same buffers, cached per row count.
 
     The layer outputs are views into one float64 arena of
-    max(rows x sum(layer_sizes[1:]), n_params) entries, and the gradient set's
-    ``scratch`` is the arena's first n_params entries. So clip_grad_norm and
-    sgd_step on ``grads`` overwrite the layer outputs: call them between a
-    backward, which has spent the outputs, and the next forward, as
-    train_step does.
+    max(rows x sum(layer_sizes[1:]), n_params) entries. ``scratch``, the
+    arena's first n_params entries, takes the temporaries of clip_grad_norm
+    and sgd_step, so call those between a backward, which has spent the
+    outputs, and the next forward, as train_step does.
     """
 
     def __init__(self, layer_sizes, rows: int):
@@ -173,7 +168,7 @@ class Workspace:
         self._masks = [np.empty((rows, n), dtype=bool) for n in widths[:-1]]
         self._views: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
         self.grads = ParamSet.zeros(self.layer_sizes)
-        self.grads.scratch = arena[: self.grads.flat.size]
+        self.scratch = arena[: self.grads.flat.size]
 
     def buffers(self, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Each layer's output (hidden activations, then logits) and each
@@ -212,7 +207,7 @@ def forward(params: ParamSet, x, ws: Workspace) -> np.ndarray:
     the batch becomes ``ws.pending``, replacing any earlier one. The returned
     logits alias the buffers until the next forward through the same
     workspace, whatever its row count, and until a clip_grad_norm or sgd_step
-    on ``ws.grads``, whose scratch shares their arena.
+    on ``ws``, whose scratch shares their arena.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -272,17 +267,18 @@ def backward(ws: Workspace, grad_logits: np.ndarray) -> ParamSet:
     return grads
 
 
-def clip_grad_norm(grads: ParamSet, max_norm: float = 5.0) -> tuple[ParamSet, float]:
-    """Rescale all gradients in place if their global L2 norm exceeds max_norm.
+def clip_grad_norm(ws: Workspace, max_norm: float) -> tuple[ParamSet, float]:
+    """Rescale ``ws.grads`` in place if their global L2 norm exceeds max_norm.
 
-    The squares go to ``grads.scratch`` (for a workspace's gradients, its
-    layer-output arena; see Workspace), and each array's are summed over that
-    array's range of them, weights then biases, so the norm has the same bits
-    as summing each layer's gradient on its own. Returns the grads and the
-    scale factor applied (1.0 when no clipping).
+    The squares go to ``ws.scratch`` (its layer-output arena; see Workspace),
+    and each array's are summed over that array's range of them, weights then
+    biases, so the norm has the same bits as summing each layer's gradient on
+    its own. Returns ``ws.grads`` and the scale factor applied (1.0 when no
+    clipping).
     """
+    grads = ws.grads
     with np.errstate(over="ignore"):  # a finite gradient's squares may overflow
-        squares = np.multiply(grads.flat, grads.flat, out=grads.scratch)
+        squares = np.multiply(grads.flat, grads.flat, out=ws.scratch)
     total, start = 0.0, 0
     for a in grads.arrays():
         total += float(np.add.reduce(squares[start : start + a.size]))
@@ -309,24 +305,23 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
 
 def sgd_step(
     params: ParamSet,
-    grads: ParamSet,
+    ws: Workspace,
     velocity: ParamSet,
     lr: float,
-    momentum: float = 0.0,
-    weight_decay: float = 0.0,
-) -> tuple[ParamSet, ParamSet]:
-    """One momentum-SGD update, in place; returns (params, velocity).
+    momentum: float,
+    weight_decay: float,
+) -> None:
+    """One momentum-SGD update of params and velocity by ``ws.grads``, in place.
 
-    The update's temporary goes to ``grads.scratch``, which for a workspace's
-    gradients is its layer-output arena (see Workspace).
+    The update's temporary goes to ``ws.scratch``, its layer-output arena
+    (see Workspace).
     """
-    step = np.multiply(params.flat, weight_decay, out=grads.scratch)
-    step += grads.flat
+    step = np.multiply(params.flat, weight_decay, out=ws.scratch)
+    step += ws.grads.flat
     velocity.flat *= momentum
     velocity.flat += step
     np.multiply(velocity.flat, lr, out=step)
     params.flat -= step
-    return params, velocity
 
 
 def evaluate(params: ParamSet, x, labels, ws: Workspace) -> float:

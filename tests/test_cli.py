@@ -274,7 +274,7 @@ def test_a_failed_sweep_leaves_no_directory_it_made(tmp_path, capsys, jobs, etas
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
     assert not out.exists()
-    assert (tmp_path / "made").is_dir()  # os.rmdir takes only the directory itself
+    assert not (tmp_path / "made").exists()  # every directory makedirs made goes
 
 
 def test_a_failed_sweep_keeps_a_directory_it_found(tmp_path, capsys):

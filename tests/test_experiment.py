@@ -321,6 +321,30 @@ def test_a_warm_train_step_allocates_no_parameter_sized_array():
     assert peak < params.flat.nbytes / 10
 
 
+@pytest.mark.parametrize(
+    "batch_size, rows", [(32, 32), (8, 30), (500, 90)], ids=["batch", "eval-chunk", "n-train"]
+)
+def test_a_run_builds_the_workspace_rows_its_size_check_used(monkeypatch, batch_size, rows):
+    """tiny_config's 90 training rows and 30 test rows, one evaluate chunk."""
+    checked, built = [], []
+
+    def recorded(self, _original=ExperimentConfig.workspace_rows):
+        checked.append(_original(self))
+        return checked[-1]
+
+    class Recorded(Workspace):
+        def __init__(self, layer_sizes, rows):
+            built.append(rows)
+            super().__init__(layer_sizes, rows)
+
+    monkeypatch.setattr(ExperimentConfig, "workspace_rows", recorded)
+    monkeypatch.setattr(experiment, "Workspace", Recorded)
+    config = tiny_config(optim=OptimSpec(epochs=1, batch_size=batch_size))
+    size_check = checked[-1]  # the last config built is this one
+    run_experiment(config)
+    assert built == [size_check] == [rows]
+
+
 def test_lr_schedule_lands_in_the_records():
     records, _ = run_experiment(tiny_config())
     assert records[0].lr == 0.01

@@ -22,6 +22,7 @@ from eps_softmax.mlp import (
     init_params,
     sgd_step,
 )
+from test_reference_loop import ref_clip
 
 
 def test_mlp_spec_validation():
@@ -136,31 +137,31 @@ def test_backward_matches_finite_differences():
 
 
 def test_clip_leaves_small_gradients_untouched():
-    params = init_params(MlpSpec((2, 2), init_seed=0))
-    grads = ParamSet.zeros(params.layer_sizes)
+    ws = Workspace((2, 2), 1)
+    grads = ws.grads
     grads.weights[0][:] = [[0.1, 0.0], [0.0, 0.1]]
     before = grads.weights[0].copy()
-    _, scale = clip_grad_norm(grads, max_norm=5.0)
+    _, scale = clip_grad_norm(ws, max_norm=5.0)
     assert scale == 1.0
     assert np.array_equal(grads.weights[0], before)
 
 
 def test_clip_rescales_to_the_threshold():
-    params = init_params(MlpSpec((2, 2), init_seed=0))
-    grads = ParamSet.zeros(params.layer_sizes)
+    ws = Workspace((2, 2), 1)
+    grads = ws.grads
     grads.weights[0][:] = [[30.0, 0.0], [0.0, 40.0]]  # global norm 50
-    _, scale = clip_grad_norm(grads, max_norm=5.0)
+    _, scale = clip_grad_norm(ws, max_norm=5.0)
     assert scale == pytest.approx(0.1)
     total = sum(float((g**2).sum()) for g in grads.arrays())
     assert np.sqrt(total) == pytest.approx(5.0)
 
 
 def test_clip_rescales_a_finite_gradient_whose_squares_overflow():
-    params = init_params(MlpSpec((2, 3, 2), init_seed=0))
-    grads = ParamSet.zeros(params.layer_sizes)
+    ws = Workspace((2, 3, 2), 1)
+    grads = ws.grads
     grads.flat[...] = 1e200  # each square overflows; the pytest filter makes a warning an error
     grads.flat[0] = -3e199
-    _, scale = clip_grad_norm(grads, max_norm=5.0)
+    _, scale = clip_grad_norm(ws, max_norm=5.0)
     assert 0.0 < scale < 1.0
     assert np.isfinite(grads.flat).all()
     assert np.linalg.norm(grads.flat) == pytest.approx(5.0, rel=1e-12)
@@ -169,11 +170,11 @@ def test_clip_rescales_a_finite_gradient_whose_squares_overflow():
 
 
 def test_clip_at_an_infinite_norm_keeps_finite_grads_but_no_spec_takes_it():
-    params = init_params(MlpSpec((2, 3, 2), init_seed=0))
-    grads = ParamSet.zeros(params.layer_sizes)
+    ws = Workspace((2, 3, 2), 1)
+    grads = ws.grads
     grads.flat[...] = np.random.default_rng(0).standard_normal(grads.flat.size) * 1e150
     before = grads.flat.tobytes()
-    out, scale = clip_grad_norm(grads, max_norm=math.inf)  # no finite norm exceeds it
+    out, scale = clip_grad_norm(ws, max_norm=math.inf)  # no finite norm exceeds it
     assert out is grads and scale == 1.0
     assert grads.flat.tobytes() == before
     with pytest.raises(ConfigError, match="^clip_norm must be a finite number, got inf$"):
@@ -199,13 +200,13 @@ def test_sgd_step_matches_the_update_rule():
     params = init_params(MlpSpec((1, 1), init_seed=0))
     params.weights[0][:] = [[1.0]]
     vel = ParamSet.zeros(params.layer_sizes)
-    grads = ParamSet.zeros(params.layer_sizes)
-    grads.weights[0][:] = [[2.0]]
-    sgd_step(params, grads, vel, lr=0.1, momentum=0.9, weight_decay=0.01)
+    ws = Workspace(params.layer_sizes, 1)
+    ws.grads.weights[0][:] = [[2.0]]
+    sgd_step(params, ws, vel, lr=0.1, momentum=0.9, weight_decay=0.01)
     # v = 0.9 * 0 + (2.0 + 0.01 * 1.0) = 2.01; w = 1.0 - 0.1 * 2.01
     assert params.weights[0][0, 0] == pytest.approx(1.0 - 0.201)
     assert vel.weights[0][0, 0] == pytest.approx(2.01)
-    sgd_step(params, grads, vel, lr=0.1, momentum=0.9, weight_decay=0.01)
+    sgd_step(params, ws, vel, lr=0.1, momentum=0.9, weight_decay=0.01)
     # second step folds the previous velocity back in
     v2 = 0.9 * 2.01 + (2.0 + 0.01 * (1.0 - 0.201))
     assert vel.weights[0][0, 0] == pytest.approx(v2)
@@ -214,10 +215,10 @@ def test_sgd_step_matches_the_update_rule():
 def test_sgd_step_updates_in_place():
     params = init_params(MlpSpec((2, 2), init_seed=0))
     before = params.weights[0]
-    grads = ParamSet.zeros(params.layer_sizes)
-    grads.weights[0][:] = 1.0
+    ws = Workspace(params.layer_sizes, 1)
+    ws.grads.weights[0][:] = 1.0
     vel = ParamSet.zeros(params.layer_sizes)
-    sgd_step(params, grads, vel, lr=0.1, momentum=0.0, weight_decay=0.0)
+    sgd_step(params, ws, vel, lr=0.1, momentum=0.0, weight_decay=0.0)
     assert params.weights[0] is before
 
 
@@ -339,7 +340,7 @@ def test_forward_through_a_workspace_overwrites_its_buffers():
 
 
 def test_the_gradient_scratch_lives_in_the_workspace_arena():
-    """The Workspace contract: ws.grads' scratch is the leading entries of
+    """The Workspace contract: ws.scratch is the leading entries of
     the layer-output arena, which the 8-512-512-4 net's parameters size in a
     workspace of 128 rows (269,316 > 128 x 1,028) and its outputs size in one
     of 510 rows (510 x 1,028 > 269,316)."""
@@ -350,14 +351,12 @@ def test_the_gradient_scratch_lives_in_the_workspace_arena():
         ws = Workspace(params.layer_sizes, rows)
         forward(params, x, ws)
         grads = backward(ws, rng.standard_normal((128, 4)))
-        assert grads is ws.grads and grads.scratch.size == grads.flat.size
-        assert grads.scratch.base.size == arena == max(rows * 1_028, 269_316)  # base: the arena
-        assert np.shares_memory(grads.scratch, ws.buffers(128)[0][0])
-        bare = ParamSet.zeros(params.layer_sizes)  # no scratch: numpy allocates the temporaries
-        bare.flat[...] = grads.flat
-        assert clip_grad_norm(grads, 1e-3)[1] == clip_grad_norm(bare, 1e-3)[1] < 1.0
-        assert grads.flat.tobytes() == bare.flat.tobytes()
-        assert bare.scratch is None
+        assert grads is ws.grads and ws.scratch.size == grads.flat.size
+        assert ws.scratch.base.size == arena == max(rows * 1_028, 269_316)  # base: the arena
+        assert np.shares_memory(ws.scratch, ws.buffers(128)[0][0])
+        ref_grads = [g.copy() for g in grads.arrays()]
+        assert clip_grad_norm(ws, 1e-3)[1] == ref_clip(ref_grads, 1e-3) < 1.0
+        assert grads.flat.tobytes() == np.concatenate([g.ravel() for g in ref_grads]).tobytes()
 
 
 def test_a_workspace_refuses_a_batch_larger_than_it_was_built_for():
@@ -375,12 +374,12 @@ def test_an_evaluate_keeps_the_workspace_buffers():
     params = init_params(MlpSpec((8, 64, 64, 4), init_seed=9))
     ws = Workspace(params.layer_sizes, 1_000)
     outputs, masks = ws.buffers(128)
-    scratch = ws.grads.scratch
+    scratch = ws.scratch
     x, y = rng.standard_normal((1_000, 8)), rng.integers(0, 4, size=1_000)
     evaluate(params, x, y, ws=ws)
     after_outputs, after_masks = ws.buffers(128)
     assert all(a is b for a, b in zip(after_outputs + after_masks, outputs + masks))
-    assert ws.grads.scratch is scratch
+    assert ws.scratch is scratch
 
 
 def test_a_second_backward_on_one_cache_raises():

@@ -4,8 +4,8 @@ The reference below allocates fresh arrays for every layer in forward and
 backward, clips with a per-array norm, updates each array on its own and ranks
 with a stable argsort. The flat-buffer loop in run_experiment must write
 byte-identical results to it: the rewrite changed where values live, never
-the arithmetic. The excess-risk check's own full-batch trainer, which
-train_step replaced, is kept below as well.
+the arithmetic. A full-batch loop written with the mlp primitives, with no
+clip and no weight decay, pins train_step at those settings as well.
 """
 
 import dataclasses
@@ -189,34 +189,35 @@ def test_run_experiment_writes_the_reference_bytes(case, tmp_path):
 
 
 def random_sets(seed):
-    """Parameters, gradients and velocity of a small network, as flat sets and
-    as the reference's per-array copies."""
+    """Parameters, a workspace holding gradients, and velocity of a small
+    network, and the reference's per-array copies of the three sets."""
     rng = np.random.default_rng(seed)
     params = init_params(MlpSpec((7, 33, 19, 5), init_seed=seed))
-    sets = [params, ParamSet.zeros(params.layer_sizes), ParamSet.zeros(params.layer_sizes)]
+    ws = Workspace(params.layer_sizes, 4)
+    sets = [params, ws.grads, ParamSet.zeros(params.layer_sizes)]
     for s in sets:
         s.flat[...] = rng.normal(0.0, 3.0, size=s.flat.size)
-    return sets, [[a.copy() for a in s.arrays()] for s in sets]
+    return (params, ws, sets[2]), [[a.copy() for a in s.arrays()] for s in sets]
 
 
 @pytest.mark.parametrize("max_norm", [1e-3, 1e6])
 def test_clip_grad_norm_matches_the_per_array_clip(max_norm):
-    (_, grads, _), (_, ref_grads, _) = random_sets(0)
-    _, scale = clip_grad_norm(grads, max_norm)
+    (_, ws, _), (_, ref_grads, _) = random_sets(0)
+    _, scale = clip_grad_norm(ws, max_norm)
     assert scale == ref_clip(ref_grads, max_norm)
-    assert grads.flat.tobytes() == np.concatenate([g.ravel() for g in ref_grads]).tobytes()
+    assert ws.grads.flat.tobytes() == np.concatenate([g.ravel() for g in ref_grads]).tobytes()
 
 
 def test_sgd_step_matches_the_per_array_update():
-    (params, grads, velocity), (ref_p, ref_g, ref_v) = random_sets(1)
+    (params, ws, velocity), (ref_p, ref_g, ref_v) = random_sets(1)
     for lr in (0.3, 0.01):
-        sgd_step(params, grads, velocity, lr, momentum=0.9, weight_decay=1e-3)
+        sgd_step(params, ws, velocity, lr, momentum=0.9, weight_decay=1e-3)
         ref_sgd(ref_p, ref_g, ref_v, lr, 0.9, 1e-3)
     assert params.flat.tobytes() == np.concatenate([p.ravel() for p in ref_p]).tobytes()
     assert velocity.flat.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
 
 
-def ref_train_linear_softmax(
+def ref_full_batch_train(
     features: np.ndarray,
     labels: np.ndarray,
     n_classes: int,
@@ -224,8 +225,9 @@ def ref_train_linear_softmax(
     seed: int,
     steps: int,
 ):
-    """The excess-risk check's trainer before train_step, verbatim except
-    that it also returns the velocity."""
+    """A linear softmax model after ``steps`` full-batch momentum-SGD updates
+    at lr 0.2 and momentum 0.9, with no clip and no weight decay, written with
+    the mlp primitives; returns the parameters and the velocity."""
     params = init_params(MlpSpec((features.shape[1], n_classes), init_seed=seed))
     velocity = ParamSet.zeros(params.layer_sizes)
     ws = Workspace(params.layer_sizes, labels.size)
@@ -233,23 +235,23 @@ def ref_train_linear_softmax(
     for _ in range(steps):
         logits = forward(params, features, ws)
         _, grad_logits = batch_loss(logits, labels, spec)
-        grads = backward(ws, grad_logits / n)
-        sgd_step(params, grads, velocity, 0.2, 0.9)
+        backward(ws, grad_logits / n)
+        sgd_step(params, ws, velocity, 0.2, 0.9, 0.0)
     return params, velocity
 
 
 @pytest.mark.parametrize("spec", [LossSpec("ce"), LossSpec("ce_eps", m=1e4)], ids=["ce", "ce_eps"])
-def test_train_step_without_clip_or_decay_is_the_excess_risk_trainer(spec):
+def test_train_step_without_clip_or_decay_is_the_full_batch_reference_loop(spec):
     data = DatasetSpec(source="blobs", n_classes=4, n_train=200, n_test=4, dim=2, separation=8.0)
     train, _ = generate_blobs(data, 0)
     noise = NoiseSpec("symmetric", eta=0.4, n_classes=4, seed=0)
     labels = corrupt_labels(train.labels, noise)
-    ref_params, ref_velocity = ref_train_linear_softmax(train.features, labels, 4, spec, 0, 300)
+    ref_params, ref_velocity = ref_full_batch_train(train.features, labels, 4, spec, 0, 300)
 
     params = init_params(MlpSpec((2, 4), init_seed=0))
     velocity = ParamSet.zeros(params.layer_sizes)
     ws = Workspace(params.layer_sizes, len(labels))
-    # the excess-risk trainer's clip bound, the largest double, which no gradient reaches
+    # a clip bound that no gradient reaches: the largest double
     optim = OptimSpec(lr0=0.2, momentum=0.9, weight_decay=0.0, clip_norm=sys.float_info.max)
     for _ in range(300):
         train_step(params, velocity, ws, train.features, labels, spec, optim.lr0, optim)
