@@ -241,7 +241,10 @@ def ref_full_batch_train(
 
 
 @pytest.mark.parametrize("spec", [LossSpec("ce"), LossSpec("ce_eps", m=1e4)], ids=["ce", "ce_eps"])
-def test_train_step_without_clip_or_decay_is_the_full_batch_reference_loop(spec):
+def test_train_step_without_clip_or_decay_is_the_excess_risk_trainer(spec):
+    """train_step with no clip and no weight decay is, byte for byte, the
+    full-batch reference loop. The name is kept from when the excess-risk
+    check trained with that loop; no check trains with it now."""
     data = DatasetSpec(source="blobs", n_classes=4, n_train=200, n_test=4, dim=2, separation=8.0)
     train, _ = generate_blobs(data, 0)
     noise = NoiseSpec("symmetric", eta=0.4, n_classes=4, seed=0)
