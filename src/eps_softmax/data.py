@@ -1,8 +1,8 @@
 """Dataset generation and loading: Gaussian blobs and IDX files.
 
-Blobs are generated from a seed and are balanced across classes; IDX files
-are read strictly (malformed input raises DataError naming the file).
-Features are used as generated or read.
+Blobs are generated from a seed and are balanced across classes. IDX files
+are read and checked whole (malformed input raises DataError naming the
+file), and only the rows a split keeps are converted to float64.
 """
 
 from __future__ import annotations
@@ -135,44 +135,39 @@ def _read_idx(path: str, magic: int, n_dims: int) -> tuple[list[int], np.ndarray
     return dims, np.frombuffer(data, dtype=np.uint8, offset=header_len)
 
 
-def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read big-endian IDX image/label files (magic 2051 / 2049).
+def load_idx(images_path: str, labels_path: str, n: int, n_classes: int, split: str) -> Dataset:
+    """The first n rows of one split's big-endian IDX image/label files (magic 2051 / 2049).
 
-    Pixels are scaled to [0, 1] and flattened to (count, rows * cols).
+    Both files are read and checked whole, every label below n_classes included; only
+    the first n images are converted: scaled to [0, 1], float64, shape (n, rows * cols).
+    split names the split in errors; n is at least 1, as a DatasetSpec ensures.
     """
     (count, rows, cols), pixels = _read_idx(images_path, 2051, 3)
     (lab_count,), labels = _read_idx(labels_path, 2049, 1)
     if lab_count != count:
+        raise DataError(f"{labels_path}: {lab_count} labels but {images_path} has {count} images")
+    # the size check comes first: it also refuses an empty file
+    if n > count:
+        raise DataError(f"{labels_path}: requested {n} {split} samples but only {count} available")
+    if labels.max() >= n_classes:
         raise DataError(
-            f"{labels_path}: {lab_count} labels but {images_path} has {count} images"
+            f"{labels_path}: {split} label {int(labels.max())} out of range "
+            f"for {n_classes} classes"
         )
-    images = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
-    return images, labels.astype(np.int64)
+    kept = pixels[: n * rows * cols].reshape(n, rows * cols)
+    return Dataset(np.divide(kept, 255.0, dtype=np.float64), labels[:n].astype(np.int64))
 
 
 def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Dataset, Dataset]:
     """Materialize the train and test splits described by spec."""
     if spec.source == "blobs":
         return generate_blobs(spec, seed)
-    label_paths = (spec.train_labels_path, spec.test_labels_path)
-    image_paths = (spec.train_images_path, spec.test_images_path)
-    loaded = [load_idx(*paths) for paths in zip(image_paths, label_paths)]
-    splits = []
-    for (x, y), n, name, path in zip(
-        loaded, (spec.n_train, spec.n_test), ("train", "test"), label_paths
-    ):
-        # the size check comes first: it also refuses an empty file
-        if n > y.size:
-            raise DataError(
-                f"{path}: requested {n} {name} samples but only {y.size} available"
-            )
-        if y.max() >= spec.n_classes:
-            raise DataError(
-                f"{path}: {name} label {int(y.max())} out of range "
-                f"for {spec.n_classes} classes"
-            )
-        splits.append(Dataset(x[:n], y[:n]))
-    train, test = splits
+    train = load_idx(
+        spec.train_images_path, spec.train_labels_path, spec.n_train, spec.n_classes, "train"
+    )
+    test = load_idx(
+        spec.test_images_path, spec.test_labels_path, spec.n_test, spec.n_classes, "test"
+    )
     if train.features.shape[1] != test.features.shape[1]:
         raise DataError(
             f"train has {train.features.shape[1]} features "

@@ -33,6 +33,8 @@ def argmax_mask(p) -> np.ndarray:
 
 
 def check_m(m) -> float:
+    if isinstance(m, (str, bytes, bool, np.bool_)):  # float() would take "10" and True
+        raise ConfigError(f"m must be a finite number, got {m!r}")
     m = float(m)
     if not 0.0 <= m < math.inf:
         raise ConfigError(f"m must be finite and nonnegative, got {m}")

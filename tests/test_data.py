@@ -1,7 +1,9 @@
 """Synthetic generators and the IDX file loader."""
 
+import dataclasses
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,7 +138,8 @@ def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2):
 def test_load_idx_round_trip(tmp_path):
     pixels = [0, 255, 128, 0, 255, 0, 0, 64]
     ip, lp = write_idx_pair(tmp_path, pixels, [3, 1])
-    x, y = load_idx(ip, lp)
+    loaded = load_idx(ip, lp, 2, 4, "train")
+    x, y = loaded.features, loaded.labels
     assert x.shape == (2, 4)
     assert np.array_equal(y, [3, 1])
     assert x[0, 0] == 0.0
@@ -149,7 +152,7 @@ def test_load_idx_bad_magic(tmp_path):
     bad = tmp_path / "bad"
     bad.write_bytes(struct.pack(">IIII", 2052, 1, 2, 2) + bytes(4))
     with pytest.raises(DataError, match="magic"):
-        load_idx(str(bad), lp)
+        load_idx(str(bad), lp, 1, 2, "train")
 
 
 def test_load_idx_truncated_payload(tmp_path):
@@ -158,14 +161,14 @@ def test_load_idx_truncated_payload(tmp_path):
     lp = tmp_path / "lab"
     lp.write_bytes(struct.pack(">II", 2049, 2) + bytes(2))
     with pytest.raises(DataError, match="truncated"):
-        load_idx(str(ip), str(lp))
+        load_idx(str(ip), str(lp), 1, 2, "train")
 
 
 def test_load_idx_truncated_header(tmp_path):
     ip = tmp_path / "img"
     ip.write_bytes(b"\x00\x00")
     with pytest.raises(DataError, match="truncated header"):
-        load_idx(str(ip), str(ip))
+        load_idx(str(ip), str(ip), 1, 2, "train")
 
 
 def test_load_idx_trailing_bytes(tmp_path):
@@ -174,7 +177,7 @@ def test_load_idx_trailing_bytes(tmp_path):
     lp = tmp_path / "lab"
     lp.write_bytes(struct.pack(">II", 2049, 1) + bytes(1))
     with pytest.raises(DataError, match="trailing"):
-        load_idx(str(ip), str(lp))
+        load_idx(str(ip), str(lp), 1, 2, "train")
 
 
 def test_load_idx_count_mismatch(tmp_path):
@@ -182,7 +185,7 @@ def test_load_idx_count_mismatch(tmp_path):
     lp = tmp_path / "lab"
     lp.write_bytes(struct.pack(">II", 2049, 1) + bytes(1))
     with pytest.raises(DataError, match="labels but"):
-        load_idx(ip, str(lp))
+        load_idx(ip, str(lp), 1, 2, "train")
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,36 @@ def idx_spec(train, test):
         test_images_path=test[0],
         test_labels_path=test[1],
     )
+
+
+def test_build_dataset_idx_checks_labels_past_the_kept_prefix(tmp_path):
+    # only rows 0 and 1 are kept, but the whole labels file is checked
+    ip, lp = write_idx_pair(tmp_path, [0] * 12, [0, 1, 7])
+    with pytest.raises(DataError, match="train label 7 out of range for 2 classes"):
+        build_dataset(idx_spec((ip, lp), (ip, lp)), seed=0)
+
+
+def test_build_dataset_idx_converts_only_the_rows_it_keeps(tmp_path):
+    count, rows, cols = 4000, 28, 28
+    pixels = np.random.default_rng(0).integers(0, 256, count * rows * cols, dtype=np.uint8)
+    ip, lp = write_idx_pair(
+        tmp_path, pixels.tobytes(), [i % 10 for i in range(count)], rows=rows, cols=cols
+    )
+    spec = dataclasses.replace(idx_spec((ip, lp), (ip, lp)), n_classes=10, n_train=16, n_test=16)
+    tracemalloc.start()
+    try:
+        train, test = build_dataset(spec, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-file float64 conversion alone would be 8x the images file
+    images_bytes = (tmp_path / "images-idx3-ubyte").stat().st_size
+    assert peak < 2 * images_bytes
+    whole = pixels.astype(np.float64).reshape(count, rows * cols) / 255.0
+    for split in (train, test):
+        assert split.features.dtype == np.float64
+        assert split.features.tobytes() == whole[:16].tobytes()
+        assert np.array_equal(split.labels, np.arange(16) % 10)
 
 
 def test_build_dataset_idx_rejects_a_feature_width_mismatch(tmp_path):

@@ -16,6 +16,7 @@ from eps_softmax.transform import (
     eps_softmax,
     eps_softmax_rows,
 )
+from eps_softmax.theory import closed_form_optimum
 
 from conftest import amplifications, logit_vectors, prob_vectors
 
@@ -31,6 +32,25 @@ def test_transform_entry_points_refuse_a_non_finite_amplification(m):
         eps_softmax([1.0, 0.0], m)
     with pytest.raises(ConfigError, match="m must be finite"):
         eps_bound(4, m)
+
+
+@pytest.mark.parametrize(
+    "m", ["10", True, np.True_, b"1"], ids=["str", "bool", "numpy-bool", "bytes"]
+)
+def test_transform_entry_points_refuse_an_amplification_that_is_not_a_number(m):
+    with pytest.raises(ConfigError, match="m must be a finite number"):
+        eps_softmax([1.0, 2.0], m)
+    with pytest.raises(ConfigError, match="m must be a finite number"):
+        eps_bound(3, m)
+    with pytest.raises(ConfigError, match="m must be a finite number"):
+        closed_form_optimum([0.9, 0.05, 0.05], m)
+
+
+def test_transform_entry_points_take_numpy_and_integer_amplifications():
+    assert np.array_equal(eps_softmax([1.0, 2.0], np.float32(2.0)), eps_softmax([1.0, 2.0], 2.0))
+    assert eps_bound(3, 2) == eps_bound(3, 2.0)
+    q = [0.9, 0.05, 0.05]
+    assert np.array_equal(closed_form_optimum(q, np.float32(1.0)), closed_form_optimum(q, 1.0))
 
 
 def test_eps_softmax_validates_its_logits():
