@@ -1,14 +1,17 @@
-"""Exception types shared across the package, and the one rule for spec fields.
+"""Exception types shared across the package, and the one rule for a value.
 
-Every spec checks its fields against ``FIELD_RULES`` when it is built, for
-library, config-file and flag callers alike. A value a spec cannot use raises
-``ConfigError`` there; no spec warns and goes on. A float field holds the
-float its value equals, never an integer, and -0.0 (equal to 0.0) is refused.
+``check_value`` judges each spec field (when built, for every caller) and each
+library number (m, a class count, a check's size): ``ConfigError`` if it breaks
+its rule. A float is a finite real but no bool, numpy scalars included, stored
+as its Python float, never -0.0; an int is an int, never a bool or numpy integer.
 """
 
 import dataclasses
 import math
+import numbers
 import sys
+
+_MAX = sys.float_info.max  # the largest finite double
 
 
 class ConfigError(ValueError):
@@ -28,14 +31,14 @@ def is_int64(value) -> bool:
     return type(value) is int and -(2**63) <= value < 2**63
 
 
-#: field annotation -> (test of a value, what it accepts). An integer is a valid
-#: float; a boolean is neither; numpy integers are not integers.
+#: field annotation -> (test of a value, what it accepts).
 FIELD_RULES = {
     "int": (is_int64, "an integer in [-2**63, 2**63)"),
     "float": (
-        # abs() <= max is False for NaN, the infinities and integers too large for a double
-        lambda v: isinstance(v, (int, float)) and type(v) is not bool
-        and abs(v) <= sys.float_info.max,
+        # NaN and the infinities fail. A rational compares exactly (its float() may raise),
+        # any other real as its float (a numpy float would cast _MAX to its type: overflow)
+        lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+        and -_MAX <= (v if isinstance(v, numbers.Rational) else float(v)) <= _MAX,
         "a finite number",
     ),
     "str": (lambda v: isinstance(v, str), "a string"),
@@ -48,16 +51,21 @@ FIELD_RULES = {
 }
 
 
+def check_value(name: str, value, rule: str, at_least=None):
+    """value (a float under "float"), or ConfigError: it breaks its rule, is -0.0 or < at_least."""
+    fits, expected = FIELD_RULES[rule]
+    if not fits(value):
+        floor = "" if at_least is None else f"at least {at_least} and "
+        raise ConfigError(f"{name} must be {floor}{expected}, got {value!r}")
+    if rule == "float" and (value := float(value)) == 0 and math.copysign(1.0, value) < 0:
+        raise ConfigError(f"{name} must not be -0.0")
+    if at_least is not None and value < at_least:
+        raise ConfigError(f"{name} must be at least {at_least}, got {value}")
+    return value
+
+
 def check_fields(spec, names=None) -> None:
-    """Raise ConfigError naming the first field of a spec dataclass whose value
-    breaks its annotation's rule (of ``names`` only); make float fields floats."""
+    """Set each field of a frozen spec (of ``names`` only) to check_value of it by its type."""
     for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
         if names is None or f.name in names:
-            fits, expected = FIELD_RULES[f.type]
-            if not fits(value):
-                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
-            if f.type == "float":
-                if value == 0 and math.copysign(1.0, value) < 0:
-                    raise ConfigError(f"{f.name} must not be -0.0")
-                object.__setattr__(spec, f.name, float(value))  # specs are frozen
+            object.__setattr__(spec, f.name, check_value(f.name, getattr(spec, f.name), f.type))

@@ -44,7 +44,7 @@ import numpy as np
 
 from .core import LOG_FLOOR, check_labels, check_logit_vector, softmax_cols
 from .errors import ConfigError, check_fields
-from .transform import amplify, argmax_mask
+from .transform import amplify, argmax_mask, check_m
 
 
 class _View(NamedTuple):
@@ -145,8 +145,7 @@ class LossSpec:
             if f.name not in reads:
                 object.__setattr__(self, f.name, f.default)  # specs are frozen
         # every default passes these checks
-        if self.m < 0:
-            raise ConfigError("m must be nonnegative")
+        check_m(self.m)
         if self.gamma < 0:
             raise ConfigError("gamma must be nonnegative")
         if not 0.0 < self.q <= 1.0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import LOG_FLOOR, check_prob_vector, make_rng, softmax_rows
-from .errors import ConfigError
+from .errors import ConfigError, check_value
 from .losses import LOSS_KINDS, LossSpec, batch_loss, evaluate_loss, symmetric_sums
 from .mlp import MlpSpec, Workspace, backward, forward, init_params
 from .noise import NoiseSpec, clean_dominance_margin, expected_clean_weight, transition_matrix
@@ -34,11 +34,6 @@ class CheckReport:
     name: str
     passed: bool
     stats: dict = field(default_factory=dict)
-
-
-def _require_at_least(name: str, value: int, floor: int = 1) -> None:
-    if value < floor:
-        raise ConfigError(f"{name} must be at least {floor}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +51,7 @@ def one_hot_bound_grid(trials: int = 100_000, seed: int = 0) -> list[CheckReport
     from the one-hot set, for logits drawn uniformly from [-10, 10]. Each K
     draws and softmaxes its trials once, in chunks of 20,000 rows, and every m
     amplifies the same probabilities. One report per (K, m), K-major."""
-    _require_at_least("trials", trials)
+    check_value("trials", trials, "int", at_least=1)
     reports = []
     for k in BOUND_GRID_KS:
         rng = make_rng(seed)
@@ -168,7 +163,9 @@ def verify_calibration(
 ) -> list[CheckReport]:
     """Numeric optimum vs closed form, plus rank preservation and solver
     convergence, per m."""
-    _require_at_least("n_distributions", n_distributions)
+    check_value("n_classes", n_classes, "int", at_least=2)
+    check_value("n_distributions", n_distributions, "int", at_least=1)
+    ms = [check_m(m) for m in ms]
     reports = []
     for m in ms:
         rng = make_rng(seed)
@@ -214,7 +211,8 @@ def verify_symmetric_term_cancellation(
     symmetric-sum differences: the MAE contributions cancel pair by pair.
     Both sides are the loss table's symmetric sums, so a ce_eps_mae row whose
     bounded term breaks this fails here."""
-    _require_at_least("trials", trials)
+    check_value("n_classes", n_classes, "int", at_least=2)
+    check_value("trials", trials, "int", at_least=1)
     rng = make_rng(seed)
     p1 = rng.dirichlet(np.ones(n_classes), size=trials)
     p2 = rng.dirichlet(np.ones(n_classes), size=trials)
@@ -240,8 +238,10 @@ def delta_sweep(
     bound, strictly decreases along increasing m. delta at m is the largest
     difference of the ce_eps symmetric sums over pairs of softmax predictions
     from uniform logits, drawn and softmaxed once for every m."""
-    _require_at_least("the number of m values", len(ms), 2)
-    _require_at_least("trials", trials)
+    check_value("n_classes", n_classes, "int", at_least=2)
+    ms = [check_m(m) for m in ms]
+    check_value("the number of m values", len(ms), "int", at_least=2)
+    check_value("trials", trials, "int", at_least=1)
     rng = make_rng(seed)
     p1 = softmax_rows(rng.uniform(-10.0, 10.0, size=(trials, n_classes)))
     p2 = softmax_rows(rng.uniform(-10.0, 10.0, size=(trials, n_classes)))
@@ -253,7 +253,7 @@ def delta_sweep(
     return CheckReport(
         name=f"delta_shrinks_K{n_classes}",
         passed=decreasing,
-        stats={"ms": list(ms), "deltas": deltas, "trials": trials},
+        stats={"ms": ms, "deltas": deltas, "trials": trials},
     )
 
 
@@ -306,7 +306,8 @@ def verify_excess_risk(noise_specs, m: float = 1e4) -> list[CheckReport]:
     delta is the spread of the family's symmetric sums, c the average
     clean-label weight and a the clean dominance margin; the gap at m = 0,
     where ce_eps is ce, is a control. The specs must share one K <= 4."""
-    _require_at_least("the number of noise specs", len(noise_specs))
+    m = check_m(m)
+    check_value("the number of noise specs", len(noise_specs), "int", at_least=1)
     class_counts = sorted({spec.n_classes for spec in noise_specs})
     if len(class_counts) > 1:
         raise ConfigError(f"the noise specs must share one class count, got {class_counts}")
@@ -395,7 +396,7 @@ GRADCHECK_MLP_TOL = 1e-4
 def gradcheck_losses(kinds=LOSS_KINDS, cases: int = 1000, seed: int = 0) -> list[CheckReport]:
     """Analytic loss gradients (evaluate_loss) vs central finite differences
     (one batch_loss call over each case's 2K perturbed rows), per kind."""
-    _require_at_least("cases", cases)
+    check_value("cases", cases, "int", at_least=1)
     reports = []
     for kind in kinds:
         rng = make_rng(seed)

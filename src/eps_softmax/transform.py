@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import check_logit_vector, softmax_rows
-from .errors import ConfigError
+from .errors import ConfigError, check_value
 
 
 def amplify(p, is_top, m: float):
@@ -33,21 +33,17 @@ def argmax_mask(p) -> np.ndarray:
 
 
 def check_m(m) -> float:
-    if isinstance(m, (str, bytes, bool, np.bool_)):  # float() would take "10" and True
-        raise ConfigError(f"m must be a finite number, got {m!r}")
-    m = float(m)
-    if not 0.0 <= m < math.inf:
-        raise ConfigError(f"m must be finite and nonnegative, got {m}")
+    """m as a float: the float rule of errors.check_value, and nonnegative."""
+    if (m := check_value("m", m, "float")) < 0:
+        raise ConfigError("m must be nonnegative")
     return m
 
 
 def eps_softmax(logits, m: float = 0.0) -> np.ndarray:
     """Softmax, then add m to the largest probability and divide all by m + 1."""
     m = check_m(m)
-    x = check_logit_vector(logits)
     with np.errstate(over="ignore"):  # finite - finite may still overflow to -inf
-        p = softmax_rows(x[None])[0]
-    return amplify(p, argmax_mask(p), m)
+        return eps_softmax_rows(check_logit_vector(logits)[None], m)[0]
 
 
 def eps_softmax_rows(logits: np.ndarray, m: float) -> np.ndarray:
@@ -58,9 +54,8 @@ def eps_softmax_rows(logits: np.ndarray, m: float) -> np.ndarray:
 
 def eps_bound(n_classes: int, m: float) -> float:
     """Worst-case distance from the transformed output to the one-hot set."""
-    if n_classes < 2:
-        raise ConfigError("need at least 2 classes")
-    return math.sqrt(1.0 - 1.0 / n_classes) / (check_m(m) + 1.0)
+    k = check_value("n_classes", n_classes, "int", at_least=2)
+    return math.sqrt(1.0 - 1.0 / k) / (check_m(m) + 1.0)
 
 
 def distance_to_one_hot(p) -> float:

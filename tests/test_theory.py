@@ -111,7 +111,7 @@ def test_closed_form_optimum_refuses_a_nan_distribution():
 
 @pytest.mark.parametrize("m", [math.nan, math.inf, -0.5])
 def test_closed_form_optimum_refuses_an_m_the_transform_refuses(m):
-    with pytest.raises(ConfigError, match="m must be finite and nonnegative"):
+    with pytest.raises(ConfigError, match="^m must be (a finite number, got|nonnegative$)"):
         closed_form_optimum([0.9, 0.1], m)
 
 
@@ -290,6 +290,12 @@ def test_delta_sweep_smoke():
         (delta_sweep, {"ms": ()}),
         (delta_sweep, {"ms": (1.0,)}),
         (gradcheck_losses, {"cases": 0}),
+        (one_hot_bound_grid, {"trials": True}),
+        (one_hot_bound_grid, {"trials": 2.5}),
+        (gradcheck_losses, {"cases": True}),
+        (verify_calibration, {"n_classes": 1}),
+        (verify_symmetric_term_cancellation, {"n_classes": 1}),
+        (delta_sweep, {"n_classes": 1}),
     ],
 )
 def test_checks_below_their_minimum_count_are_config_errors(check, kwargs):

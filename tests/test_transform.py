@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from eps_softmax.core import softmax_rows
 from eps_softmax.errors import ConfigError
+from eps_softmax.losses import LossSpec
+from eps_softmax.noise import NoiseSpec
 from eps_softmax.transform import (
     amplify,
     argmax_mask,
@@ -16,7 +18,7 @@ from eps_softmax.transform import (
     eps_softmax,
     eps_softmax_rows,
 )
-from eps_softmax.theory import closed_form_optimum
+from eps_softmax.theory import closed_form_optimum, verify_excess_risk
 
 from conftest import amplifications, logit_vectors, prob_vectors
 
@@ -28,14 +30,16 @@ def test_config_rejects_negative_amplification():
 
 @pytest.mark.parametrize("m", [np.nan, np.inf, -np.inf])
 def test_transform_entry_points_refuse_a_non_finite_amplification(m):
-    with pytest.raises(ConfigError, match="m must be finite"):
+    with pytest.raises(ConfigError, match="m must be a finite number"):
         eps_softmax([1.0, 0.0], m)
-    with pytest.raises(ConfigError, match="m must be finite"):
+    with pytest.raises(ConfigError, match="m must be a finite number"):
         eps_bound(4, m)
 
 
 @pytest.mark.parametrize(
-    "m", ["10", True, np.True_, b"1"], ids=["str", "bool", "numpy-bool", "bytes"]
+    "m",
+    ["10", True, np.True_, b"1", None, [2.0], 2 + 0j, 10**400],
+    ids=["str", "bool", "numpy-bool", "bytes", "none", "list", "complex", "huge-int"],
 )
 def test_transform_entry_points_refuse_an_amplification_that_is_not_a_number(m):
     with pytest.raises(ConfigError, match="m must be a finite number"):
@@ -51,6 +55,24 @@ def test_transform_entry_points_take_numpy_and_integer_amplifications():
     assert eps_bound(3, 2) == eps_bound(3, 2.0)
     q = [0.9, 0.05, 0.05]
     assert np.array_equal(closed_form_optimum(q, np.float32(1.0)), closed_form_optimum(q, 1.0))
+    # a numpy float is the float it equals, for a spec and a check alike
+    m = LossSpec("ce_eps", m=np.float32(2.0)).m
+    assert type(m) is float and m == 2.0
+    specs = [NoiseSpec("symmetric", eta=0.4, n_classes=4)]
+    assert [r.stats for r in verify_excess_risk(specs, m=np.float32(1e4))] == [
+        r.stats for r in verify_excess_risk(specs, m=1e4)
+    ]
+
+
+def test_transform_entry_points_refuse_a_negative_zero_amplification():
+    # -0.0 equals 0.0, so m refuses it as a spec's float field does
+    for call in (
+        lambda: eps_softmax([1.0, 0.0], -0.0),
+        lambda: eps_bound(3, -0.0),
+        lambda: closed_form_optimum([0.9, 0.1], -0.0),
+    ):
+        with pytest.raises(ConfigError, match="^m must not be -0.0$"):
+            call()
 
 
 def test_eps_softmax_validates_its_logits():
@@ -133,6 +155,8 @@ def test_bound_rejects_degenerate_arguments():
         eps_bound(1, 0.0)
     with pytest.raises(ConfigError):
         eps_bound(10, -1.0)
+    with pytest.raises(ConfigError, match="^n_classes must be .*an integer"):
+        eps_bound(2.5, 1.0)
 
 
 def test_distance_to_one_hot_known_value():
